@@ -613,7 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", default=None, help="potential family override")
     p.add_argument("--interaction", default=None, help="interaction family override")
     p.add_argument("--half-width", dest="half_width", type=float, default=2.5)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="bound on the ground-state residual ||Hx - Ex||; exit 3 when it is "
+                        "exceeded or the iterative eigensolver does not converge")
     p.add_argument("--basis-cap", dest="basis_cap", type=int, default=1_000_000,
                    help="conservative CLI cap on the occupation-basis size")
     common(p)

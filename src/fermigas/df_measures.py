@@ -21,6 +21,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.stats import beta as beta_law
 from scipy.stats import binom
 
 from .errors import CapExceededError, ValidationError
@@ -603,7 +604,8 @@ def pauli_violation_stats(
     """Monte Carlo frequency of a local occupancy exceeding the Pauli level.
 
     The event is {empirical mass of the cell >= (1+eps) (2 pi)^-d |cell|};
-    its frequency is reported with a 95% binomial confidence interval.
+    its frequency is reported with the exact (Clopper-Pearson) 95% binomial
+    confidence interval.
     Streams are chunked with seeds spawned deterministically from ``seed``,
     so results are reproducible regardless of worker layout. For an i.i.d.
     sampler with known per-draw cell probability the exact binomial tail is
@@ -637,7 +639,8 @@ def pauli_violation_stats(
         done += size
 
     freq = hits / n_trials
-    half = 1.96 * math.sqrt(max(freq * (1.0 - freq), 1e-12) / n_trials)
+    ci_low = float(beta_law.ppf(0.025, hits, n_trials - hits + 1)) if hits > 0 else 0.0
+    ci_high = float(beta_law.ppf(0.975, hits + 1, n_trials - hits)) if hits < n_trials else 1.0
     exact = None
     if exact_cell_prob is not None:
         exact = float(binom.sf(threshold_count - 1, n_particles, exact_cell_prob))
@@ -646,8 +649,8 @@ def pauli_violation_stats(
         threshold_mass=threshold_mass,
         threshold_count=threshold_count,
         frequency=freq,
-        ci_low=freq - half - 0.5 / n_trials,
-        ci_high=freq + half + 0.5 / n_trials,
+        ci_low=ci_low,
+        ci_high=ci_high,
         n_trials=n_trials,
         exact_tail=exact,
         any_cell_frequency=(any_hits / n_trials) if track_all_cells else None,

@@ -546,10 +546,7 @@ def hartree_energy(
     inter = 0.0
     if w_n is not None:
         rho = diag / h
-        m = grid.points_per_axis
-        seps = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :]) * h
-        w_full = np.asarray(w_n.evaluate(seps.reshape(-1, 1)), dtype=float).reshape(m, m)
-        inter = -float(rho @ w_full @ rho) * h * h / n_particles
+        inter = -float(rho @ w_n.pair_matrix(grid) @ rho) * h * h / n_particles
     return {
         "kinetic_term": float(kinetic),
         "potential_term": pot,

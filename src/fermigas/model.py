@@ -366,6 +366,12 @@ class ScaledInteraction:
     def evaluate(self, points: Array) -> Array:
         return self.amplitude * self.profile.evaluate(np.asarray(points) * self.length_factor)
 
+    def pair_matrix(self, grid: SpatialGrid) -> Array:
+        """w_N(|x_i - x_j|) over the sites of a 1D grid, diagonal included."""
+        m = grid.points_per_axis
+        table = np.asarray(self.evaluate((np.arange(m) * grid.spacing)[:, None]), dtype=float)
+        return table[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
+
     def integral_quadrature(self, points_per_axis: int = 4096) -> float:
         """Integral of the scaled kernel on a support-adapted grid."""
         return _support_quadrature(self.evaluate, self.profile.d, self.support_radius, points_per_axis)

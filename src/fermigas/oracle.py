@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapExceededError, ConvergenceError, ValidationError
 from .model import ScaledInteraction, SpatialGrid, TrapPotential
@@ -26,16 +27,6 @@ Array = np.ndarray
 
 BASIS_CAP = 2_000_000
 DENSE_FALLBACK_DIM = 2000
-
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-
-
-def _popcount64(masks: Array) -> Array:
-    m = masks.astype(np.uint64)
-    out = np.zeros(m.shape, dtype=np.int64)
-    for shift in (0, 16, 32, 48):
-        out += _POP16[((m >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(np.int64)]
-    return out
 
 
 def one_body_matrix(grid: SpatialGrid, potential: TrapPotential, hbar: float) -> Array:
@@ -65,7 +56,7 @@ class DiscreteHamiltonian:
     basis_cap: int = BASIS_CAP
 
     occupations: Array = field(init=False)  # (dim, N) sorted site indices
-    masks: Array = field(init=False)
+    masks: Array = field(init=False)  # ascending, so a state's row is searchsorted(masks, mask)
     matrix: sp.csr_matrix = field(init=False)
     hbar: float = field(init=False)
 
@@ -84,7 +75,10 @@ class DiscreteHamiltonian:
         if m > 63:
             raise ValidationError("lattice limited to 63 sites (uint64 masks)")
         self.hbar = 1.0 / n
-        self.occupations = np.array(list(combinations(range(m), n)), dtype=np.int64)
+        # Lexicographic order over descending site tuples is descending mask
+        # order; reversing rows and columns gives ascending masks, ascending sites.
+        descending = np.array(list(combinations(range(m - 1, -1, -1), n)), dtype=np.int64)
+        self.occupations = np.ascontiguousarray(descending[::-1, ::-1])
         self.masks = np.zeros(dim, dtype=np.uint64)
         for col in range(n):
             self.masks |= np.uint64(1) << self.occupations[:, col].astype(np.uint64)
@@ -93,14 +87,6 @@ class DiscreteHamiltonian:
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
-
-    def site_distance_couplings(self) -> Array:
-        """w_N sampled at lattice separations 0..M-1 (0 where no coupling)."""
-        m = self.grid.points_per_axis
-        if self.w_n is None:
-            return np.zeros(m)
-        seps = (np.arange(m) * self.grid.spacing)[:, None]
-        return np.asarray(self.w_n.evaluate(seps), dtype=float)
 
     def _build_matrix(self) -> sp.csr_matrix:
         m = self.grid.points_per_axis
@@ -111,16 +97,14 @@ class DiscreteHamiltonian:
         v = np.asarray(self.potential.evaluate(self.grid.points()), dtype=float)
 
         diag = v[occ].sum(axis=1) + 2.0 * hop * n
-        w_table = self.site_distance_couplings()
         if self.w_n is not None:
+            coupling = self.w_n.pair_matrix(self.grid)
             for a in range(n):
                 for b in range(a + 1, n):
-                    diag -= w_table[occ[:, b] - occ[:, a]] / n
+                    diag -= coupling[occ[:, a], occ[:, b]] / n
 
         # Nearest-neighbor hops; the Jordan-Wigner string between adjacent
         # sites is empty, so every hopping element is -hop.
-        order = np.argsort(self.masks, kind="stable")
-        sorted_masks = self.masks[order]
         rows, cols = [], []
         one = np.uint64(1)
         for col in range(n):
@@ -137,24 +121,14 @@ class DiscreteHamiltonian:
                     ^ (one << sites[src].astype(np.uint64))
                     | (one << target[src].astype(np.uint64))
                 )
-                pos = np.searchsorted(sorted_masks, new_masks)
-                dst = order[pos]
                 rows.append(src)
-                cols.append(dst)
+                cols.append(np.searchsorted(self.masks, new_masks))
         rows = np.concatenate(rows) if rows else np.array([], dtype=np.int64)
         cols = np.concatenate(cols) if cols else np.array([], dtype=np.int64)
         data = np.full(rows.shape, -hop)
         mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
         mat = mat + sp.diags(diag)
         return mat.tocsr()
-
-    def index_of(self, sites: tuple[int, ...]) -> int:
-        mask = np.uint64(0)
-        for s in sites:
-            mask |= np.uint64(1) << np.uint64(s)
-        order = np.argsort(self.masks, kind="stable")
-        pos = np.searchsorted(self.masks[order], mask)
-        return int(order[pos])
 
 
 @dataclass
@@ -189,61 +163,26 @@ def expectation(ham: DiscreteHamiltonian, coefficients: Array) -> float:
     return float(c @ (ham.matrix @ c)) / nrm2
 
 
-def _lanczos_lowest(matvec, dim: int, tol: float, rng, max_krylov: int = 160, max_restarts: int = 40):
-    """Restarted Lanczos with full reorthogonalization for the lowest pair."""
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    theta = math.inf
-    for _ in range(max_restarts):
-        k = min(max_krylov, dim)
-        basis = np.zeros((k, dim))
-        alphas = np.zeros(k)
-        betas = np.zeros(max(k - 1, 0))
-        basis[0] = v
-        w = matvec(v)
-        alphas[0] = v @ w
-        used = 1
-        for j in range(1, k):
-            w = w - alphas[j - 1] * basis[j - 1]
-            if j >= 2:
-                w = w - betas[j - 2] * basis[j - 2]
-            # full reorthogonalization against every stored vector
-            w -= basis[:j].T @ (basis[:j] @ w)
-            w -= basis[:j].T @ (basis[:j] @ w)
-            beta = np.linalg.norm(w)
-            if beta < 1e-13:
-                break
-            betas[j - 1] = beta
-            basis[j] = w / beta
-            w = matvec(basis[j])
-            alphas[j] = basis[j] @ w
-            used = j + 1
-        t = np.diag(alphas[:used])
-        if used > 1:
-            t += np.diag(betas[: used - 1], 1) + np.diag(betas[: used - 1], -1)
-        evals, evecs = np.linalg.eigh(t)
-        theta = float(evals[0])
-        x = basis[:used].T @ evecs[:, 0]
-        x /= np.linalg.norm(x)
-        residual = float(np.linalg.norm(matvec(x) - theta * x))
-        if residual <= tol:
-            return theta, x, residual
-        v = x
-    raise ConvergenceError(
-        f"Lanczos did not reach residual {tol} (last residual {residual:.3e})"
-    )
-
-
 def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> tuple[float, FermionState]:
-    """Lowest eigenpair; dense below DENSE_FALLBACK_DIM, else restarted Lanczos."""
+    """Lowest eigenpair; dense below DENSE_FALLBACK_DIM, else ARPACK ``eigsh``.
+
+    ``seed`` draws the ARPACK start vector. On either path a residual
+    ||Hx - Ex|| above ``tol``, or ARPACK stopping unconverged, raises
+    ``ConvergenceError``.
+    """
     if ham.dim <= DENSE_FALLBACK_DIM:
-        dense = ham.matrix.toarray()
-        evals, evecs = np.linalg.eigh(dense)
-        energy, vec = float(evals[0]), evecs[:, 0]
+        evals, evecs = np.linalg.eigh(ham.matrix.toarray())
     else:
-        rng = np.random.default_rng(seed)
-        energy, vec, _ = _lanczos_lowest(lambda x: ham.matrix @ x, ham.dim, tol, rng)
-    vec = vec / np.linalg.norm(vec)
+        v0 = np.random.default_rng(seed).standard_normal(ham.dim)
+        try:
+            evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+    energy = float(evals[0])
+    vec = evecs[:, 0] / np.linalg.norm(evecs[:, 0])
+    residual = float(np.linalg.norm(ham.matrix @ vec - energy * vec))
+    if residual > tol:
+        raise ConvergenceError(f"ground-state residual {residual:.3e} exceeds tol {tol:.3e}")
     return energy, FermionState(ham, vec)
 
 
@@ -270,14 +209,11 @@ def gamma_hermitize(g: Array) -> Array:
     return 0.5 * (g + g.T.conj())
 
 
-def reduced_densities(state: FermionState, k: int = 2) -> ReducedDensities:
-    """Site occupations, pair density and the one-body matrix of a state."""
+def _site_and_pair_occupations(state: FermionState) -> tuple[Array, Array]:
+    """<n_i> and the ordered-pair <n_i n_j> (i != j, zero diagonal) of a state."""
     ham = state.ham
     n = ham.n_particles
-    if k > n:
-        raise ValidationError(f"k={k} exceeds the particle number N={n}")
     m = ham.grid.points_per_axis
-    h = ham.grid.spacing
     w2 = state.coefficients**2
     occ = ham.occupations
 
@@ -288,27 +224,35 @@ def reduced_densities(state: FermionState, k: int = 2) -> ReducedDensities:
     for a in range(n):
         for b in range(a + 1, n):
             np.add.at(pair, (occ[:, a], occ[:, b]), w2)
-    pair = pair + pair.T  # ordered pairs; diagonal stays exactly zero
+    return site_occ, pair + pair.T  # ordered pairs; diagonal stays exactly zero
+
+
+def reduced_densities(state: FermionState, k: int = 2) -> ReducedDensities:
+    """Site occupations, pair density and the one-body matrix of a state."""
+    ham = state.ham
+    n = ham.n_particles
+    if k > n:
+        raise ValidationError(f"k={k} exceeds the particle number N={n}")
+    m = ham.grid.points_per_axis
+    h = ham.grid.spacing
+    site_occ, pair = _site_and_pair_occupations(state)
 
     gamma = np.diag(site_occ)
-    order = np.argsort(ham.masks, kind="stable")
-    sorted_masks = ham.masks[order]
+    masks = ham.masks
     coeffs = state.coefficients
     one = np.uint64(1)
     for i in range(m):
         bit_i = one << np.uint64(i)
-        has_i = (ham.masks & bit_i) != 0
+        has_i = (masks & bit_i) != 0
         for j in range(i + 1, m):
             bit_j = one << np.uint64(j)
-            sel = np.nonzero(has_i & ((ham.masks & bit_j) == 0))[0]
+            sel = np.nonzero(has_i & ((masks & bit_j) == 0))[0]
             if sel.size == 0:
                 continue
-            new_masks = (ham.masks[sel] ^ bit_i) | bit_j
-            dst = order[np.searchsorted(sorted_masks, new_masks)]
+            dst = np.searchsorted(masks, (masks[sel] ^ bit_i) | bit_j)
             # Jordan-Wigner string: parity of occupation strictly between i and j
             between = ((one << np.uint64(j)) - one) ^ ((one << np.uint64(i + 1)) - one)
-            parity = _popcount64(ham.masks[sel] & between) & 1
-            signs = 1.0 - 2.0 * parity
+            signs = 1.0 - 2.0 * (np.bitwise_count(masks[sel] & between) & 1)
             val = float(np.sum(signs * coeffs[sel] * coeffs[dst]))
             gamma[i, j] += val
             gamma[j, i] += val
@@ -341,12 +285,10 @@ def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
         return e_one
     g = orbitals @ orbitals.T.conj()
     nu = np.real(np.diag(g))
-    w_table = ham.site_distance_couplings()
-    m = ham.grid.points_per_axis
-    w_full = w_table[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
-    np.fill_diagonal(w_full, 0.0)  # i < j pairing excludes self-interaction
-    direct = 0.5 * float(nu @ w_full @ nu)
-    exchange = 0.5 * float(np.sum(w_full * np.abs(g) ** 2))
+    # the i = j terms of the two sums cancel (g_ii = nu_i), so no self-interaction
+    coupling = ham.w_n.pair_matrix(ham.grid)
+    direct = 0.5 * float(nu @ coupling @ nu)
+    exchange = 0.5 * float(np.sum(coupling * np.abs(g) ** 2))
     return e_one - (direct - exchange) / n
 
 
@@ -373,12 +315,12 @@ def slater_upper_bound(
     """
     n = ham.n_particles
     evals, evecs = np.linalg.eigh(gamma_hermitize(gamma_matrix))
-    top = np.argsort(evals)[::-1][:n]
-    if evals[top[-1]] <= 1e-12:
+    occupations_used = evals[::-1][:n]  # eigh sorts ascending
+    if occupations_used[-1] <= 1e-12:
         raise ValidationError(
             f"one-body matrix has rank below N={n}; cannot form a Slater trial"
         )
-    orbitals = evecs[:, top]
+    orbitals = evecs[:, ::-1][:, :n]
     trial = slater_energy(ham, orbitals)
     if ground_energy is None:
         ground_energy, _ = ground_state(ham)
@@ -388,7 +330,7 @@ def slater_upper_bound(
         ground_energy=ground_energy,
         gap=gap,
         satisfied=bool(ground_energy <= trial + tol),
-        occupations_used=evals[top],
+        occupations_used=occupations_used,
     )
 
 
@@ -404,28 +346,24 @@ class AprioriReport:
 def apriori_diagnostics(state: FermionState) -> AprioriReport:
     """Kinetic+potential expectation and the two-body interaction integral.
 
+    The interaction integral is N^-1 <sum_{j<k} w_N(x_j - x_k)>, from the
+    pair density; the kinetic+potential part tr(T gamma_1) is <H> plus it.
     Reported next to the reference growth scales N^(1+beta*d/2) and
     N^(1+beta*d^2/(2(d+2))); purely diagnostic, nothing is asserted.
     """
     ham = state.ham
-    red = reduced_densities(state, k=2)
-    t_mat = one_body_matrix(ham.grid, ham.potential, ham.hbar)
-    kinpot = float(np.sum(t_mat * red.gamma1.T))
     n = ham.n_particles
     if ham.w_n is None:
         inter = 0.0
         beta = 0.0
     else:
-        w_table = ham.site_distance_couplings()
-        m = ham.grid.points_per_axis
-        w_full = w_table[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
-        np.fill_diagonal(w_full, 0.0)
-        h = ham.grid.spacing
-        inter = float(np.sum(w_full * red.rho2) * h * h) / n
+        _, pair = _site_and_pair_occupations(state)
+        # the pair occupation vanishes on the diagonal, so the self-coupling drops out
+        inter = 0.5 * float(np.sum(ham.w_n.pair_matrix(ham.grid) * pair)) / n
         beta = ham.w_n.profile.beta
     return AprioriReport(
         n_particles=n,
-        kinetic_potential=kinpot,
+        kinetic_potential=state.energy() + inter,
         interaction_integral=inter,
         kinetic_potential_scale=n ** (1.0 + beta / 2.0),
         interaction_scale=n ** (1.0 + beta / 6.0),

@@ -85,6 +85,9 @@ class TestOracleCommand:
     def test_basis_cap_exit_4(self, tmp_path):
         assert main(["oracle", "--N", "4", "--M", "80", "--out", str(tmp_path)]) == 4
 
+    def test_unreachable_tol_exit_3(self, tmp_path):
+        assert main(["oracle", "--N", "2", "--M", "40", "--tol", "1e-300", "--out", str(tmp_path)]) == 3
+
     def test_flag_driven_run(self, tmp_path):
         out = tmp_path / "o"
         code = main(

@@ -336,6 +336,19 @@ class TestPauliViolation:
         )
         assert stats.matches_exact
 
+    def test_zero_count_interval_contains_exact_tail(self, critical_tiling):
+        # no hit in 1000 trials (seed 1) while the exact tail 8.2e-4 exceeds 0.5 / 1000
+        sampler = uniform_box_sampler(critical_tiling)
+        q = critical_tiling.cell_volume / critical_tiling.box_volume
+        stats = pauli_violation_stats(
+            sampler, critical_tiling, 0, epsilon=0.75, n_particles=64, n_trials=1000, seed=1, exact_cell_prob=q
+        )
+        assert stats.frequency == 0.0
+        assert stats.exact_tail > 0.5 / stats.n_trials
+        assert stats.ci_low == 0.0
+        assert stats.ci_high == pytest.approx(1.0 - 0.025 ** (1.0 / 1000), rel=1e-12)
+        assert stats.matches_exact
+
     def test_seed_reproducibility(self, critical_tiling):
         sampler = uniform_box_sampler(critical_tiling)
         a = pauli_violation_stats(sampler, critical_tiling, 0, 0.5, 64, 2000, seed=9)

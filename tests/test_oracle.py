@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
-from fermigas.errors import CapExceededError, ValidationError
+from fermigas.errors import CapExceededError, ConvergenceError, ValidationError
 from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
 from fermigas.oracle import (
     DiscreteHamiltonian,
+    FermionState,
     apriori_diagnostics,
     expectation,
     fitted_exponent,
@@ -49,20 +49,31 @@ class TestGroundState:
         e_int, _ = ground_state(make_ham(2, interacting=True))
         assert e_int <= e_free + 1e-12
 
-    def test_lanczos_agrees_with_scipy(self):
-        # dim 2300 forces the Lanczos path; scipy eigsh is the cross-check
+    def test_eigsh_path_agrees_with_dense_eigh(self):
+        # dim 2300 forces the iterative path; dense eigh of the same matrix is the cross-check
         grid = SpatialGrid(1, 2.5, 25)
         ham = DiscreteHamiltonian(grid, POTENTIAL, 3, w_n=scaled_interaction(PROFILE, 3))
         assert ham.dim == math.comb(25, 3) == 2300
         energy, state = ground_state(ham, tol=1e-10)
-        ref = spla.eigsh(ham.matrix, k=1, which="SA", tol=1e-12)[0][0]
+        ref = np.linalg.eigvalsh(ham.matrix.toarray())[0]
         assert energy == pytest.approx(ref, abs=1e-9)
         residual = np.linalg.norm(ham.matrix @ state.coefficients - energy * state.coefficients)
         assert residual <= 1e-9
 
+    @pytest.mark.parametrize("m", [25, 12])  # iterative (dim 2300) and dense (dim 220) paths
+    def test_unreachable_tol_raises(self, m):
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, 3, w_n=scaled_interaction(PROFILE, 3))
+        with pytest.raises(ConvergenceError):
+            ground_state(ham, tol=1e-300)
+
     def test_basis_cap(self):
         with pytest.raises(CapExceededError):
             DiscreteHamiltonian(GRID, POTENTIAL, 4, basis_cap=1000)
+
+    def test_masks_strictly_increasing(self):
+        ham = make_ham(3)
+        assert np.all(ham.masks[1:] > ham.masks[:-1])
+        assert np.all(np.diff(ham.occupations, axis=1) > 0)
 
     def test_rayleigh_ritz_dominance(self, rng):
         ham = make_ham(3, interacting=True)
@@ -124,6 +135,27 @@ class TestReducedDensities:
         _, vecs = np.linalg.eigh(t_mat)
         projector = vecs[:, :3] @ vecs[:, :3].T
         assert np.max(np.abs(np.abs(red.gamma1) - np.abs(projector))) < 1e-8
+
+    def test_interacting_gamma_matches_enumeration(self, rng):
+        # <c_i^dag c_j> applied to each occupation tuple, signs from the sites between i and j
+        grid = SpatialGrid(1, 2.5, 20)
+        ham = DiscreteHamiltonian(grid, POTENTIAL, 3, w_n=scaled_interaction(PROFILE, 3))
+        _, ground = ground_state(ham)
+        random = rng.standard_normal(ham.dim)
+        for state in (ground, FermionState(ham, random / np.linalg.norm(random))):
+            coeffs = state.coefficients
+            rows = ham.occupations.tolist()
+            row_of = {tuple(sites): r for r, sites in enumerate(rows)}
+            ref = np.zeros((grid.size, grid.size))
+            for r, sites in enumerate(rows):
+                for j in sites:
+                    for i in range(grid.size):
+                        if i != j and i in sites:
+                            continue
+                        hopped = tuple(sorted(set(sites) - {j} | {i}))
+                        between = sum(min(i, j) < s < max(i, j) for s in sites)
+                        ref[i, j] += (-1) ** between * coeffs[row_of[hopped]] * coeffs[r]
+            assert np.max(np.abs(reduced_densities(state).gamma1 - ref)) <= 1e-12
 
 
 class TestSlaterUpperBound:
@@ -192,6 +224,15 @@ class TestAprioriDiagnostics:
         _, state = ground_state(ham)
         report = apriori_diagnostics(state)
         assert report.kinetic_potential == pytest.approx(free_fermion_energy(ham), abs=1e-8)
+
+    def test_interacting_kinetic_potential_is_one_body_trace(self):
+        ham = make_ham(3, interacting=True)
+        _, state = ground_state(ham)
+        report = apriori_diagnostics(state)
+        t_mat = one_body_matrix(GRID, POTENTIAL, ham.hbar)
+        trace = float(np.sum(t_mat * reduced_densities(state).gamma1.T))
+        assert report.interaction_integral > 0.0
+        assert report.kinetic_potential == pytest.approx(trace, abs=1e-10)
 
     def test_sweep_monotone_and_fitted_exponent(self):
         values, kinpots = [], []
