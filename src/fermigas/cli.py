@@ -216,12 +216,12 @@ def _read_density_csv(path: str, grid: SpatialGrid):
 
 
 def _cmd_vlasov_lift(args) -> int:
-    from .vlasov import MomentumGrid, bathtub_lift, vlasov_energy
+    from .vlasov import bathtub_lift, vlasov_energy
 
     cfg = _load_model(args)
     rho = _read_density_csv(args.density, cfg.grid)
     p_max = 1.1 * cfg.constants.c_d * float(rho.values.max()) ** (1.0 / cfg.d) + 1e-9
-    momentum = MomentumGrid(cfg.d, p_max, args.momentum_points)
+    momentum = SpatialGrid(cfg.d, p_max, args.momentum_points)
     lift = bathtub_lift(rho, cfg.constants, momentum)
     i_w = cfg.interaction.i_w if cfg.interaction is not None else 0.0
     report = vlasov_energy(lift, cfg.potential, i_w)
@@ -579,7 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tf-minimize", help="minimize the density functional")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="largest accepted |mass - 1| of the returned density; exit 3 when no "
+                        "multiplier meets it (unit mass inside a 1D activation jump whose ends are "
+                        "both farther away, or tol below the float resolution of the mass)")
     common(p)
     p.set_defaults(handler=_cmd_tf_minimize)
 

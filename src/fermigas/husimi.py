@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridResolutionError, HypothesisViolationError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TrapPotential
-from .vlasov import MomentumGrid, PhaseSpaceDensity, brillouin_momentum_grid
+from .model import ScaledInteraction, SpatialGrid, TrapPotential, _mollifier
+from .vlasov import PhaseSpaceDensity, brillouin_momentum_grid
 
 Array = np.ndarray
 
@@ -32,19 +32,11 @@ TWO_PI = 2.0 * math.pi
 MIN_POINTS_PER_ENVELOPE = 8
 
 
-def _raw_bump(u: Array) -> Array:
+def _mollifier_derivative(u: Array) -> Array:
     out = np.zeros_like(u, dtype=float)
     inside = np.abs(u) < 1.0
     ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui**2))
-    return out
-
-
-def _raw_bump_derivative(u: Array) -> Array:
-    out = np.zeros_like(u, dtype=float)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui**2)) * (-2.0 * ui / (1.0 - ui**2) ** 2)
+    out[inside] = _mollifier(ui) * (-2.0 * ui / (1.0 - ui**2) ** 2)
     return out
 
 
@@ -54,16 +46,16 @@ def _envelope_constants() -> tuple[float, float]:
     n = 1 << 17
     du = 2.0 / n
     u = -1.0 + du * (np.arange(n) + 0.5)
-    norm2 = float(np.sum(_raw_bump(u) ** 2) * du)
+    norm2 = float(np.sum(_mollifier(u) ** 2) * du)
     c = 1.0 / math.sqrt(norm2)
-    grad2 = float(np.sum((c * _raw_bump_derivative(u)) ** 2) * du)
+    grad2 = float(np.sum((c * _mollifier_derivative(u)) ** 2) * du)
     return c, grad2
 
 
 def envelope(u: Array) -> Array:
     """Unit-L2 radial bump profile, supported on |u| <= 1."""
     c, _ = _envelope_constants()
-    return c * _raw_bump(np.asarray(u, dtype=float))
+    return c * _mollifier(np.asarray(u, dtype=float))
 
 
 def envelope_gradient_norm_sq() -> float:
@@ -166,13 +158,6 @@ class OneBodyOperator:
         """Spatial density rho_gamma; integrates to the trace."""
         return np.real(np.diag(self.matrix)) / self.grid.spacing
 
-    def check_density_bounds(self, tol: float = 1e-8):
-        occ = self.occupations()
-        if occ.min() < -tol or occ.max() > 1.0 + tol:
-            raise ValidationError(
-                f"occupations outside [0, 1]: min={occ.min():.3e}, max={occ.max():.3e}"
-            )
-
 
 def slater_operator(orbitals: Array, grid: SpatialGrid) -> OneBodyOperator:
     """gamma = sum_a |u_a><u_a| for plainly orthonormal orbital columns."""
@@ -208,7 +193,7 @@ class HusimiTable:
     values: Array | None = None
     samples: Array | None = None
 
-    def phase_space_integral(self, grid: SpatialGrid, momentum: MomentumGrid) -> float:
+    def phase_space_integral(self, grid: SpatialGrid, momentum: SpatialGrid) -> float:
         """Plain double integral of the tabulated values (k = 1 tables)."""
         if self.values is None:
             raise ValidationError("integral needs a grid-form table")
@@ -230,7 +215,7 @@ def _operator_eigenpairs(gamma: OneBodyOperator, tol: float = 1e-12):
 def husimi_grid_table(
     gamma: OneBodyOperator,
     family: CoherentFamily,
-    momentum: MomentumGrid | None = None,
+    momentum: SpatialGrid | None = None,
 ) -> HusimiTable:
     """One-particle Husimi function on the full spatial x dual-momentum grid.
 
@@ -305,33 +290,6 @@ def _husimi2_slater(gamma: OneBodyOperator, family: CoherentFamily, samples: Arr
     return out
 
 
-def annihilate(state, orbital: Array):
-    """Apply a(phi) = sum_i sqrt(h) conj(phi_i) c_i to an occupation-basis state.
-
-    Returns (child occupation array, child coefficients) over the (N-1)-basis.
-    """
-    from .oracle import DiscreteHamiltonian  # noqa: F401  (type context only)
-
-    ham = state.ham
-    n = ham.n_particles
-    occ = ham.occupations
-    coeff = state.coefficients
-    sqrt_h = math.sqrt(ham.grid.spacing)
-    children: dict[tuple[int, ...], complex] = {}
-    for row in range(occ.shape[0]):
-        c = coeff[row]
-        if c == 0.0:
-            continue
-        sites = occ[row]
-        for pos in range(n):
-            amp = np.conj(orbital[sites[pos]]) * sqrt_h * ((-1) ** pos) * c
-            if amp == 0.0:
-                continue
-            child = tuple(np.delete(sites, pos))
-            children[child] = children.get(child, 0.0) + amp
-    return children
-
-
 def _husimi_state(state, family: CoherentFamily, samples: Array, k: int) -> Array:
     grid = state.ham.grid
     out = np.zeros(samples.shape[0])
@@ -360,7 +318,7 @@ def _husimi_state(state, family: CoherentFamily, samples: Array, k: int) -> Arra
 
 
 def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = None,
-           momentum: MomentumGrid | None = None):
+           momentum: SpatialGrid | None = None):
     """Husimi function of an operator or state.
 
     With ``samples=None`` and k=1 returns the full grid table; otherwise the
@@ -388,7 +346,7 @@ def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = N
 
 
 def frame_apply(psi: Array, family: CoherentFamily, grid: SpatialGrid,
-                momentum: MomentumGrid | None = None) -> Array:
+                momentum: SpatialGrid | None = None) -> Array:
     """Apply the frame operator (double integral of |f><f|) to a vector.
 
     For an adequately resolved grid this returns (2 pi hbar)^d psi away from
@@ -408,14 +366,14 @@ def frame_apply(psi: Array, family: CoherentFamily, grid: SpatialGrid,
     return out
 
 
-def semiclassical_fourier(u: Array, grid: SpatialGrid, hbar: float, momentum: MomentumGrid) -> Array:
+def semiclassical_fourier(u: Array, grid: SpatialGrid, hbar: float, momentum: SpatialGrid) -> Array:
     """F[u](p) = (2 pi hbar)^(-1/2) * h * sum_y u(y) exp(-i p y / hbar)."""
     y = grid.axis()
     phases = np.exp(-1j * np.outer(momentum.axis(), y) / hbar)
     return (TWO_PI * hbar) ** -0.5 * grid.spacing * (phases @ u)
 
 
-def momentum_density(gamma: OneBodyOperator, hbar: float, momentum: MomentumGrid) -> Array:
+def momentum_density(gamma: OneBodyOperator, hbar: float, momentum: SpatialGrid) -> Array:
     """t_gamma(p) = sum_a lambda_a |F[u_a](p)|^2; integrates to the trace.
 
     Occupancy-form eigenvectors are plainly normalized; they are rescaled by
@@ -430,7 +388,7 @@ def momentum_density(gamma: OneBodyOperator, hbar: float, momentum: MomentumGrid
 
 
 def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily,
-                             momentum: MomentumGrid | None = None) -> dict:
+                             momentum: SpatialGrid | None = None) -> dict:
     """L1 defects of the two marginal identities of the one-particle Husimi.
 
     Space: N (2 pi)^-d * integral of m over p  =  rho_gamma * |f^h|^2.

@@ -103,7 +103,11 @@ class TFConstants:
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform cell-centered grid on the box [-half_width, half_width]^d."""
+    """Uniform cell-centered grid on the box [-half_width, half_width]^d.
+
+    Serves both position grids and momentum grids (``half_width`` is then a
+    momentum cutoff).
+    """
 
     d: int
     half_width: float

@@ -6,7 +6,10 @@ minimizer has the closed form ``(lam - V)_+ / (2 (c_tf - i_w))`` and only the
 chemical potential ``lam`` must be found. In 1D the quadratic term makes the
 functional non-convex; minimization goes through the relaxed local energy,
 whose pointwise structure gives the global minimizer of the discrete problem
-by a per-point selection rule plus a bisection on the mass.
+by a per-point activation rule. In both dimensions a point with threshold
+``s`` (``V`` in 2D, ``V - alpha`` in 1D) is active iff ``s < lam`` and then
+carries ``g(lam - s)`` for one fixed increasing profile ``g``, so ``lam`` is
+solved exactly from the sorted thresholds instead of by bisection.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .model import SpatialGrid, TFConstants, TrapPotential
 
 Array = np.ndarray
 
-_MAX_BRACKET_DOUBLINGS = 80
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass
@@ -113,6 +116,22 @@ class RelaxedLocalEnergy:
         t = np.asarray(t, dtype=float)
         return np.where(t >= self.rho_jump, self.local_energy(t), 0.0)
 
+    def active_density(self, u: Array) -> Array:
+        """Density of an active point, ``u = lam - (V - alpha) > 0``.
+
+        The root ``t >= rho_jump`` of ``e'(t) = u``, i.e. the larger root of
+        ``3 a t^2 - 2 i_w t = lam - V``; it tends to ``rho_jump`` as
+        ``u -> 0``. Values are clamped to at least ``rho_jump`` so that
+        rounding never puts an active point inside the jump gap.
+        """
+        a = self.cubic_coefficient
+        t = 3.0 * a * u  # the rest in place: this runs on every mass evaluation
+        t += 0.25 * self.i_w**2
+        np.sqrt(t, out=t)
+        t += self.i_w
+        t /= 3.0 * a
+        return np.maximum(t, self.rho_jump, out=t)
+
 
 @dataclass
 class EnergyBreakdown:
@@ -141,6 +160,11 @@ class TFSolution:
     support_interior_min: float = math.nan
 
 
+def _energy_terms(grid: SpatialGrid, values: Array, v: Array, c_tf: float, i_w: float) -> EnergyBreakdown:
+    kinetic = c_tf * grid.integrate(values ** (1.0 + 2.0 / grid.d))
+    return EnergyBreakdown(kinetic, grid.integrate(v * values), -i_w * grid.integrate(values**2))
+
+
 def tf_energy(rho: DensityField, potential: TrapPotential, constants: TFConstants, i_w: float) -> EnergyBreakdown:
     """Evaluate the three terms of the functional at a density.
 
@@ -152,58 +176,124 @@ def tf_energy(rho: DensityField, potential: TrapPotential, constants: TFConstant
         raise ValidationError("potential and density dimensions differ")
     if constants.d != rho.grid.d:
         raise ValidationError("constants and density dimensions differ")
-    d = rho.grid.d
     v = np.asarray(potential.evaluate(rho.grid.points()), dtype=float)
     if v.shape != (rho.grid.size,):
         raise ValidationError("potential sampling does not match the density grid")
-    kinetic = constants.c_tf * rho.power_integral(1.0 + 2.0 / d)
-    pot = rho.grid.integrate(v * rho.values)
-    inter = -i_w * rho.power_integral(2.0)
-    return EnergyBreakdown(kinetic, pot, inter)
+    return _energy_terms(rho.grid, rho.values, v, constants.c_tf, i_w)
 
 
-def _bisect_on_mass(mass_of, lo: float, hi: float, tol: float, max_iter: int):
-    """Bisect ``lam`` for unit mass; the mass map must be nondecreasing.
+def _ramp(kappa: float):
+    """2D activation profile ``g(u) = u / (2 kappa)``."""
+    return lambda u: u / (2.0 * kappa)
 
-    Returns ``(lam, mass)``. Raises ``MassJumpError`` when the bracket
-    collapses to floating-point width while the mass still jumps across 1,
-    and ``ConvergenceError`` when the iteration cap is hit first.
+
+def _pointwise_density(s: Array, lam: float, profile) -> Array:
+    """Grid density at multiplier ``lam``: ``g(lam - s)`` where ``s < lam``, else 0.
+
+    This is the activation rule of the mass map. In 1D (``s = V - alpha``,
+    ``g = rel.active_density``) it is the per-point minimizer of
+    ``J(t) + (V - alpha - lam) t`` over t >= 0: with ``u = lam - s``, below
+    the jump density the tilted energy is ``-u t``, and above it the convex
+    branch ``e(t) - u t`` with ``e(rho_jump) = e'(rho_jump) = 0``. So the
+    minimum is negative and sits at ``e'(t) = u`` iff ``u > 0``, and is 0 at
+    t = 0 otherwise. Exact ties go to 0, which reproduces the jump of the
+    continuum minimizer instead of smearing it across a cell.
     """
-    m_lo, m_hi = mass_of(lo), mass_of(hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        m_mid = mass_of(mid)
-        if abs(m_mid - 1.0) <= tol:
-            return mid, m_mid
-        if m_mid < 1.0:
-            lo, m_lo = mid, m_mid
+    out = np.zeros_like(s)
+    active = s < lam
+    out[active] = profile(lam - s[active])
+    return out
+
+
+def _mass(s: Array, lam: float, profile, volume: float) -> float:
+    """Mass ``volume * sum g(lam - s_i)`` over the active ``s_i < lam``; ``s`` is sorted."""
+    active = s[: np.searchsorted(s, lam)]
+    return volume * float(np.sum(profile(lam - active)))
+
+
+def _solve_unit_mass(s: Array, profile, volume: float, tol: float, segment_root) -> tuple[float, Array]:
+    """The multiplier ``lam`` and density ``_pointwise_density(s, lam, profile)`` of unit mass.
+
+    The mass is nondecreasing in lam and smooth between consecutive sorted
+    thresholds (ties, such as symmetric grid pairs, activate together). A
+    binary search finds the last threshold ``s_j`` whose mass is below 1.
+    Unit mass then lies inside the activation jump at ``s_j``, whose nearer
+    end is taken, or on the segment past it, where the active set is fixed
+    and ``segment_root(active, lo, hi)`` solves for ``lam``. The density is
+    returned when its ``|mass - 1| <= tol``; otherwise a jump raises
+    ``MassJumpError`` with the exact jump ``[s_j, nextafter(s_j, inf)]`` and
+    the masses at its ends, and a segment ``ConvergenceError``.
+    """
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("potential samples must be finite")
+    t = np.sort(s)
+    lo, hi = 1, t.size  # the mass at t[0] is 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _mass(t, t[mid], profile, volume) >= 1.0:
+            hi = mid
         else:
-            hi, m_hi = mid, m_mid
-        if hi - lo <= 64.0 * np.finfo(float).eps * max(1.0, abs(hi)):
-            raise MassJumpError(
-                "no multiplier reaches unit mass within tolerance: the mass map "
-                f"jumps from {m_lo:.12g} to {m_hi:.12g} across lam in "
-                f"[{lo:.15g}, {hi:.15g}] (residual gap "
-                f"{min(abs(m_lo - 1.0), abs(m_hi - 1.0)):.3g})",
-                lam_low=lo,
-                lam_high=hi,
-                mass_low=m_lo,
-                mass_high=m_hi,
-            )
-    raise ConvergenceError(f"mass bisection did not converge in {max_iter} iterations")
-
-
-def _expand_bracket(mass_of, lo: float):
-    hi, step = lo + 1.0, 1.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if mass_of(hi) >= 1.0:
-            return hi
-        step *= 2.0
-        hi += step
+            lo = mid + 1
+    lam_low = float(t[lo - 1])
+    lam_high = float(np.nextafter(lam_low, np.inf))
+    mass_low = _mass(t, lam_low, profile, volume)
+    mass_high = _mass(t, lam_high, profile, volume)
+    jump = mass_high >= 1.0
+    if jump:
+        lam = lam_low if 1.0 - mass_low <= mass_high - 1.0 else lam_high
+    elif lo == t.size:
+        raise ValidationError(
+            "unit mass needs every grid point occupied, so the minimizer support "
+            "touches the box boundary; enlarge the grid half_width"
+        )
+    else:
+        lam = segment_root(t[:lo], lam_high, float(t[lo]))
+    values = _pointwise_density(s, lam, profile)
+    gap = abs(volume * float(np.sum(values)) - 1.0)
+    if gap <= tol:
+        return lam, values
+    if jump:
+        raise MassJumpError(
+            "no multiplier reaches unit mass within tolerance: the mass jumps from "
+            f"{mass_low:.12g} to {mass_high:.12g} where the thresholds at lam = {lam_low!r} "
+            f"activate (residual gap {gap:.3g}, tol {tol:.3g})",
+            lam_low=lam_low,
+            lam_high=lam_high,
+            mass_low=mass_low,
+            mass_high=mass_high,
+        )
     raise ConvergenceError(
-        "could not bracket unit mass: the potential looks unbounded on the grid "
-        "or the box is too small"
+        f"tol={tol:.3g} is below the float resolution of the mass: the unit-mass "
+        f"multiplier {lam!r} leaves a mass gap of {gap:.3g}"
     )
+
+
+def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalEnergy, volume: float) -> float:
+    """Root in ``[lo, hi]`` of ``volume * sum rel.active_density(lam - active) = 1``.
+
+    The active density is the inverse of the convex ``e'`` on its branch, so
+    the mass is increasing and concave in lam, with slope
+    ``volume * sum 1 / e''(rho)``. Newton steps from the left end therefore
+    never pass the root: they rise monotonically until rounding stops them.
+    """
+    a = rel.cubic_coefficient
+    lam = lo
+    for _ in range(_MAX_NEWTON_STEPS):
+        rho = rel.active_density(lam - active)
+        slope = volume * float(np.sum(1.0 / (6.0 * a * rho - 2.0 * rel.i_w)))
+        nxt = min(lam + (1.0 - volume * float(np.sum(rho))) / slope, hi)
+        if not nxt > lam:
+            break
+        lam = nxt
+    return lam
+
+
+def _el_defects(values: Array, s: Array, lam: float, derivative) -> tuple[float, float]:
+    """(sup over supp(rho) of ``|derivative(rho) + s - lam|``, min over the complement of ``s - lam``)."""
+    supp = values > 0
+    supp_residual = float(np.max(np.abs(derivative(values[supp]) + s[supp] - lam))) if supp.any() else 0.0
+    comp_min = float(np.min(s[~supp] - lam)) if (~supp).any() else math.inf
+    return supp_residual, comp_min
 
 
 def _check_support_inside(grid: SpatialGrid, values: Array):
@@ -224,13 +314,14 @@ def minimize_2d(
     i_w: float,
     grid: SpatialGrid,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> TFSolution:
     """Closed-form 2D minimizer (lam - V)_+ / (2 kappa), kappa = c_tf - i_w.
 
-    The mass is nondecreasing in lam, so lam is found by bisection until
-    ``|mass - 1| <= tol``. The mass map is continuous here (no relaxation
-    jump), so bisection always converges for an adequate box.
+    The mass is continuous and piecewise linear in lam, with kinks at the
+    sorted samples ``V_(i)``; with the k lowest samples active, unit mass
+    gives ``lam = (2 kappa / vol + sum_{i<k} V_(i)) / k`` exactly. ``tol`` is
+    the largest accepted ``|mass - 1|`` of the returned density; the closed
+    form meets any tol above the float resolution of the mass.
     """
     if grid.d != 2:
         raise ValidationError("minimize_2d requires a 2D grid")
@@ -241,53 +332,27 @@ def minimize_2d(
         )
     v = np.asarray(potential.evaluate(grid.points()), dtype=float)
     volume = grid.cell_volume
+    ramp = _ramp(kappa)
 
-    def mass_of(lam):
-        return float(np.sum(np.clip(lam - v, 0.0, None)) * volume / (2.0 * kappa))
+    def closed_form(active: Array, lo: float, hi: float) -> float:
+        return (2.0 * kappa / volume + float(np.sum(active))) / active.size
 
-    lo = float(v.min())
-    hi = _expand_bracket(mass_of, lo)
-    lam, mass = _bisect_on_mass(mass_of, lo, hi, tol, max_iter)
-
-    values = np.clip(lam - v, 0.0, None) / (2.0 * kappa)
+    lam, values = _solve_unit_mass(v, ramp, volume, tol, closed_form)
     _check_support_inside(grid, values)
     rho = DensityField(grid, values)
-    energy = tf_energy(rho, potential, constants, i_w)
-
+    residual, comp_min = _el_defects(values, v, lam, lambda t: 2.0 * kappa * t)
     supp = values > 0
-    residual = float(np.max(np.abs(2.0 * kappa * values[supp] + v[supp] - lam))) if supp.any() else 0.0
-    comp_min = float(np.min(v[~supp] - lam)) if (~supp).any() else math.inf
     return TFSolution(
         rho=rho,
         lam=lam,
-        energy=energy,
+        energy=_energy_terms(grid, values, v, constants.c_tf, i_w),
         el_residual=residual,
         el_complement_min=comp_min,
-        mass_gap=abs(mass - 1.0),
+        mass_gap=abs(rho.mass - 1.0),
         c_tf=constants.c_tf,
         i_w=i_w,
         support_interior_min=float(values[supp].min()) if supp.any() else math.nan,
     )
-
-
-def _pointwise_density(v: Array, lam: float, rel: RelaxedLocalEnergy) -> Array:
-    """Per-point minimizer of J(t) + (V - alpha - lam) t over t >= 0.
-
-    On [rho_jump, inf) the tilted energy is the cubic
-    ``a t^3 - i_w t^2 + (V - lam) t`` (the alpha terms cancel), whose only
-    admissible stationary point is the larger root of
-    ``3 a t^2 - 2 i_w t = lam - V``. The minimum is attained either there
-    or at t = 0; exact ties go to 0, which reproduces the jump of the
-    continuum minimizer instead of smearing it across a cell.
-    """
-    a = rel.cubic_coefficient
-    disc = rel.i_w**2 + 3.0 * a * (lam - v)
-    root = np.zeros_like(v)
-    pos = disc > 0
-    root[pos] = (rel.i_w + np.sqrt(disc[pos])) / (3.0 * a)
-    tilted = a * root**3 - rel.i_w * root**2 + (v - lam) * root
-    take = pos & (root >= rel.rho_jump) & (tilted < 0.0)
-    return np.where(take, root, 0.0)
 
 
 def _support_interior(grid: SpatialGrid, values: Array) -> Array:
@@ -309,21 +374,22 @@ def minimize_1d_relaxed(
     rel: RelaxedLocalEnergy,
     grid: SpatialGrid,
     tol: float = 1e-6,
-    max_iter: int = 400,
 ) -> TFSolution:
-    """Minimize the relaxed 1D functional by pointwise selection + bisection.
+    """Minimize the relaxed 1D functional by the pointwise activation rule.
 
-    For each trial lam the pointwise rule yields the global minimizer of the
-    convex discrete relaxed functional with mass multiplier lam; lam is then
-    bisected on the mass. Because the pointwise minimizer jumps from 0 to
-    rho_jump, the mass map has jumps of height ``rho_jump * h`` per
-    activated point (twice that on symmetric grids); if unit mass falls
-    inside such a jump a ``MassJumpError`` reports the residual gap and the
-    bracketing multipliers, as the tie at the jump is resolved to 0 rather
-    than smeared. A tolerance of at least ``2 * rho_jump * h`` cannot land
-    in a jump; tighter tolerances succeed whenever unit mass is crossed in a
-    continuous segment. The solution carries the jump certificate
-    ``min(rho) >= rho_jump`` over the discrete support interior.
+    For each multiplier lam the pointwise rule yields the global minimizer of
+    the convex discrete relaxed functional with mass multiplier lam. A point
+    activates at ``lam = V - alpha`` with density rho_jump, so the mass map
+    jumps by ``rho_jump * h`` per activated point (twice that for a symmetric
+    pair) and is smooth in between, where lam is solved exactly. ``tol`` is
+    the largest accepted ``|mass - 1|`` of the returned density. If unit mass
+    falls inside a jump, the jump end nearer to 1 is returned when it is
+    within ``tol``; otherwise a ``MassJumpError`` reports the residual gap,
+    the exact jump ``[lam_low, nextafter(lam_low, inf)]`` and the masses at
+    its ends, as the tie at the jump is resolved to 0 rather than smeared. A
+    tolerance of at least ``rho_jump * h`` cannot fail at a symmetric pair.
+    The solution carries the jump certificate ``min(rho) >= rho_jump`` over
+    the discrete support interior; every nonzero value is ``>= rho_jump``.
     """
     if grid.d != 1:
         raise ValidationError("minimize_1d_relaxed requires a 1D grid")
@@ -333,42 +399,27 @@ def minimize_1d_relaxed(
             "(flat_spots_null flag)"
         )
     v = np.asarray(potential.evaluate(grid.points()), dtype=float)
+    s = v - rel.alpha
     h = grid.cell_volume
-
-    def mass_of(lam):
-        return float(np.sum(_pointwise_density(v, lam, rel)) * h)
-
-    lo = float(v.min()) - rel.alpha
-    hi = _expand_bracket(mass_of, lo)
-    lam, mass = _bisect_on_mass(mass_of, lo, hi, tol, max_iter)
-
-    values = _pointwise_density(v, lam, rel)
+    lam, values = _solve_unit_mass(
+        s, rel.active_density, h, tol, lambda active, lo, hi: _newton_segment_root(active, lo, hi, rel, h)
+    )
     _check_support_inside(grid, values)
     rho = DensityField(grid, values)
-    constants = TFConstants(1, rel.c_tf, math.pi, source=_source_placeholder())
-    energy = tf_energy(rho, potential, constants, rel.i_w)
-
-    res = el_residual_values(values, v, lam, rel)
+    residual, comp_min = _el_defects(values, s, lam, rel.local_energy_derivative)
     interior = _support_interior(grid, values)
-    interior_min = float(values[interior].min()) if interior.any() else math.nan
     return TFSolution(
         rho=rho,
         lam=lam,
-        energy=energy,
-        el_residual=res[0],
-        el_complement_min=res[1],
-        mass_gap=abs(mass - 1.0),
+        energy=_energy_terms(grid, values, v, rel.c_tf, rel.i_w),
+        el_residual=residual,
+        el_complement_min=comp_min,
+        mass_gap=abs(rho.mass - 1.0),
         c_tf=rel.c_tf,
         i_w=rel.i_w,
         eta=rel.eta,
-        support_interior_min=interior_min,
+        support_interior_min=float(values[interior].min()) if interior.any() else math.nan,
     )
-
-
-def _source_placeholder():
-    from .model import ConstantsSource
-
-    return ConstantsSource.BATHTUB_CONSISTENT
 
 
 def sample_minimizer(
@@ -379,22 +430,10 @@ def sample_minimizer(
     The selection rule is local, so a multiplier found on a fine grid can be
     resampled onto a coarser one; the coarse mass then deviates from 1 only
     by the coarse quadrature error, bypassing the activation-jump lottery of
-    a direct coarse-grid bisection.
+    a direct coarse-grid solve.
     """
     v = np.asarray(potential.evaluate(grid.points()), dtype=float)
-    return DensityField(grid, _pointwise_density(v, lam, rel))
-
-
-def el_residual_values(values: Array, v: Array, lam: float, rel: RelaxedLocalEnergy) -> tuple[float, float]:
-    supp = values > 0
-    if supp.any():
-        defect = rel.local_energy_derivative(values[supp]) + v[supp] - rel.alpha - lam
-        supp_residual = float(np.max(np.abs(defect)))
-    else:
-        supp_residual = 0.0
-    comp = ~supp
-    comp_min = float(np.min(v[comp] - rel.alpha - lam)) if comp.any() else math.inf
-    return supp_residual, comp_min
+    return DensityField(grid, _pointwise_density(v - rel.alpha, lam, rel.active_density))
 
 
 def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEnergy | None = None):
@@ -407,19 +446,12 @@ def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEner
     """
     grid = sol.rho.grid
     v = np.asarray(potential.evaluate(grid.points()), dtype=float)
-    values = sol.rho.values
     if grid.d == 2:
         kappa = sol.c_tf - sol.i_w
-        supp = values > 0
-        supp_residual = (
-            float(np.max(np.abs(2.0 * kappa * values[supp] + v[supp] - sol.lam))) if supp.any() else 0.0
-        )
-        comp = ~supp
-        comp_min = float(np.min(v[comp] - sol.lam)) if comp.any() else math.inf
-        return supp_residual, comp_min
+        return _el_defects(sol.rho.values, v, sol.lam, lambda t: 2.0 * kappa * t)
     if rel is None:
         rel = RelaxedLocalEnergy(sol.c_tf, sol.i_w, sol.eta)
-    return el_residual_values(values, v, sol.lam, rel)
+    return _el_defects(sol.rho.values, v - rel.alpha, sol.lam, rel.local_energy_derivative)
 
 
 @dataclass
@@ -456,8 +488,7 @@ def relaxation_equivalence_check(
     """
     sol = minimize_1d_relaxed(potential, rel, grid, tol=min(tol, 1e-6))
     e_relaxed = relaxed_energy(sol.rho, potential, rel)
-    constants = TFConstants(1, rel.c_tf, math.pi, source=_source_placeholder())
-    e_tf = tf_energy(sol.rho, potential, constants, rel.i_w).total
+    e_tf = sol.energy.total
     interior_min = sol.support_interior_min
     jump_ok = (not math.isfinite(interior_min)) or interior_min >= rel.rho_jump - tol
     diff = abs(e_tf - e_relaxed)
@@ -479,20 +510,18 @@ def mass_curve(
     i_w: float = 0.0,
     lam_values: Array | None = None,
 ) -> tuple[Array, Array]:
-    """Lam -> mass samples, for monotonicity diagnostics."""
+    """Lam -> mass samples of the minimizers' mass map, for monotonicity diagnostics."""
     v = np.asarray(potential.evaluate(grid.points()), dtype=float)
-    volume = grid.cell_volume
+    if grid.d == 2:
+        if constants is None:
+            raise ValidationError("2D mass curve needs constants")
+        s, profile = v, _ramp(constants.c_tf - i_w)
+    else:
+        if rel is None:
+            raise ValidationError("1D mass curve needs a RelaxedLocalEnergy")
+        s, profile = v - rel.alpha, rel.active_density
     if lam_values is None:
         lam_values = np.linspace(float(v.min()), float(v.min()) + 10.0, 41)
-    masses = []
-    for lam in lam_values:
-        if grid.d == 2:
-            if constants is None:
-                raise ValidationError("2D mass curve needs constants")
-            kappa = constants.c_tf - i_w
-            masses.append(float(np.sum(np.clip(lam - v, 0.0, None)) * volume / (2.0 * kappa)))
-        else:
-            if rel is None:
-                raise ValidationError("1D mass curve needs a RelaxedLocalEnergy")
-            masses.append(float(np.sum(_pointwise_density(v, lam, rel)) * volume))
+    s = np.sort(s)
+    masses = [_mass(s, lam, profile, grid.cell_volume) for lam in lam_values]
     return np.asarray(lam_values, dtype=float), np.asarray(masses)

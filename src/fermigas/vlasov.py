@@ -30,44 +30,6 @@ Array = np.ndarray
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Uniform cell-centered momentum grid, mirror of the spatial one."""
-
-    d: int
-    half_width: float
-    points_per_axis: int
-
-    def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise ValidationError("momentum grid needs at least 2 points per axis")
-        if self.half_width <= 0:
-            raise ValidationError("momentum half_width must be positive")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.points_per_axis
-
-    @property
-    def size(self) -> int:
-        return self.points_per_axis**self.d
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing**self.d
-
-    def axis(self) -> Array:
-        h = self.spacing
-        return -self.half_width + h * (np.arange(self.points_per_axis) + 0.5)
-
-    def points(self) -> Array:
-        ax = self.axis()
-        if self.d == 1:
-            return ax[:, None]
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
-
 @dataclass
 class PhaseSpaceDensity:
     """Occupation function m(x, p) >= 0 on a product grid.
@@ -79,7 +41,7 @@ class PhaseSpaceDensity:
     """
 
     grid: SpatialGrid
-    momentum: MomentumGrid
+    momentum: SpatialGrid
     values: Array
     fermi_radius: Array | None = None
 
@@ -137,7 +99,7 @@ def _ball_p2_integral(d: int, radius: Array) -> Array:
     return (math.pi / 2.0) * radius**4
 
 
-def bathtub_lift(rho: DensityField, constants: TFConstants, momentum: MomentumGrid) -> PhaseSpaceDensity:
+def bathtub_lift(rho: DensityField, constants: TFConstants, momentum: SpatialGrid) -> PhaseSpaceDensity:
     """Indicator lift m(x, p) = [ |p| <= c_d * rho(x)^(1/d) ].
 
     The momentum grid must cover the largest Fermi radius with at least 10%
@@ -251,14 +213,14 @@ def vlasov_energy(
     return VlasovReport(kinetic, pot, inter, m.normalization(), mode)
 
 
-def brillouin_momentum_grid(grid: SpatialGrid, hbar: float) -> MomentumGrid:
+def brillouin_momentum_grid(grid: SpatialGrid, hbar: float) -> SpatialGrid:
     """Momentum grid dual to a spatial grid at scale hbar.
 
     Half-width pi*hbar/h with as many points as the spatial axis; with this
     choice plane-wave sums over the grid are exact discrete delta functions,
     which the coherent-frame identities rely on.
     """
-    return MomentumGrid(grid.d, math.pi * hbar / grid.spacing, grid.points_per_axis)
+    return SpatialGrid(grid.d, math.pi * hbar / grid.spacing, grid.points_per_axis)
 
 
 @dataclass
@@ -278,7 +240,7 @@ def tf_vlasov_equality_check(
     i_w: float,
     grid: SpatialGrid,
     tol: float = 1e-3,
-    momentum: MomentumGrid | None = None,
+    momentum: SpatialGrid | None = None,
 ) -> EqualityReport:
     """Minimize the density functional, lift, and compare the two energies.
 
@@ -301,7 +263,7 @@ def tf_vlasov_equality_check(
         sol = minimize_1d_relaxed(potential, rel, grid, tol=mass_tol)
     if momentum is None:
         p_max = 1.1 * constants.c_d * float(sol.rho.values.max()) ** (1.0 / d) + 1e-9
-        momentum = MomentumGrid(d, p_max, 64)
+        momentum = SpatialGrid(d, p_max, 64)
     lift = bathtub_lift(sol.rho, constants, momentum)
     report = vlasov_energy(lift, potential, i_w)
     tf_total = sol.energy.total

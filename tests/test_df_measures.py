@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from fermigas.errors import CapExceededError, ValidationError
 from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
 from fermigas.df_measures import (
+    TRANSPORT_VARIABLE_CAP,
     AveragedMeasure,
     EmpiricalMeasure,
     FiniteExchangeableLaw,
@@ -304,6 +306,22 @@ class TestWasserstein:
         pts = np.zeros((5001, 2))
         with pytest.raises(CapExceededError):
             wasserstein1((pts, np.full(5001, 1 / 5001)), (pts, np.full(5001, 1 / 5001)))
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_plan_cap_raises_before_allocating(self, n):
+        # a dense n x n plan LP: 16 GB of constraint matrix at n = 1000, 2 TB at 5000
+        rng = np.random.default_rng(3)
+        mu = (rng.uniform(-1, 1, (n, 2)), np.full(n, 1 / n))
+        nu = (rng.uniform(-1, 1, (n, 2)), np.full(n, 1 / n))
+        assert n * n > TRANSPORT_VARIABLE_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="cap"):
+                wasserstein1(mu, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.fixture(scope="module")

@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fermigas.errors import MassJumpError, ValidationError
+from fermigas.errors import ConvergenceError, MassJumpError, ValidationError
 from fermigas.model import (
     SpatialGrid,
     TFConstants,
     TrapPotential,
     double_well_potential,
     harmonic_potential,
+    quartic_potential,
 )
 from fermigas.tf_solver import (
     DensityField,
     RelaxedLocalEnergy,
+    _mass,
+    _ramp,
     el_residual,
     mass_curve,
     minimize_1d_relaxed,
@@ -56,6 +61,49 @@ def cap_2d_closed_form(kappa):
     return lam, 2.0 * piece
 
 
+def bisect_unit_mass(s, profile, volume, tol, max_iter=400):
+    """Bracket-and-bisect for unit mass on the library's own mass map.
+
+    This is the solve the exact multiplier search replaced, kept as its
+    oracle. Returns ``lam``; raises ``MassJumpError`` when the bracket
+    collapses to floating-point width with the mass still jumping across 1.
+    """
+    s = np.sort(s)
+
+    def mass_of(lam):
+        return _mass(s, lam, profile, volume)
+
+    lo = float(s[0])
+    hi, step = lo + 1.0, 1.0
+    while mass_of(hi) < 1.0:
+        step *= 2.0
+        hi += step
+    m_lo, m_hi = mass_of(lo), mass_of(hi)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        m_mid = mass_of(mid)
+        if abs(m_mid - 1.0) <= tol:
+            return mid
+        if m_mid < 1.0:
+            lo, m_lo = mid, m_mid
+        else:
+            hi, m_hi = mid, m_mid
+        if hi - lo <= 64.0 * np.finfo(float).eps * max(1.0, abs(hi)):
+            raise MassJumpError("bracket collapsed", lam_low=lo, lam_high=hi, mass_low=m_lo, mass_high=m_hi)
+    raise AssertionError(f"bisection did not converge in {max_iter} steps")
+
+
+def dyadic_grid(d, m):
+    """Grid with m points per axis and a power-of-two spacing, half-width in [4, 8).
+
+    The axis and the polynomial potentials are then exact in floating point,
+    so mirror-image points give exactly tied thresholds and distinct
+    thresholds lie far apart compared with the bisection's collapse width.
+    """
+    spacing = 2.0 ** -math.floor(math.log2(m / 8))
+    return SpatialGrid(d, 0.5 * m * spacing, m)
+
+
 class TestLocalEnergy:
     def test_double_minimum_structure(self):
         # e(0) = e(rho_jump) = e'(rho_jump) = 0 to machine precision
@@ -86,6 +134,13 @@ class TestLocalEnergy:
         assert rel.cubic_coefficient == pytest.approx(0.5 * math.pi**2 / 3, rel=1e-15)
         assert abs(rel.local_energy(rel.rho_jump)) < 1e-14
         assert abs(rel.local_energy_derivative(rel.rho_jump)) < 1e-14
+
+    def test_active_density_never_below_jump(self):
+        # as u -> 0 the root formula rounds to either side of rho_jump (here below)
+        rel = RelaxedLocalEnergy(3.0, 0.7, eta=0.3)
+        u = np.array([0.0, 5e-324, 1e-300, 1e-16])
+        assert np.all(rel.active_density(u) >= rel.rho_jump)
+        assert rel.active_density(np.array([1.0]))[0] > rel.rho_jump
 
     def test_rejects_eta_one(self):
         with pytest.raises(ValidationError):
@@ -255,8 +310,111 @@ class TestMinimize1D:
         rel = RelaxedLocalEnergy(c_tf=0.05, i_w=10.0)  # rho_jump = 100
         with pytest.raises(MassJumpError) as err:
             minimize_1d_relaxed(harmonic_1d, rel, SpatialGrid(1, 3.0, 64), tol=1e-8)
-        assert err.value.lam_high > err.value.lam_low
+        assert err.value.lam_high == np.nextafter(err.value.lam_low, np.inf)
         assert err.value.mass_high > 1.0 > err.value.mass_low
+
+    @pytest.mark.parametrize("m, end", [(48, "low"), (56, "high")])
+    def test_jump_end_within_tol_returned(self, harmonic_1d, m, end):
+        # unit mass inside an activation jump: the nearer end is returned once tol admits it
+        rel = RelaxedLocalEnergy(math.pi**2 / 3, 2.0)
+        grid = SpatialGrid(1, 3.0, m)
+        with pytest.raises(MassJumpError) as err:
+            minimize_1d_relaxed(harmonic_1d, rel, grid, tol=1e-9)
+        jump = err.value
+        lam, mass = (jump.lam_low, jump.mass_low) if end == "low" else (jump.lam_high, jump.mass_high)
+        tol = 1.5 * abs(mass - 1.0)
+        sol = minimize_1d_relaxed(harmonic_1d, rel, grid, tol=tol)
+        assert sol.lam == lam
+        assert sol.mass_gap == pytest.approx(abs(mass - 1.0), abs=1e-12)
+        assert sol.mass_gap <= tol
+
+    def test_tol_bounds_returned_mass_gap(self, harmonic_1d, harmonic_2d):
+        # tol = 0 is below float resolution: a solve either lands exactly or says so
+        raised = 0
+        for m in (32, 48, 64, 96):
+            for solve in (
+                lambda: minimize_2d(harmonic_2d, TFConstants.paper_literal(2), 0.0, SpatialGrid(2, 3.2, m), tol=0.0),
+                lambda: minimize_1d_relaxed(harmonic_1d, RelaxedLocalEnergy(math.pi**2, 0.0), SpatialGrid(1, 3.0, 10 * m), tol=0.0),
+            ):
+                try:
+                    assert solve().mass_gap == 0.0
+                except ConvergenceError:
+                    raised += 1
+        assert raised > 0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_potential_rejected(self, harmonic_1d, harmonic_2d, bad):
+        def spoiled(potential):
+            def ev(pts):
+                v = potential.evaluate(pts)
+                return np.where(np.abs(pts[:, 0]) > 2.5, bad, v)
+
+            return TrapPotential(potential.d, ev, potential.gradient, 2.0, 1.0, 0.0, 2.0, probe_radius=2.0)
+
+        with pytest.raises(ValidationError, match="finite"):
+            minimize_1d_relaxed(spoiled(harmonic_1d), RelaxedLocalEnergy(1.0, 0.0), SpatialGrid(1, 3.0, 64))
+        with pytest.raises(ValidationError, match="finite"):
+            minimize_2d(spoiled(harmonic_2d), TFConstants.paper_literal(2), 0.0, SpatialGrid(2, 3.0, 32))
+
+
+class TestExactMassSolve:
+    """The exact multiplier search against bracket-and-bisect on the same mass map."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        shape=st.sampled_from(["harmonic", "quartic", "double_well"]),
+        source=st.sampled_from(["paper_literal", "bathtub_consistent"]),
+        i_w=st.floats(0.0, 5.0),
+        eta=st.floats(0.0, 0.9),
+        m=st.integers(16, 512),
+        log_tol=st.floats(-10.0, -3.0),
+    )
+    def test_agrees_with_bisection(self, d, shape, source, i_w, eta, m, log_tol):
+        potential = {
+            "harmonic": harmonic_potential,
+            "quartic": quartic_potential,
+            "double_well": double_well_potential,
+        }[shape](d)
+        constants = TFConstants.from_source(d, source)
+        grid = dyadic_grid(d, m)
+        tol = 10.0**log_tol
+        v = potential.evaluate(grid.points())
+        if d == 1:
+            rel = RelaxedLocalEnergy(constants.c_tf, i_w, eta)
+            s, profile = v - rel.alpha, rel.active_density
+        else:
+            s, profile = v, _ramp(constants.c_tf - i_w)
+
+        try:
+            bisect_unit_mass(s, profile, grid.cell_volume, tol)
+            oracle_jump = None
+        except MassJumpError as exc:
+            oracle_jump = exc
+        try:
+            if d == 1:
+                sol = minimize_1d_relaxed(potential, rel, grid, tol=tol)
+            else:
+                sol = minimize_2d(potential, constants, i_w, grid, tol=tol)
+            exact_jump = None
+        except MassJumpError as exc:
+            exact_jump = exc
+
+        if oracle_jump is None:
+            assert exact_jump is None
+            assert sol.mass_gap <= tol
+        if exact_jump is not None:
+            assert oracle_jump is not None
+            assert exact_jump.lam_high == np.nextafter(exact_jump.lam_low, np.inf)
+            assert oracle_jump.lam_low <= exact_jump.lam_low < oracle_jump.lam_high
+            assert abs(exact_jump.mass_low - oracle_jump.mass_low) <= 1e-12
+            assert abs(exact_jump.mass_high - oracle_jump.mass_high) <= 1e-12
+        else:
+            values = sol.rho.values
+            if d == 2:
+                assert sol.mass_gap <= 1e-12
+            else:
+                assert values[values > 0].min() >= rel.rho_jump
 
 
 def _solution_shell(grid, values, lam, rel):

@@ -8,7 +8,6 @@ from fermigas.errors import MomentumCoverageError
 from fermigas.model import SpatialGrid, TFConstants, bump_profile, scaled_interaction
 from fermigas.tf_solver import DensityField, RelaxedLocalEnergy, minimize_1d_relaxed, minimize_2d, tf_energy
 from fermigas.vlasov import (
-    MomentumGrid,
     PhaseSpaceDensity,
     bathtub_lift,
     interaction_quadrature,
@@ -23,7 +22,7 @@ class TestBathtubLift:
         lift = bathtub_lift(
             DensityField(grid, np.zeros(grid.size)),
             TFConstants.bathtub_consistent(1),
-            MomentumGrid(1, 1.0, 32),
+            SpatialGrid(1, 1.0, 32),
         )
         assert not np.any(lift.values)
         assert lift.normalization() == 0.0
@@ -33,7 +32,7 @@ class TestBathtubLift:
         rho0 = 0.8
         grid = SpatialGrid(1, 0.5, 128)
         constants = TFConstants.bathtub_consistent(1)
-        momentum = MomentumGrid(1, 4.0, 256)
+        momentum = SpatialGrid(1, 4.0, 256)
         lift = bathtub_lift(DensityField(grid, np.full(grid.size, rho0)), constants, momentum)
         p = momentum.points()[:, 0]
         expected = (np.abs(p) <= math.pi * rho0).astype(float)
@@ -45,7 +44,7 @@ class TestBathtubLift:
         constants = TFConstants.bathtub_consistent(1)
         grid = SpatialGrid(1, 3.0, 512)
         sol = minimize_1d_relaxed(harmonic_1d, RelaxedLocalEnergy(constants.c_tf, 0.0), grid, tol=1e-6)
-        lift = bathtub_lift(sol.rho, constants, MomentumGrid(1, 3.0, 128))
+        lift = bathtub_lift(sol.rho, constants, SpatialGrid(1, 3.0, 128))
         assert set(np.unique(lift.values)) <= {0.0, 1.0}
         assert lift.pauli_bound_ok
 
@@ -53,7 +52,7 @@ class TestBathtubLift:
         constants = TFConstants.paper_literal(2)
         i_w = constants.c_tf - 4.0 * math.pi
         sol = minimize_2d(harmonic_2d, constants, i_w, SpatialGrid(2, 2.5, 96), tol=1e-7)
-        momentum = MomentumGrid(2, 6.0, 64)
+        momentum = SpatialGrid(2, 6.0, 64)
         lift = bathtub_lift(sol.rho, constants, momentum)
         # closed-form ball integrals transport the mass exactly
         assert lift.normalization() == pytest.approx(1.0, abs=1e-6)
@@ -64,7 +63,7 @@ class TestBathtubLift:
         grid = SpatialGrid(1, 1.0, 64)
         rho = DensityField(grid, np.full(grid.size, 1.0))
         with pytest.raises(MomentumCoverageError) as err:
-            bathtub_lift(rho, TFConstants.bathtub_consistent(1), MomentumGrid(1, 2.0, 32))
+            bathtub_lift(rho, TFConstants.bathtub_consistent(1), SpatialGrid(1, 2.0, 32))
         assert err.value.required_half_width == pytest.approx(1.1 * math.pi, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -74,7 +73,7 @@ class TestBathtubLift:
         raw = np.exp(-np.sum(pts**2, axis=1)) * (1.0 + 0.3 * rng.random(grid.size))
         rho = DensityField(grid, raw / grid.integrate(raw))
         constants = TFConstants.bathtub_consistent(d)
-        momentum = MomentumGrid(d, 4.0, 32)
+        momentum = SpatialGrid(d, 4.0, 32)
         lift = bathtub_lift(rho, constants, momentum)
         assert lift.normalization() == pytest.approx(rho.mass, rel=1e-10)
 
@@ -82,7 +81,7 @@ class TestBathtubLift:
 class TestVlasovEnergy:
     def test_zero_measure(self, harmonic_1d):
         grid = SpatialGrid(1, 2.0, 64)
-        momentum = MomentumGrid(1, 2.0, 32)
+        momentum = SpatialGrid(1, 2.0, 32)
         m = PhaseSpaceDensity(grid, momentum, np.zeros((grid.size, momentum.size)))
         report = vlasov_energy(m, harmonic_1d, i_w=1.0)
         assert report.kinetic_term == report.potential_term == report.interaction_term == 0.0
@@ -92,7 +91,7 @@ class TestVlasovEnergy:
         constants = TFConstants.bathtub_consistent(1)
         grid = SpatialGrid(1, 3.0, 1024)
         sol = minimize_1d_relaxed(harmonic_1d, RelaxedLocalEnergy(constants.c_tf, 0.0), grid, tol=1e-7)
-        lift = bathtub_lift(sol.rho, constants, MomentumGrid(1, 4.0, 64))
+        lift = bathtub_lift(sol.rho, constants, SpatialGrid(1, 4.0, 64))
         report = vlasov_energy(lift, harmonic_1d, i_w=0.0)
         tf = tf_energy(sol.rho, harmonic_1d, constants, 0.0)
         assert report.kinetic_term == pytest.approx(tf.kinetic_term, rel=1e-10)
@@ -124,7 +123,7 @@ class TestVlasovEnergy:
         profile = bump_profile(1, beta=0.2, radius=1.0, height=1.0)
         grid = SpatialGrid(1, 3.0, 1024)
         constants = TFConstants.bathtub_consistent(1)
-        momentum = MomentumGrid(1, 5.0, 48)
+        momentum = SpatialGrid(1, 5.0, 48)
         for n in (4, 16, 64):
             raw = np.exp(-np.sum(grid.points() ** 2, axis=1)) * (1 + 0.5 * rng.random(grid.size))
             rho = DensityField(grid, raw / grid.integrate(raw))
@@ -154,7 +153,7 @@ class TestEqualityCheck:
         report = tf_vlasov_equality_check(harmonic_1d, constants, 0.0, SpatialGrid(1, 3.5, 2048), tol=1e-3)
         assert report.warning is not None
         sol = report.tf_solution
-        lift = bathtub_lift(sol.rho, constants, MomentumGrid(1, 8.0, 64))
+        lift = bathtub_lift(sol.rho, constants, SpatialGrid(1, 8.0, 64))
         kinetic_lift = vlasov_energy(lift, harmonic_1d, 0.0).kinetic_term
         ratio = sol.energy.kinetic_term / kinetic_lift
         assert ratio == pytest.approx(3.0, rel=1e-6)  # reported, not asserted as equality
