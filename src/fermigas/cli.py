@@ -30,7 +30,6 @@ from .model import (
     SpatialGrid,
     TFConstants,
     audit_constants,
-    config_from_dict,
     interaction_from_config,
     load_config,
     potential_from_config,

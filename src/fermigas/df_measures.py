@@ -15,7 +15,7 @@ energy-defect experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -616,6 +616,8 @@ def pauli_violation_stats(
     known per-draw cell probability the exact binomial tail is attached as
     the oracle.
     """
+    if n_trials < 1:
+        raise ValidationError(f"need at least one Monte Carlo trial, got {n_trials}")
     d = tiling.d
     threshold_mass = (1.0 + epsilon) * tiling.cell_volume / TWO_PI**d
     if threshold_mass <= 0:

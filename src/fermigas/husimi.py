@@ -4,9 +4,12 @@ between phase-space occupation functions and one-body operators.
 The envelope is a fixed smooth compactly supported radial bump with unit L2
 norm, localized at scale sqrt(hbar_x) in space and sqrt(hbar_p) in momentum
 with hbar_x * hbar_p = hbar^2, hbar = N^(-1/d). Momentum sums use the grid
-dual to the spatial lattice (half-width pi*hbar/h), on which plane-wave sums
-are exact discrete deltas; the frame identities then close to quadrature
-precision instead of leaking staircase error.
+dual to the spatial lattice (half-width pi*hbar/h, one point per spatial
+point). There h * dp = 2 pi hbar / M, so exp(-i y_j p_k / hbar) is a DFT
+matrix between a spatial twiddle and a phase of k alone: every plane-wave sum
+is an ``np.fft`` call, the frame operator is exactly the diagonal
+2 pi hbar * h * sum_x f^h(x - y)^2, and the frame identities close to
+quadrature precision instead of leaking staircase error.
 
 Operators are carried in occupancy form: ``matrix[i, j]`` is the h-weighted
 kernel, so eigenvalues are natural occupations in [0, 1], the trace counts
@@ -135,7 +138,6 @@ class OneBodyOperator:
 
     grid: SpatialGrid
     matrix: Array
-    is_density_like: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix)
@@ -184,19 +186,14 @@ def lowest_orbitals(grid: SpatialGrid, potential: TrapPotential, n: int, hbar: f
 
 @dataclass
 class HusimiTable:
-    """Husimi values, either on a full (x, p) product grid or at samples."""
+    """One-particle Husimi values on the spatial x lattice-dual momentum grid."""
 
-    k: int
-    family: CoherentFamily
-    x_axis: Array | None = None
-    p_axis: Array | None = None
-    values: Array | None = None
-    samples: Array | None = None
+    x_axis: Array
+    p_axis: Array
+    values: Array
 
     def phase_space_integral(self, grid: SpatialGrid, momentum: SpatialGrid) -> float:
-        """Plain double integral of the tabulated values (k = 1 tables)."""
-        if self.values is None:
-            raise ValidationError("integral needs a grid-form table")
+        """Plain double integral of the tabulated values."""
         return float(np.sum(self.values) * grid.cell_volume * momentum.cell_volume)
 
 
@@ -212,6 +209,21 @@ def _operator_eigenpairs(gamma: OneBodyOperator, tol: float = 1e-12):
     return vals[keep], vecs[:, keep]
 
 
+def _dual_twiddle(grid: SpatialGrid, hbar: float, momentum: SpatialGrid | None = None):
+    """The lattice-dual momentum grid and the twiddle t_j = exp(-i p_0 y_j / hbar).
+
+    With h * dp = 2 pi hbar / M,
+    exp(-i y_j p_k / hbar) = t_j * exp(-i k dp y_0 / hbar) * exp(-2 pi i jk / M),
+    so a plane-wave sum over y is the FFT of the twiddled samples up to a
+    phase of k alone, and its output is already in increasing-p order. A
+    given ``momentum`` must be that dual grid.
+    """
+    dual = brillouin_momentum_grid(grid, hbar)
+    if momentum is not None and momentum != dual:
+        raise ValidationError(f"momentum grid {momentum} is not the lattice dual {dual}")
+    return dual, np.exp(-1j * dual.axis()[0] * grid.axis() / hbar)
+
+
 def husimi_grid_table(
     gamma: OneBodyOperator,
     family: CoherentFamily,
@@ -219,24 +231,21 @@ def husimi_grid_table(
 ) -> HusimiTable:
     """One-particle Husimi function on the full spatial x dual-momentum grid.
 
-    m(x, p) = h * <f_{x,p}| B |f_{x,p}> computed through the eigenpairs of B,
-    so the cost is one windowed Fourier transform per occupied mode.
+    m(x, p) = h * <f_{x,p}| B |f_{x,p}> computed through the eigenpairs of B:
+    for each occupied mode u, the windowed Fourier transforms are one FFT of
+    every twiddled row W[x, :] * u * t, so the cost is O(M^2 log M) per mode.
+    ``momentum`` defaults to the lattice-dual grid and must equal it
+    (ValidationError otherwise).
     """
     grid = gamma.grid
     family.check_resolution(grid)
-    if momentum is None:
-        momentum = brillouin_momentum_grid(grid, family.hbar)
-    y = grid.axis()
-    p = momentum.axis()
-    w = _window_matrix(family, grid, y)  # sample x at the grid points
-    phases = np.exp(-1j * np.outer(y, p) / family.hbar)  # (y, p)
+    momentum, twiddle = _dual_twiddle(grid, family.hbar, momentum)
+    w = _window_matrix(family, grid, grid.axis())  # sample x at the grid points
     vals, vecs = _operator_eigenpairs(gamma)
-    h = grid.spacing
     table = np.zeros((grid.size, momentum.size))
     for lam, u in zip(vals, vecs.T):
-        amp = (w * u[None, :]) @ phases  # (x, p)
-        table += lam * (h * np.abs(amp)) ** 2 / h
-    return HusimiTable(k=1, family=family, x_axis=y, p_axis=p, values=table)
+        table += lam * np.abs(np.fft.fft(w * (u * twiddle)[None, :], axis=1)) ** 2
+    return HusimiTable(x_axis=grid.axis(), p_axis=momentum.axis(), values=grid.spacing * table)
 
 
 def husimi_at_samples(source, family: CoherentFamily, samples: Array, k: int = 1) -> Array:
@@ -317,8 +326,7 @@ def _husimi_state(state, family: CoherentFamily, samples: Array, k: int) -> Arra
     return out
 
 
-def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = None,
-           momentum: SpatialGrid | None = None):
+def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = None):
     """Husimi function of an operator or state.
 
     With ``samples=None`` and k=1 returns the full grid table; otherwise the
@@ -335,8 +343,8 @@ def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = N
             from .oracle import reduced_densities
 
             gamma = OneBodyOperator(source.ham.grid, reduced_densities(source, k=1).gamma1)
-            return husimi_grid_table(gamma, family, momentum)
-        return husimi_grid_table(source, family, momentum)
+            return husimi_grid_table(gamma, family)
+        return husimi_grid_table(source, family)
     return husimi_at_samples(source, family, np.asarray(samples, dtype=float), k=k)
 
 
@@ -345,60 +353,45 @@ def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = N
 # ---------------------------------------------------------------------------
 
 
-def frame_apply(psi: Array, family: CoherentFamily, grid: SpatialGrid,
-                momentum: SpatialGrid | None = None) -> Array:
+def frame_apply(psi: Array, family: CoherentFamily, grid: SpatialGrid) -> Array:
     """Apply the frame operator (double integral of |f><f|) to a vector.
 
-    For an adequately resolved grid this returns (2 pi hbar)^d psi away from
+    On the lattice-dual momentum grid the p sum of exp(i p (y - y') / hbar) is
+    M * delta(y, y'), so the operator is exactly the diagonal multiplier
+    2 pi hbar * h * sum_x f^h(x - y)^2. It equals (2 pi hbar)^d away from
     the box edges (resolution of the identity).
     """
     family.check_resolution(grid)
-    if momentum is None:
-        momentum = brillouin_momentum_grid(grid, family.hbar)
-    y = grid.axis()
-    w = _window_matrix(family, grid, y)
-    h, dp = grid.spacing, momentum.cell_volume
-    out = np.zeros(grid.size, dtype=complex)
-    for p in momentum.axis():
-        phase = np.exp(1j * p * y / family.hbar)
-        g = h * (w @ (psi * np.conj(phase)))  # <f_{x_i, p}, psi>
-        out += h * dp * phase * (w.T @ g)  # x, p quadrature of f_{x,p} <f, psi>
-    return out
-
-
-def semiclassical_fourier(u: Array, grid: SpatialGrid, hbar: float, momentum: SpatialGrid) -> Array:
-    """F[u](p) = (2 pi hbar)^(-1/2) * h * sum_y u(y) exp(-i p y / hbar)."""
-    y = grid.axis()
-    phases = np.exp(-1j * np.outer(momentum.axis(), y) / hbar)
-    return (TWO_PI * hbar) ** -0.5 * grid.spacing * (phases @ u)
+    w = _window_matrix(family, grid, grid.axis())
+    return TWO_PI * family.hbar * grid.spacing * np.sum(w**2, axis=0) * psi
 
 
 def momentum_density(gamma: OneBodyOperator, hbar: float, momentum: SpatialGrid) -> Array:
     """t_gamma(p) = sum_a lambda_a |F[u_a](p)|^2; integrates to the trace.
 
-    Occupancy-form eigenvectors are plainly normalized; they are rescaled by
-    1/sqrt(h) to unit L2 norm before the transform.
+    F[u](p) = (2 pi hbar)^(-1/2) * h * sum_y u(y) exp(-i p y / hbar) on the
+    lattice-dual grid (ValidationError for any other ``momentum``).
+    Occupancy-form eigenvectors are plainly normalized, so u_a / sqrt(h)
+    has unit L2 norm and |F|^2 = h / (2 pi hbar) * |FFT(u_a * t)|^2.
     """
+    _, twiddle = _dual_twiddle(gamma.grid, hbar, momentum)
     vals, vecs = _operator_eigenpairs(gamma)
-    scale = 1.0 / math.sqrt(gamma.grid.spacing)
-    t = np.zeros(momentum.size)
-    for lam, u in zip(vals, vecs.T):
-        t += lam * np.abs(semiclassical_fourier(u * scale, gamma.grid, hbar, momentum)) ** 2
-    return t
+    spectra = np.abs(np.fft.fft(vecs * twiddle[:, None], axis=0)) ** 2
+    return gamma.grid.spacing / (TWO_PI * hbar) * (spectra @ vals)
 
 
-def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily,
-                             momentum: SpatialGrid | None = None) -> dict:
+def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily) -> dict:
     """L1 defects of the two marginal identities of the one-particle Husimi.
 
     Space: N (2 pi)^-d * integral of m over p  =  rho_gamma * |f^h|^2.
     Momentum: N (2 pi)^-d * integral of m over x  =  t_gamma * |g^h|^2,
     with the momentum convolution taken periodically over the dual cell
-    (both sides are trigonometric polynomials on the momentum lattice).
+    (both sides are trigonometric polynomials on the momentum lattice), as
+    an FFT circular convolution. |g^h|^2 on the offsets k * dp is the
+    squared FFT of the envelope samples.
     """
     grid = gamma.grid
-    if momentum is None:
-        momentum = brillouin_momentum_grid(grid, family.hbar)
+    momentum = brillouin_momentum_grid(grid, family.hbar)
     n = family.n_particles
     table = husimi_grid_table(gamma, family, momentum)
     h, dp = grid.spacing, momentum.cell_volume
@@ -412,14 +405,8 @@ def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily,
 
     lhs_t = n / TWO_PI * table.values.sum(axis=0) * h
     t_gamma = momentum_density(gamma, family.hbar, momentum)
-    env = family.envelope_at(y, 0.0)
-    k = momentum.size
-    offsets = np.arange(k) * dp  # periodic offset lattice of the dual cell
-    phases = np.exp(-1j * np.outer(offsets, y) / family.hbar)
-    g_off = (TWO_PI * family.hbar) ** -0.5 * h * (phases @ env)
-    g2 = np.abs(g_off) ** 2
-    idx = np.arange(k)
-    conv = np.array([np.sum(t_gamma * g2[(i - idx) % k]) for i in range(k)]) * dp
+    g2 = h * h / (TWO_PI * family.hbar) * np.abs(np.fft.fft(family.envelope_at(y, 0.0))) ** 2
+    conv = np.fft.irfft(np.fft.rfft(t_gamma) * np.fft.rfft(g2), n=momentum.size) * dp
     momentum_gap = float(np.sum(np.abs(lhs_t - conv)) * dp)
     return {
         "space_l1_gap": space_gap,
@@ -437,14 +424,23 @@ def gamma_from_measure(
     """Coherent quantization of an occupation function.
 
     B = (2 pi hbar)^-d * sum over the product grid of
-    ``m(x, p) |f_{x,p}><f_{x,p}| h dp``. Hypotheses checked: the phase-space
-    mass equals one particle-normalized unit (double integral (2 pi)^d)
-    within ``mass_rtol``, 0 <= m <= 1, and the spatial density vanishes near
-    the box edge so the frame truncation is inert. The result satisfies
-    0 <= B <= 1 up to quadrature and has trace N up to the mass defect.
+    ``m(x, p) |f_{x,p}><f_{x,p}| h dp``, on the lattice-dual momentum grid
+    (ValidationError for any other ``m.momentum``). Hypotheses checked: the
+    phase-space mass equals one particle-normalized unit (double integral
+    (2 pi)^d) within ``mass_rtol``, 0 <= m <= 1, and the spatial density
+    vanishes near the box edge so the frame truncation is inert. The result
+    satisfies 0 <= B <= 1 up to quadrature and has trace N up to the mass
+    defect.
+
+    With m_hat(x, d) = sum_k m(x, p_k) exp(2 pi i kd / M) (one inverse FFT
+    over p), B[j, j - d] = coef * exp(i p_0 d h / hbar) *
+    sum_x f^h(x - y_j) f^h(x - y_(j-d)) m_hat(x, d). Windows an envelope
+    width apart do not overlap, so only lags d <= edge are built, and the
+    upper triangle is the conjugate of the lower one.
     """
     grid = m.grid
     family.check_resolution(grid)
+    momentum, _ = _dual_twiddle(grid, family.hbar, m.momentum)
     if not np.any(m.values):
         return OneBodyOperator(grid, np.zeros((grid.size, grid.size)))
     mass = m.normalization()
@@ -461,21 +457,19 @@ def gamma_from_measure(
             "spatial density of m must vanish within an envelope width of the box edge"
         )
 
-    y = grid.axis()
-    w = _window_matrix(family, grid, y)
-    h, dp = grid.spacing, m.momentum.cell_volume
+    size = grid.size
+    w = _window_matrix(family, grid, grid.axis())
+    h, dp, p0 = grid.spacing, momentum.cell_volume, momentum.axis()[0]
     # one h from the x quadrature, one to convert the kernel to occupancy form
     coef = h * h * dp / (TWO_PI * family.hbar)
-    out = np.zeros((grid.size, grid.size), dtype=complex)
-    p_axis = m.momentum.axis()
-    for k_idx in range(m.momentum.size):
-        col = m.values[:, k_idx]
-        if not np.any(col):
-            continue
-        s = w.T @ (col[:, None] * w)  # real symmetric
-        phase = np.exp(1j * p_axis[k_idx] * y / family.hbar)
-        out += coef * (phase[:, None] * s * phase[None, :].conj())
-    out = 0.5 * (out + out.T.conj())
+    m_hat = momentum.size * np.fft.ifft(m.values, axis=1)
+    out = np.zeros((size, size), dtype=complex)
+    for d in range(min(edge, size - 1) + 1):
+        j = np.arange(d, size)
+        phase = np.exp(1j * d * p0 * h / family.hbar)  # conj(t_j) t_(j-d), 1 at d = 0
+        lower = coef * phase * (m_hat[:, d] @ (w[:, d:] * w[:, : size - d]))
+        out[j, j - d] = lower
+        out[j - d, j] = np.conj(lower)
     return OneBodyOperator(grid, out)
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 
 import pytest
 
@@ -173,6 +172,11 @@ class TestDFExperiment:
             outs.append(json.load(open(out / "df_stats.json")))
         assert outs[0]["frequency"] == outs[1]["frequency"]
         assert outs[0]["matches_exact"]
+
+    def test_zero_trials_exits_2(self, tmp_path, capsys):
+        code = main(["df-experiment", "--seed", "7", "--trials", "0", "--out", str(tmp_path / "z")])
+        assert code == 2
+        assert "trial" in capsys.readouterr().err
 
 
 class TestSweep:

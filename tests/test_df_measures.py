@@ -12,7 +12,6 @@ from fermigas.errors import CapExceededError, ValidationError
 from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
 from fermigas.df_measures import (
     TRANSPORT_VARIABLE_CAP,
-    AveragedMeasure,
     EmpiricalMeasure,
     FiniteExchangeableLaw,
     Tiling,
@@ -401,6 +400,11 @@ class TestPauliViolation:
         sampler = uniform_box_sampler(t)
         with pytest.raises(ValidationError):
             pauli_violation_stats(sampler, t, 0, epsilon=-1.0, n_particles=4, n_trials=10, seed=0)
+
+    def test_zero_trials_rejected(self, critical_tiling):
+        sampler = uniform_box_sampler(critical_tiling)
+        with pytest.raises(ValidationError, match="trial"):
+            pauli_violation_stats(sampler, critical_tiling, 0, epsilon=0.5, n_particles=4, n_trials=0, seed=0)
 
 
 class TestRestrictionDefects:

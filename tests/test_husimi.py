@@ -19,12 +19,13 @@ from fermigas.husimi import (
     husimi_grid_table,
     lowest_orbitals,
     marginal_identity_report,
+    momentum_density,
     semiclassical_error_decomposition,
     slater_operator,
     smearing_errors,
 )
 from fermigas.tf_solver import RelaxedLocalEnergy, minimize_1d_relaxed, sample_minimizer
-from fermigas.vlasov import bathtub_lift, brillouin_momentum_grid, vlasov_energy
+from fermigas.vlasov import PhaseSpaceDensity, bathtub_lift, brillouin_momentum_grid, vlasov_energy
 
 N_PARTICLES = 8
 BETA = 0.2
@@ -212,6 +213,188 @@ class TestGammaFromMeasure:
         m = PhaseSpaceDensity(grid, momentum, values)
         with pytest.raises(HypothesisViolationError, match="edge"):
             gamma_from_measure(m, family, mass_rtol=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Dense plane-wave oracles: the explicit exp(-i y p / hbar) phase matrices
+# that the FFT layer replaces, kept as references at M <= 256.
+# ---------------------------------------------------------------------------
+
+
+def _dense_windows(family, grid):
+    y = grid.axis()
+    return family.envelope_at(y[None, :], y[:, None])  # W[x, y] = f^h(y - x)
+
+
+def _dense_phases(grid, momentum, hbar):
+    return np.exp(-1j * np.outer(grid.axis(), momentum.axis()) / hbar)  # (y, p)
+
+
+def _dense_modes(gamma):
+    vals, vecs = np.linalg.eigh(0.5 * (gamma.matrix + gamma.matrix.T.conj()))
+    keep = vals > 1e-12
+    return vals[keep], vecs[:, keep]
+
+
+def dense_table(gamma, family, momentum):
+    grid = gamma.grid
+    w = _dense_windows(family, grid)
+    phases = _dense_phases(grid, momentum, family.hbar)
+    table = np.zeros((grid.size, momentum.size))
+    vals, vecs = _dense_modes(gamma)
+    for lam, u in zip(vals, vecs.T):
+        table += lam * grid.spacing * np.abs((w * u[None, :]) @ phases) ** 2
+    return table
+
+
+def dense_frame_apply(psi, family, grid, momentum):
+    # F[y, y'] = h^2 dp sum_x W[x, y] W[x, y'] sum_p exp(i p (y - y') / hbar)
+    w = _dense_windows(family, grid)
+    phases = _dense_phases(grid, momentum, family.hbar)
+    kernel = phases.conj() @ phases.T
+    return grid.spacing**2 * momentum.cell_volume * ((w.T @ w) * kernel) @ psi
+
+
+def dense_momentum_density(gamma, hbar, momentum):
+    grid = gamma.grid
+    fourier = (2 * math.pi * hbar) ** -0.5 * grid.spacing * _dense_phases(grid, momentum, hbar).T
+    vals, vecs = _dense_modes(gamma)
+    return np.abs(fourier @ (vecs / math.sqrt(grid.spacing))) ** 2 @ vals
+
+
+def dense_marginal_report(gamma, family):
+    grid = gamma.grid
+    momentum = brillouin_momentum_grid(grid, family.hbar)
+    n, h, dp = family.n_particles, grid.spacing, momentum.cell_volume
+    table = dense_table(gamma, family, momentum)
+    lhs_rho = n / (2 * math.pi) * table.sum(axis=1) * dp
+    rhs_rho = (_dense_windows(family, grid) ** 2 @ (np.real(np.diag(gamma.matrix)) / h)) * h
+    lhs_t = n / (2 * math.pi) * table.sum(axis=0) * h
+    t_gamma = dense_momentum_density(gamma, family.hbar, momentum)
+    k = momentum.size
+    offsets = np.arange(k) * dp
+    phases = np.exp(-1j * np.outer(offsets, grid.axis()) / family.hbar)
+    g_off = (2 * math.pi * family.hbar) ** -0.5 * h * (phases @ family.envelope_at(grid.axis(), 0.0))
+    g2 = np.abs(g_off) ** 2
+    idx = np.arange(k)
+    conv = np.array([np.sum(t_gamma * g2[(i - idx) % k]) for i in range(k)]) * dp
+    return {
+        "space_l1_gap": float(np.sum(np.abs(lhs_rho - rhs_rho)) * h),
+        "momentum_l1_gap": float(np.sum(np.abs(lhs_t - conv)) * dp),
+        "trace_normalized": float(table.sum() * h * dp / (2 * math.pi * family.hbar) / n),
+        "space_scale": float(np.sum(np.abs(rhs_rho)) * h),
+        "momentum_scale": float(np.sum(np.abs(conv)) * dp),
+    }
+
+
+def dense_gamma_from_measure(m, family):
+    grid = m.grid
+    y, h, dp = grid.axis(), grid.spacing, m.momentum.cell_volume
+    w = _dense_windows(family, grid)
+    coef = h * h * dp / (2 * math.pi * family.hbar)
+    out = np.zeros((grid.size, grid.size), dtype=complex)
+    for col, p in zip(m.values.T, m.momentum.axis()):
+        if np.any(col):
+            phase = np.exp(1j * p * y / family.hbar)
+            out += coef * (phase[:, None] * (w.T @ (col[:, None] * w)) * phase[None, :].conj())
+    return 0.5 * (out + out.T.conj())
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+FFT_SIZES = (64, 128, 256)
+FFT_FAMILIES = {
+    "squeezed": CoherentFamily(N_PARTICLES, 0.12, (1.0 / N_PARTICLES) ** 2 / 0.12),
+    "unsqueezed": CoherentFamily.default(N_PARTICLES, 0.0),
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(m, name) for m in FFT_SIZES for name in FFT_FAMILIES],
+    ids=lambda param: f"M{param[0]}-{param[1]}",
+)
+def fft_case(request):
+    """Slater operators at rest and boosted, and a bath-tub lift with its quantization."""
+    from fermigas.model import harmonic_potential
+
+    m, name = request.param
+    family = FFT_FAMILIES[name]
+    grid = SpatialGrid(1, 2.2, m)
+    potential = harmonic_potential(1)
+    orbitals = lowest_orbitals(grid, potential, N_PARTICLES, family.hbar)
+    slater = slater_operator(orbitals, grid)
+    # a momentum boost makes t_gamma asymmetric, so a reflected convolution shows
+    boost = np.exp(1.3j * grid.axis() / family.hbar)
+    boosted = slater_operator(orbitals * boost[:, None], grid)
+    constants = TFConstants.bathtub_consistent(1)
+    rel = RelaxedLocalEnergy(constants.c_tf, 1.0)
+    fine = minimize_1d_relaxed(potential, rel, grid.refine(8), tol=1e-3)
+    momentum = brillouin_momentum_grid(grid, family.hbar)
+    lift = bathtub_lift(sample_minimizer(potential, rel, grid, fine.lam), constants, momentum)
+    quantized = gamma_from_measure(lift, family, mass_rtol=0.5)
+    return grid, family, momentum, lift, (slater, boosted, quantized)
+
+
+class TestFFTAgainstDenseOracles:
+    def test_husimi_table(self, fft_case):
+        _, family, momentum, _, operators = fft_case
+        for gamma in operators:
+            table = husimi_grid_table(gamma, family, momentum)
+            assert _rel(table.values, dense_table(gamma, family, momentum)) <= 1e-12
+            assert np.array_equal(table.p_axis, momentum.axis())
+
+    def test_frame_apply(self, fft_case, rng):
+        grid, family, momentum, _, _ = fft_case
+        psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        assert _rel(frame_apply(psi, family, grid), dense_frame_apply(psi, family, grid, momentum)) <= 1e-12
+
+    def test_momentum_density(self, fft_case):
+        _, family, momentum, _, operators = fft_case
+        for gamma in operators:
+            t = momentum_density(gamma, family.hbar, momentum)
+            assert _rel(t, dense_momentum_density(gamma, family.hbar, momentum)) <= 1e-12
+
+    def test_marginal_convolution(self, fft_case):
+        _, family, _, _, operators = fft_case
+        for gamma in operators:
+            report = marginal_identity_report(gamma, family)
+            dense = dense_marginal_report(gamma, family)
+            # the gaps are differences of O(1) marginals: compare on the marginals' scale
+            assert abs(report["space_l1_gap"] - dense["space_l1_gap"]) <= 1e-12 * dense["space_scale"]
+            assert abs(report["momentum_l1_gap"] - dense["momentum_l1_gap"]) <= 1e-12 * dense["momentum_scale"]
+            assert report["trace_normalized"] == pytest.approx(dense["trace_normalized"], rel=1e-12)
+
+    def test_gamma_from_measure(self, fft_case):
+        _, family, _, lift, (_, _, quantized) = fft_case
+        assert _rel(quantized.matrix, dense_gamma_from_measure(lift, family)) <= 1e-12
+        assert np.array_equal(quantized.matrix, quantized.matrix.T.conj())
+
+
+class TestNonDualMomentumRejected:
+    @staticmethod
+    def _stretched(grid, family):
+        dual = brillouin_momentum_grid(grid, family.hbar)
+        return SpatialGrid(1, 1.5 * dual.half_width, dual.points_per_axis)
+
+    def test_husimi_table(self, setup):
+        grid, _, family, gamma = setup
+        with pytest.raises(ValidationError, match="lattice dual"):
+            husimi_grid_table(gamma, family, self._stretched(grid, family))
+
+    def test_momentum_density(self, setup):
+        grid, _, family, gamma = setup
+        with pytest.raises(ValidationError, match="lattice dual"):
+            momentum_density(gamma, family.hbar, self._stretched(grid, family))
+
+    def test_gamma_from_measure(self, setup, tf_lift):
+        grid, _, family, _ = setup
+        lift, _ = tf_lift
+        stretched = PhaseSpaceDensity(grid, self._stretched(grid, family), lift.values)
+        with pytest.raises(ValidationError, match="lattice dual"):
+            gamma_from_measure(stretched, family)
 
 
 class TestHartree:

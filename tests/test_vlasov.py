@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from fermigas.errors import MomentumCoverageError
 from fermigas.model import SpatialGrid, TFConstants, bump_profile, scaled_interaction
