@@ -20,6 +20,12 @@ import shlex
 import sys
 import time
 
+if __name__ == "__main__":
+    # BLAS fixes its thread count when numpy loads it, so cap it first
+    from .__main__ import apply_thread_cap
+
+    apply_thread_cap(sys.argv[1:])
+
 import numpy as np
 
 from . import __version__
@@ -47,14 +53,6 @@ _SUMMARY_ARTIFACT = {
     "df-experiment": "df_stats.json",
     "constants-audit": "constants_audit.json",
 }
-
-
-def _set_thread_cap(threads: int | None):
-    cap = threads if threads is not None else os.environ.get("FERMIGAS_THREADS")
-    if cap is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(cap)
 
 
 def _atomic_write(path: str, data: bytes):
@@ -565,7 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fermigas",
         description="Thomas-Fermi / phase-space / semiclassical laboratory for trapped Fermi gases",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap worker/BLAS threads")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="cap BLAS/OpenMP threads (default: FERMIGAS_THREADS, else the BLAS "
+                             "default); applied before numpy loads, so it takes effect only as a "
+                             "process argument, not in a call of main()")
     sub = parser.add_subparsers(dest="subcommand")
 
     def common(p):
@@ -654,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _set_thread_cap(args.threads if hasattr(args, "threads") else None)
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be at least 1")
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2

@@ -512,6 +512,16 @@ def hartree_energy(
 # ---------------------------------------------------------------------------
 
 
+def _convolve_same(a: Array, kernel: Array) -> Array:
+    """``np.convolve(a, kernel, mode="same")`` for len(kernel) <= len(a), as
+    one zero-padded rfft product (a linear, not periodic, convolution)."""
+    n_full = a.size + kernel.size - 1
+    n_fft = 1 << (n_full - 1).bit_length()
+    full = np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(kernel, n_fft), n_fft)
+    start = (kernel.size - 1) // 2
+    return full[start : start + a.size]
+
+
 def smearing_errors(
     w_eval,
     support_radius: float,
@@ -536,8 +546,8 @@ def smearing_errors(
         u = (np.arange(n_phi) - (n_phi - 1) / 2) * h / s
         phi = envelope(u) ** 2 / s
         phi = phi / (phi.sum() * h)  # unit mass on the grid
-        once = np.convolve(w_vals, phi, mode="same") * h
-        twice = np.convolve(once, phi, mode="same") * h
+        once = _convolve_same(w_vals, phi) * h
+        twice = _convolve_same(once, phi) * h
         grad_l1 = float(np.sum(np.abs(np.diff(w_vals))))
         err1 = float(np.sum(np.abs(w_vals - once)) * h)
         err2 = float(np.sum(np.abs(w_vals - twice)) * h)

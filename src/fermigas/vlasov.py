@@ -4,8 +4,10 @@ and the phase-space minimum.
 
 Phase-space quantities use the measure ``dx dp / (2 pi)^d``. For indicator
 lifts, momentum integrals are evaluated with the closed-form ball formulas
-per spatial point (no momentum quadrature and hence no staircase error);
-the gridded values are kept only so a lift can feed operator constructions.
+per spatial point (no momentum quadrature and hence no staircase error). A
+lift stores only its Fermi radius; the gridded 0/1 table, which only
+operator constructions and the staircase normalization read, is built on
+first read and capped by ``LIFT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MomentumCoverageError, ValidationError
+from .errors import CapExceededError, MomentumCoverageError, ValidationError
 from .model import ScaledInteraction, SpatialGrid, TFConstants, TrapPotential
 from .tf_solver import (
     DensityField,
@@ -29,32 +31,63 @@ Array = np.ndarray
 
 TWO_PI = 2.0 * math.pi
 
+# Building a lift's table holds the float table and the boolean comparison
+# it is cast from: 8 + 1 bytes per (x, p) cell, as measured with tracemalloc.
+LIFT_TABLE_BYTES_PER_CELL = 9
+LIFT_TABLE_MEMORY_BUDGET = 1 << 30
+LIFT_TABLE_CAP = LIFT_TABLE_MEMORY_BUDGET // LIFT_TABLE_BYTES_PER_CELL
 
-@dataclass
+
 class PhaseSpaceDensity:
     """Occupation function m(x, p) >= 0 on a product grid.
 
     ``values[i, k]`` is m at spatial point i and momentum point k (both
-    flattened). ``fermi_radius`` is set for bath-tub lifts and enables the
-    closed-form momentum integrals; lifted values are exactly 0/1-valued.
+    flattened). A bath-tub lift is given by ``fermi_radius`` alone, which
+    enables the closed-form momentum integrals; its ``values`` table is the
+    exactly 0/1-valued indicator |p| <= fermi_radius(x), built on first read
+    and cached (``CapExceededError`` above ``LIFT_TABLE_CAP`` cells).
     ``pauli_bound_ok`` records whether m <= 1 within tolerance.
     """
 
-    grid: SpatialGrid
-    momentum: SpatialGrid
-    values: Array
-    fermi_radius: Array | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.size, self.momentum.size):
-            raise ValidationError(
-                f"phase-space values must have shape {(self.grid.size, self.momentum.size)}"
-            )
-        if np.any(self.values < 0):
-            raise ValidationError("phase-space density must be nonnegative")
-        if self.grid.d != self.momentum.d:
+    def __init__(
+        self,
+        grid: SpatialGrid,
+        momentum: SpatialGrid,
+        values: Array | None = None,
+        fermi_radius: Array | None = None,
+    ):
+        if grid.d != momentum.d:
             raise ValidationError("spatial and momentum grids must share the dimension")
+        self.grid = grid
+        self.momentum = momentum
+        self.fermi_radius = fermi_radius
+        if fermi_radius is not None and np.shape(fermi_radius) != (grid.size,):
+            raise ValidationError(f"Fermi radius must have shape {(grid.size,)}")
+        if values is None:
+            if fermi_radius is None:
+                raise ValidationError("a phase-space density needs values or a Fermi radius")
+            self._values = None
+            return
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.size, momentum.size):
+            raise ValidationError(f"phase-space values must have shape {(grid.size, momentum.size)}")
+        if np.any(values < 0):
+            raise ValidationError("phase-space density must be nonnegative")
+        self._values = values
+
+    @property
+    def values(self) -> Array:
+        if self._values is None:
+            cells = self.grid.size * self.momentum.size
+            if cells > LIFT_TABLE_CAP:
+                raise CapExceededError(
+                    f"lift table of {self.grid.size} x {self.momentum.size} = {cells} cells exceeds "
+                    f"the cap of {LIFT_TABLE_CAP} ({LIFT_TABLE_MEMORY_BUDGET >> 20} MiB at "
+                    f"{LIFT_TABLE_BYTES_PER_CELL} B per cell)"
+                )
+            p_norm = np.linalg.norm(self.momentum.points(), axis=1)
+            self._values = (p_norm[None, :] <= self.fermi_radius[:, None]).astype(float)
+        return self._values
 
     @property
     def d(self) -> int:
@@ -62,6 +95,8 @@ class PhaseSpaceDensity:
 
     @property
     def pauli_bound_ok(self) -> bool:
+        if self._values is None:
+            return True  # a lift is a 0/1 indicator by construction
         return bool(np.max(self.values, initial=0.0) <= 1.0 + 1e-9)
 
     def spatial_density(self) -> Array:
@@ -104,10 +139,10 @@ def bathtub_lift(rho: DensityField, constants: TFConstants, momentum: SpatialGri
 
     The momentum grid must cover the largest Fermi radius with at least 10%
     margin, otherwise the lift would be clipped; the error reports the
-    required half-width. The gridded values are exactly 0/1; mass and
-    kinetic integrals use the closed-form ball integrals via
-    ``fermi_radius``, so the lift's normalization matches the density mass
-    to quadrature precision.
+    required half-width. The lift carries only ``fermi_radius``: mass and
+    kinetic integrals use the closed-form ball integrals, so the lift's
+    normalization matches the density mass to quadrature precision, and the
+    exactly 0/1 gridded ``values`` are built only when first read.
     """
     d = rho.grid.d
     if constants.d != d or momentum.d != d:
@@ -120,9 +155,7 @@ def bathtub_lift(rho: DensityField, constants: TFConstants, momentum: SpatialGri
             f"Fermi radius with 10% margin; need at least {required:.6g}",
             required_half_width=required,
         )
-    p_norm = np.linalg.norm(momentum.points(), axis=1)
-    values = (p_norm[None, :] <= radius[:, None]).astype(float)
-    return PhaseSpaceDensity(rho.grid, momentum, values, fermi_radius=radius)
+    return PhaseSpaceDensity(rho.grid, momentum, fermi_radius=radius)
 
 
 @dataclass

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -283,3 +286,63 @@ class TestSemiclassicsSweep:
             )[0]
         )
         assert 0.4 <= slope <= 0.65
+
+
+# Runs an entry module as `python -m` does, then one BLAS matmul, then prints
+# the exit code and the process's OS thread count.
+_THREADS_PROBE = """
+import runpy, sys
+module, sys.argv = sys.argv[1], ["fermigas"] + sys.argv[2:]
+try:
+    runpy.run_module(module, run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+import numpy as np
+a = np.ones((256, 256))
+a @ a
+with open("/proc/self/status") as fh:
+    threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(code, threads)
+"""
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a thread cap needs at least two CPUs to show")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the thread count from /proc")
+class TestThreadCap:
+    def _threads(self, module, argv, env_cap=None):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "FERMIGAS_THREADS"}
+        env["PYTHONPATH"] = _SRC
+        if env_cap is not None:
+            env["FERMIGAS_THREADS"] = env_cap
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_PROBE, module] + argv,
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, threads = out.stdout.split()[-2:]
+        assert code == "0"
+        return int(threads)
+
+    @pytest.mark.parametrize("module", ["fermigas.cli", "fermigas"])
+    @pytest.mark.parametrize("flag", [["--threads", "1"], ["--threads=1"]])
+    def test_flag_caps_blas_threads(self, tmp_path, module, flag):
+        argv = flag + ["constants-audit", "--d", "1", "--out", str(tmp_path)]
+        assert self._threads(module, argv) == 1
+
+    def test_environment_variable_caps_blas_threads(self, tmp_path):
+        argv = ["constants-audit", "--d", "1", "--out", str(tmp_path)]
+        assert self._threads("fermigas.cli", argv, env_cap="1") == 1
+        # the control: without a cap the same probe sees BLAS worker threads
+        assert self._threads("fermigas.cli", argv) > 1
+
+    def test_sweep_runs_under_cap(self, tmp_path):
+        argv = ["--threads", "1", "sweep", "--subcommand", "constants-audit", "--param", "d",
+                "--values", "1,2", "--out", str(tmp_path)]
+        assert self._threads("fermigas.cli", argv) == 1
+        with open(tmp_path / "sweep.csv") as fh:
+            assert [line.split(",")[:2] for line in fh.read().split()[1:]] == [["1", "0"], ["2", "0"]]
+
+    def test_rejects_nonpositive_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "0", "constants-audit", "--d", "1"])
+        assert exc.value.code == 2

@@ -453,6 +453,28 @@ class TestErrorDecomposition:
         ratios = [r["ratio_single"] for r in records]
         assert max(ratios) / min(ratios) <= 2.0
 
+    @pytest.mark.parametrize("kernel", ["plateau", "bump"])
+    def test_smearing_fft_matches_direct_convolution(self, kernel, monkeypatch):
+        import fermigas.husimi as husimi_module
+
+        if kernel == "plateau":
+            profile = plateau_profile(beta=0.25, radius=0.5, edge_width=1e-3, height=1.0)
+        else:
+            profile = bump_profile(1, beta=0.2, radius=1.0, height=1.0)
+        w_n = scaled_interaction(profile, 4)
+        hbars = [1e-2, 1e-3, 1e-4, 1.0 / 32]
+        fast = smearing_errors(w_n.evaluate, w_n.support_radius, hbars)
+        monkeypatch.setattr(husimi_module, "_convolve_same", lambda a, k: np.convolve(a, k, mode="same"))
+        direct = smearing_errors(w_n.evaluate, w_n.support_radius, hbars)
+        w_l1 = profile.i_w  # w_N >= 0 keeps the mass of the profile
+        for f, r in zip(fast, direct):
+            assert f["grad_l1"] == r["grad_l1"]
+            scale = math.sqrt(f["hbar_x"]) * f["grad_l1"]
+            for key in ("error_single", "error_double"):
+                assert abs(f[key] - r[key]) <= 1e-12 * w_l1
+            for key in ("ratio_single", "ratio_double"):
+                assert abs(f[key] - r[key]) * scale <= 1e-12 * w_l1
+
     def test_potential_gap_reported(self, setup):
         grid, potential, family, gamma = setup
         report = semiclassical_error_decomposition(gamma, family, potential)

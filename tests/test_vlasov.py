@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fermigas.errors import MomentumCoverageError
+from fermigas.errors import CapExceededError, MomentumCoverageError, ValidationError
 from fermigas.model import SpatialGrid, TFConstants, bump_profile, scaled_interaction
 from fermigas.tf_solver import DensityField, RelaxedLocalEnergy, minimize_1d_relaxed, minimize_2d, tf_energy
 from fermigas.vlasov import (
+    LIFT_TABLE_CAP,
     PhaseSpaceDensity,
     bathtub_lift,
     interaction_quadrature,
@@ -75,6 +77,91 @@ class TestBathtubLift:
         momentum = SpatialGrid(d, 4.0, 32)
         lift = bathtub_lift(rho, constants, momentum)
         assert lift.normalization() == pytest.approx(rho.mass, rel=1e-10)
+
+
+def _eager_table(momentum, radius):
+    # the lift table as bathtub_lift built it before it became lazy
+    p_norm = np.linalg.norm(momentum.points(), axis=1)
+    return (p_norm[None, :] <= radius[:, None]).astype(float)
+
+
+def _traced(fn):
+    """fn() and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="module")
+def lift_above_cap():
+    # 512^2 x 64^2 cells: an 8 GiB table, far above the cap
+    grid = SpatialGrid(2, 2.0, 512)
+    raw = np.exp(-np.sum(grid.points() ** 2, axis=1))
+    lift = bathtub_lift(
+        DensityField(grid, raw / grid.integrate(raw)), TFConstants.bathtub_consistent(2), SpatialGrid(2, 4.0, 64)
+    )
+    assert grid.size * lift.momentum.size > LIFT_TABLE_CAP
+    return lift
+
+
+class TestLazyLiftTable:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_values_equal_eager_formula(self, d, rng):
+        grid = SpatialGrid(d, 2.0, 256 if d == 1 else 24)
+        momentum = SpatialGrid(d, 4.0, 32 if d == 1 else 16)
+        raw = np.exp(-np.sum(grid.points() ** 2, axis=1)) * (1.0 + 0.3 * rng.random(grid.size))
+        rho = DensityField(grid, raw / grid.integrate(raw))
+        lift = bathtub_lift(rho, TFConstants.bathtub_consistent(d), momentum)
+        assert np.array_equal(lift.values, _eager_table(momentum, lift.fermi_radius))
+        assert lift.values is lift.values  # built once, then cached
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tied_fermi_radius(self, d, rng):
+        # radii equal to grid momentum norms: the points on the sphere are occupied
+        grid = SpatialGrid(d, 1.0, 32 if d == 1 else 6)
+        momentum = SpatialGrid(d, 3.0, 16 if d == 1 else 8)
+        p_norm = np.linalg.norm(momentum.points(), axis=1)
+        radius = rng.choice(p_norm, grid.size)
+        lift = PhaseSpaceDensity(grid, momentum, fermi_radius=radius)
+        table = lift.values
+        assert np.array_equal(table, _eager_table(momentum, radius))
+        assert np.all(table[p_norm[None, :] == radius[:, None]] == 1.0)
+
+    def test_equality_check_2d_160_memory(self, harmonic_2d):
+        constants = TFConstants.bathtub_consistent(2)
+        report, peak = _traced(
+            lambda: tf_vlasov_equality_check(harmonic_2d, constants, math.pi, SpatialGrid(2, 3.0, 160), tol=1e-3)
+        )
+        assert report.passed
+        assert peak < 16 << 20  # the 160^2 x 64^2 table alone is 800 MiB
+
+    def test_equality_check_2d_512(self, harmonic_2d):
+        constants = TFConstants.bathtub_consistent(2)
+        report = tf_vlasov_equality_check(harmonic_2d, constants, math.pi, SpatialGrid(2, 3.0, 512), tol=1e-3)
+        assert report.passed
+
+    def test_table_cap_raises_before_allocating(self, lift_above_cap):
+        def read():
+            with pytest.raises(CapExceededError, match="cap"):
+                lift_above_cap.values
+
+        assert _traced(read)[1] < 1 << 20
+
+    def test_pauli_bound_leaves_table_unbuilt(self, lift_above_cap):
+        # building the table would raise CapExceededError
+        assert lift_above_cap.pauli_bound_ok
+        assert lift_above_cap.normalization() == pytest.approx(1.0, rel=1e-12)
+
+    def test_needs_values_or_radius(self):
+        grid = SpatialGrid(1, 1.0, 8)
+        with pytest.raises(ValidationError):
+            PhaseSpaceDensity(grid, grid)
+        with pytest.raises(ValidationError):
+            PhaseSpaceDensity(grid, grid, fermi_radius=np.ones(7))
 
 
 class TestVlasovEnergy:
