@@ -5,11 +5,16 @@ The envelope is a fixed smooth compactly supported radial bump with unit L2
 norm, localized at scale sqrt(hbar_x) in space and sqrt(hbar_p) in momentum
 with hbar_x * hbar_p = hbar^2, hbar = N^(-1/d). Momentum sums use the grid
 dual to the spatial lattice (half-width pi*hbar/h, one point per spatial
-point). There h * dp = 2 pi hbar / M, so exp(-i y_j p_k / hbar) is a DFT
-matrix between a spatial twiddle and a phase of k alone: every plane-wave sum
-is an ``np.fft`` call, the frame operator is exactly the diagonal
-2 pi hbar * h * sum_x f^h(x - y)^2, and the frame identities close to
-quadrature precision instead of leaking staircase error.
+point). There h * dp = 2 pi hbar / M, so exp(-i (y_j - y_j') p_k / hbar) is
+a phase of the lag d = j - j' times exp(-2 pi i d k / M): a plane-wave sum
+over pairs of sites is a sum over lags and one ``np.fft`` call, the frame
+operator is exactly the diagonal 2 pi hbar * h * sum_x f^h(x - y)^2, and the
+frame identities close to quadrature precision instead of leaking staircase
+error. The windows f^h(y - x) are kept as a band of half-width
+r = ceil(sqrt(hbar_x) / h) and overlap only at lags |d| <= 2r, so a Husimi
+table costs O(M r^2) plus one real M x M FFT and a momentum density O(M^2).
+Nothing here diagonalizes an operator; ``OneBodyOperator.occupations``
+reports eigenvalues when asked.
 
 Operators are carried in occupancy form: ``matrix[i, j]`` is the h-weighted
 kernel, so eigenvalues are natural occupations in [0, 1], the trace counts
@@ -171,12 +176,22 @@ def slater_operator(orbitals: Array, grid: SpatialGrid) -> OneBodyOperator:
 
 
 def lowest_orbitals(grid: SpatialGrid, potential: TrapPotential, n: int, hbar: float) -> Array:
-    """Columns = N lowest eigenvectors of the lattice one-body Hamiltonian."""
-    from .oracle import one_body_matrix
+    """Columns = N lowest eigenvectors of the lattice one-body Hamiltonian.
 
-    mat = one_body_matrix(grid, potential, hbar)
-    _, vecs = np.linalg.eigh(mat)
-    return vecs[:, :n]
+    The Hamiltonian (``oracle.one_body_matrix``: 3-point -hbar^2 Laplacian
+    plus diagonal V) is tridiagonal, so only the N wanted eigenpairs are
+    computed, by bisection and inverse iteration on its two diagonals.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    if grid.d != 1:
+        raise ValidationError("the lattice oracle is 1D only")
+    if not 1 <= n <= grid.size:
+        raise ValidationError(f"need 1 <= n <= {grid.size} orbitals, got {n}")
+    hop = hbar**2 / grid.spacing**2
+    diag = 2.0 * hop + np.asarray(potential.evaluate(grid.points()), dtype=float)
+    _, vecs = eigh_tridiagonal(diag, np.full(grid.size - 1, -hop), select="i", select_range=(0, n - 1))
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +212,62 @@ class HusimiTable:
         return float(np.sum(self.values) * grid.cell_volume * momentum.cell_volume)
 
 
-def _window_matrix(family: CoherentFamily, grid: SpatialGrid, centers: Array) -> Array:
-    """W[i, y] = f^h(y - centers[i]) on the grid axis."""
+def _window_band(family: CoherentFamily, grid: SpatialGrid) -> tuple[Array, int]:
+    """The windows W[x, y] = f^h(y - x) as an M x (2r + 1) band and its radius r.
+
+    ``band[i, r + o] = f^h(y_(i+o) - y_i)`` for |o| <= r = ceil(sqrt(hbar_x) / h),
+    zero where i + o is off the grid, so row i is the window centered at y_i
+    and W[i, i + o] = band[i, r + o]. The envelope is even, so column j of W
+    is row j of the band read backwards: W[j - o, j] = band[j, r - o].
+    """
     y = grid.axis()
-    return family.envelope_at(y[None, :], 0.0 * y[None, :] + centers[:, None])
+    r = int(math.ceil(math.sqrt(family.hbar_x) / grid.spacing))
+    idx = np.arange(grid.size)[:, None] + np.arange(-r, r + 1)[None, :]
+    inside = (idx >= 0) & (idx < grid.size)
+    values = family.envelope_at(y[np.clip(idx, 0, grid.size - 1)], y[:, None])
+    return np.where(inside, values, 0.0), r
 
 
-def _operator_eigenpairs(gamma: OneBodyOperator, tol: float = 1e-12):
-    vals, vecs = np.linalg.eigh(0.5 * (gamma.matrix + gamma.matrix.T.conj()))
-    keep = vals > tol
-    return vals[keep], vecs[:, keep]
+def _neighbors(v: Array, r: int) -> Array:
+    """Read-only view ``out[i, r + o] = v[i + o]`` for |o| <= r, zero off the grid."""
+    padded = np.zeros(v.size + 2 * r, dtype=v.dtype)
+    padded[r : r + v.size] = v
+    return np.lib.stride_tricks.sliding_window_view(padded, 2 * r + 1)
 
 
-def _dual_twiddle(grid: SpatialGrid, hbar: float, momentum: SpatialGrid | None = None):
-    """The lattice-dual momentum grid and the twiddle t_j = exp(-i p_0 y_j / hbar).
+def _dual_lag_phases(grid: SpatialGrid, hbar: float, momentum: SpatialGrid | None, lags: int):
+    """The lattice-dual momentum grid and the lag phases exp(-i p_0 d h / hbar), d = 0..lags.
 
     With h * dp = 2 pi hbar / M,
-    exp(-i y_j p_k / hbar) = t_j * exp(-i k dp y_0 / hbar) * exp(-2 pi i jk / M),
-    so a plane-wave sum over y is the FFT of the twiddled samples up to a
-    phase of k alone, and its output is already in increasing-p order. A
-    given ``momentum`` must be that dual grid.
+    exp(-i (y_j - y_j') p_k / hbar) = exp(-i p_0 d h / hbar) * exp(-2 pi i d k / M)
+    for the lag d = j - j', so a plane-wave sum over pairs of sites is a
+    sum over lags, and the lag sum is an FFT whose output is already in
+    increasing-p order. A given ``momentum`` must be that dual grid.
     """
     dual = brillouin_momentum_grid(grid, hbar)
     if momentum is not None and momentum != dual:
         raise ValidationError(f"momentum grid {momentum} is not the lattice dual {dual}")
-    return dual, np.exp(-1j * dual.axis()[0] * grid.axis() / hbar)
+    return dual, np.exp(-1j * dual.axis()[0] * grid.spacing / hbar * np.arange(lags + 1))
+
+
+def _hermitian_lag(matrix: Array, d: int) -> Array:
+    """Lag d of the Hermitian part of ``matrix``: its entries (j, j - d), j = d..M-1."""
+    return 0.5 * (np.diagonal(matrix, -d) + np.diagonal(matrix, d).conj())
+
+
+def _lag_spectrum(lag: Array, size: int) -> Array:
+    """sum_d lag(d) exp(-2 pi i d k / M) over k, for lags d = 0..D (last axis)
+    of a sequence with lag(-d) = conj(lag(d)), D < M.
+
+    The sequence is Hermitian, so the result is real: ``np.fft.hfft`` of
+    the first M//2 + 1 periodic bins. A lag d >= M/2 lands as its mirror
+    -d in bin M - d, added to whatever is there.
+    """
+    half = size // 2
+    bins = lag[..., : half + 1].copy()
+    wrap = np.arange(size - half, lag.shape[-1])
+    bins[..., size - wrap] += np.conj(lag[..., wrap])
+    return np.fft.hfft(bins, size)
 
 
 def husimi_grid_table(
@@ -231,21 +277,29 @@ def husimi_grid_table(
 ) -> HusimiTable:
     """One-particle Husimi function on the full spatial x dual-momentum grid.
 
-    m(x, p) = h * <f_{x,p}| B |f_{x,p}> computed through the eigenpairs of B:
-    for each occupied mode u, the windowed Fourier transforms are one FFT of
-    every twiddled row W[x, :] * u * t, so the cost is O(M^2 log M) per mode.
-    ``momentum`` defaults to the lattice-dual grid and must equal it
-    (ValidationError otherwise).
+    m(x, p) = h * <f_{x,p}| B |f_{x,p}> for the Hermitian part of B, with no
+    eigenpairs: on the dual grid m(x, p_k) = h * sum_d lag[x, d]
+    exp(-2 pi i d k / M) with
+    lag[x, d] = exp(-i p_0 d h / hbar) * sum_j W[x, j] W[x, j - d] B(j, j - d),
+    and only lags |d| <= 2r carry windows that overlap. The banded windows
+    make the lags O(M r^2) and the table is one real M x M FFT. ``momentum``
+    defaults to the lattice-dual grid and must equal it (ValidationError
+    otherwise).
     """
     grid = gamma.grid
     family.check_resolution(grid)
-    momentum, twiddle = _dual_twiddle(grid, family.hbar, momentum)
-    w = _window_matrix(family, grid, grid.axis())  # sample x at the grid points
-    vals, vecs = _operator_eigenpairs(gamma)
-    table = np.zeros((grid.size, momentum.size))
-    for lam, u in zip(vals, vecs.T):
-        table += lam * np.abs(np.fft.fft(w * (u * twiddle)[None, :], axis=1)) ** 2
-    return HusimiTable(x_axis=grid.axis(), p_axis=momentum.axis(), values=grid.spacing * table)
+    band, r = _window_band(family, grid)
+    size, width = grid.size, band.shape[1]
+    lags = min(2 * r, size - 1)
+    momentum, phases = _dual_lag_phases(grid, family.hbar, momentum, lags)
+    lag = np.zeros((size, lags + 1), dtype=complex)
+    for d in range(lags + 1):
+        coupled = np.zeros(size, dtype=complex)  # phased B(j, j - d), zero for j < d
+        coupled[d:] = phases[d] * _hermitian_lag(gamma.matrix, d)
+        pairs = band[:, d:] * band[:, : width - d]  # W[x, j] W[x, j - d] at j = x + a - r
+        lag[:, d] = np.einsum("xa,xa->x", pairs, _neighbors(coupled, r)[:, d:])
+    table = grid.spacing * _lag_spectrum(lag, size)
+    return HusimiTable(x_axis=grid.axis(), p_axis=momentum.axis(), values=table)
 
 
 def husimi_at_samples(source, family: CoherentFamily, samples: Array, k: int = 1) -> Array:
@@ -362,22 +416,23 @@ def frame_apply(psi: Array, family: CoherentFamily, grid: SpatialGrid) -> Array:
     the box edges (resolution of the identity).
     """
     family.check_resolution(grid)
-    w = _window_matrix(family, grid, grid.axis())
-    return TWO_PI * family.hbar * grid.spacing * np.sum(w**2, axis=0) * psi
+    band, _ = _window_band(family, grid)
+    return TWO_PI * family.hbar * grid.spacing * np.sum(band**2, axis=1) * psi
 
 
 def momentum_density(gamma: OneBodyOperator, hbar: float, momentum: SpatialGrid) -> Array:
-    """t_gamma(p) = sum_a lambda_a |F[u_a](p)|^2; integrates to the trace.
+    """t_gamma(p) = h / (2 pi hbar) * sum_{y, y'} exp(-i p (y - y') / hbar) B(y, y').
 
-    F[u](p) = (2 pi hbar)^(-1/2) * h * sum_y u(y) exp(-i p y / hbar) on the
-    lattice-dual grid (ValidationError for any other ``momentum``).
-    Occupancy-form eigenvectors are plainly normalized, so u_a / sqrt(h)
-    has unit L2 norm and |F|^2 = h / (2 pi hbar) * |FFT(u_a * t)|^2.
+    This is sum_a lambda_a |F[u_a](p)|^2 over the eigenpairs of the
+    Hermitian part of B, with F[u](p) = (2 pi hbar)^(-1/2) * h * sum_y u(y)
+    exp(-i p y / hbar) on the lattice-dual grid (ValidationError for any
+    other ``momentum``), but it is computed without them: the diagonal sums
+    of B over all M lags, O(M^2), then one FFT. It integrates to the trace.
     """
-    _, twiddle = _dual_twiddle(gamma.grid, hbar, momentum)
-    vals, vecs = _operator_eigenpairs(gamma)
-    spectra = np.abs(np.fft.fft(vecs * twiddle[:, None], axis=0)) ** 2
-    return gamma.grid.spacing / (TWO_PI * hbar) * (spectra @ vals)
+    grid = gamma.grid
+    _, phases = _dual_lag_phases(grid, hbar, momentum, grid.size - 1)
+    lag = np.array([_hermitian_lag(gamma.matrix, d).sum() for d in range(grid.size)]) * phases
+    return grid.spacing / (TWO_PI * hbar) * _lag_spectrum(lag, grid.size)
 
 
 def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily) -> dict:
@@ -398,9 +453,9 @@ def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily) -> 
     y = grid.axis()
 
     lhs_rho = n / (TWO_PI * 1.0) * table.values.sum(axis=1) * dp
-    windows = _window_matrix(family, grid, y)
+    band, r = _window_band(family, grid)
     rho1 = np.real(np.diag(gamma.matrix)) / h
-    rhs_rho = (windows**2 @ rho1) * h
+    rhs_rho = np.einsum("xa,xa->x", band**2, _neighbors(rho1, r)) * h
     space_gap = float(np.sum(np.abs(lhs_rho - rhs_rho)) * h)
 
     lhs_t = n / TWO_PI * table.values.sum(axis=0) * h
@@ -434,15 +489,19 @@ def gamma_from_measure(
 
     With m_hat(x, d) = sum_k m(x, p_k) exp(2 pi i kd / M) (one inverse FFT
     over p), B[j, j - d] = coef * exp(i p_0 d h / hbar) *
-    sum_x f^h(x - y_j) f^h(x - y_(j-d)) m_hat(x, d). Windows an envelope
-    width apart do not overlap, so only lags d <= edge are built, and the
-    upper triangle is the conjugate of the lower one.
+    sum_x f^h(x - y_j) f^h(x - y_(j-d)) m_hat(x, d). Windows more than 2r
+    points apart do not overlap, so only lags d <= 2r are built, each from
+    the banded windows in O(M r), and the upper triangle is the conjugate
+    of the lower one.
     """
     grid = m.grid
     family.check_resolution(grid)
-    momentum, _ = _dual_twiddle(grid, family.hbar, m.momentum)
+    band, r = _window_band(family, grid)
+    size, width = grid.size, band.shape[1]
+    lags = min(2 * r, size - 1)
+    momentum, phases = _dual_lag_phases(grid, family.hbar, m.momentum, lags)
     if not np.any(m.values):
-        return OneBodyOperator(grid, np.zeros((grid.size, grid.size)))
+        return OneBodyOperator(grid, np.zeros((size, size)))
     mass = m.normalization()
     if abs(mass - 1.0) > mass_rtol:
         raise HypothesisViolationError(
@@ -457,17 +516,16 @@ def gamma_from_measure(
             "spatial density of m must vanish within an envelope width of the box edge"
         )
 
-    size = grid.size
-    w = _window_matrix(family, grid, grid.axis())
-    h, dp, p0 = grid.spacing, momentum.cell_volume, momentum.axis()[0]
+    h, dp = grid.spacing, momentum.cell_volume
     # one h from the x quadrature, one to convert the kernel to occupancy form
     coef = h * h * dp / (TWO_PI * family.hbar)
     m_hat = momentum.size * np.fft.ifft(m.values, axis=1)
     out = np.zeros((size, size), dtype=complex)
-    for d in range(min(edge, size - 1) + 1):
+    for d in range(lags + 1):
         j = np.arange(d, size)
-        phase = np.exp(1j * d * p0 * h / family.hbar)  # conj(t_j) t_(j-d), 1 at d = 0
-        lower = coef * phase * (m_hat[:, d] @ (w[:, d:] * w[:, : size - d]))
+        pairs = band[d:, : width - d] * band[: size - d, d:]  # W[x, j] W[x, j - d] at x = j + a - r
+        near = _neighbors(m_hat[:, d], r)[d:, : width - d]
+        lower = coef * np.conj(phases[d]) * np.einsum("ja,ja->j", pairs, near)
         out[j, j - d] = lower
         out[j - d, j] = np.conj(lower)
     return OneBodyOperator(grid, out)

@@ -1,11 +1,22 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from fermigas.errors import GridResolutionError, HypothesisViolationError, ValidationError
-from fermigas.model import SpatialGrid, TFConstants, bump_profile, plateau_profile, scaled_interaction
+from fermigas.model import (
+    SpatialGrid,
+    TFConstants,
+    bump_profile,
+    double_well_potential,
+    harmonic_potential,
+    plateau_profile,
+    quartic_potential,
+    scaled_interaction,
+)
 from fermigas.husimi import (
     CoherentFamily,
     OneBodyOperator,
@@ -16,6 +27,7 @@ from fermigas.husimi import (
     gamma_from_measure,
     hartree_energy,
     husimi,
+    husimi_at_samples,
     husimi_grid_table,
     lowest_orbitals,
     marginal_identity_report,
@@ -24,6 +36,7 @@ from fermigas.husimi import (
     slater_operator,
     smearing_errors,
 )
+from fermigas.oracle import one_body_matrix
 from fermigas.tf_solver import RelaxedLocalEnergy, minimize_1d_relaxed, sample_minimizer
 from fermigas.vlasov import PhaseSpaceDensity, bathtub_lift, brillouin_momentum_grid, vlasov_energy
 
@@ -371,6 +384,144 @@ class TestFFTAgainstDenseOracles:
         _, family, _, lift, (_, _, quantized) = fft_case
         assert _rel(quantized.matrix, dense_gamma_from_measure(lift, family)) <= 1e-12
         assert np.array_equal(quantized.matrix, quantized.matrix.T.conj())
+
+
+def _random_operator(grid, rng, rank, lowest):
+    """An exactly Hermitian operator of the given rank, spread over the whole
+    box, with occupations drawn uniformly from [lowest, 1]."""
+    q, _ = np.linalg.qr(rng.standard_normal((grid.size, rank)) + 1j * rng.standard_normal((grid.size, rank)))
+    b = (q * rng.uniform(lowest, 1.0, rank)) @ q.conj().T
+    return OneBodyOperator(grid, 0.5 * (b + b.conj().T))
+
+
+def _indefinite(grid, rng):
+    return _random_operator(grid, rng, grid.size, -1.0)
+
+
+def direct_momentum_density(gamma, hbar, momentum):
+    # h / (2 pi hbar) * sum_{y, y'} exp(-i p (y - y') / hbar) gamma(y, y'), no eigenpairs
+    phases = _dense_phases(gamma.grid, momentum, hbar)
+    double_sum = np.einsum("yk,yz,zk->k", phases, gamma.matrix, phases.conj())
+    return gamma.grid.spacing / (2 * math.pi * hbar) * np.real(double_sum)
+
+
+def _table_at_samples(table, gamma, family, rng, count=50):
+    ix = rng.integers(0, table.x_axis.size, count)
+    ik = rng.integers(0, table.p_axis.size, count)
+    samples = np.column_stack([table.x_axis[ix], table.p_axis[ik]])
+    return table.values[ix, ik], husimi_at_samples(gamma, family, samples)
+
+
+class TestLagSumsWithoutEigenpairs:
+    """The table is h <f_{x,p}| gamma |f_{x,p}> for any Hermitian gamma,
+    negative occupations included (an eigenvalue cut would drop them)."""
+
+    def test_table_matches_samples(self, fft_case, rng):
+        grid, family, momentum, _, operators = fft_case
+        for gamma in (*operators, _indefinite(grid, rng)):
+            table = husimi_grid_table(gamma, family, momentum)
+            fast, direct = _table_at_samples(table, gamma, family, rng)
+            assert _rel(fast, direct) <= 1e-12
+
+    def test_indefinite_momentum_density(self, fft_case, rng):
+        grid, family, momentum, _, _ = fft_case
+        gamma = _indefinite(grid, rng)
+        t = momentum_density(gamma, family.hbar, momentum)
+        assert _rel(t, direct_momentum_density(gamma, family.hbar, momentum)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [24, 25])
+    def test_aliased_lags(self, m, rng):
+        # windows wider than half the box: lags d and d - M share an FFT bin
+        grid = SpatialGrid(1, 2.2, m)
+        family = CoherentFamily(2, 2.0, 0.25 / 2.0)
+        edge = math.ceil(family.envelope_width / grid.spacing)
+        assert 2 * edge >= m
+        momentum = brillouin_momentum_grid(grid, family.hbar)
+        gamma = _random_operator(grid, rng, 6, 0.0)
+        table = husimi_grid_table(gamma, family, momentum)
+        assert _rel(table.values, dense_table(gamma, family, momentum)) <= 1e-12
+        indefinite = _indefinite(grid, rng)
+        fast, direct = _table_at_samples(husimi_grid_table(indefinite, family, momentum), indefinite, family, rng)
+        assert _rel(fast, direct) <= 1e-12
+
+
+class TestNoDiagonalization:
+    def test_husimi_layer_never_diagonalizes(self, setup, tf_lift, monkeypatch):
+        import scipy.linalg
+
+        grid, potential, family, gamma = setup  # built before the solvers are blocked
+        lift, _ = tf_lift
+        w_n = scaled_interaction(plateau_profile(beta=0.25, radius=0.5, edge_width=1e-3, height=1.0), N_PARTICLES)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an operator was diagonalized")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        momentum = brillouin_momentum_grid(grid, family.hbar)
+        husimi_grid_table(gamma, family, momentum)
+        momentum_density(gamma, family.hbar, momentum)
+        marginal_identity_report(gamma, family)
+        semiclassical_error_decomposition(gamma, family, potential, w_n=w_n)
+        gamma_from_measure(lift, family)
+
+
+TRAPS = {
+    "harmonic": harmonic_potential(1),
+    "quartic": quartic_potential(1),
+    "double_well": double_well_potential(1),
+}
+
+
+class TestLowestOrbitals:
+    @pytest.mark.parametrize("m", [64, 256])
+    @pytest.mark.parametrize("trap", sorted(TRAPS))
+    def test_matches_dense_eigh(self, trap, m):
+        grid, potential, n, hbar = SpatialGrid(1, 2.2, m), TRAPS[trap], N_PARTICLES, 1.0 / N_PARTICLES
+        u = lowest_orbitals(grid, potential, n, hbar)
+        t_mat = one_body_matrix(grid, potential, hbar)
+        energies, vecs = np.linalg.eigh(t_mat)
+        dense = vecs[:, :n]
+        assert np.max(np.abs(u @ u.T - dense @ dense.T)) <= 1e-12
+        assert np.max(np.abs(u.T @ u - np.eye(n))) <= 1e-12
+        ritz = np.einsum("ia,ij,ja->a", u, t_mat, u)
+        assert np.linalg.norm(t_mat @ u - u * ritz, axis=0).max() <= 1e-10
+        assert np.allclose(ritz, energies[:n], rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [0, 65])
+    def test_count_out_of_range_rejected(self, n):
+        with pytest.raises(ValidationError, match="orbitals"):
+            lowest_orbitals(SpatialGrid(1, 2.2, 64), harmonic_potential(1), n, 0.125)
+
+
+# measured on a 2-vCPU VM: 0.48-0.59 s and a 161.3 MiB tracemalloc peak, of
+# which the M x M table is 128 MiB
+SCALE_WALL_CAP_S = 3.0
+SCALE_PEAK_CAP_MIB = 192.0
+
+
+class TestScale:
+    def test_decomposition_and_marginals_at_m4096_n128(self):
+        n = 128
+        grid, potential = SpatialGrid(1, 2.5, 4096), harmonic_potential(1)
+        family = CoherentFamily.default(n, 0.0)
+        gamma = slater_operator(lowest_orbitals(grid, potential, n, family.hbar), grid)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = semiclassical_error_decomposition(gamma, family, potential)
+            marginals = marginal_identity_report(gamma, family)
+            elapsed = time.perf_counter() - start
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert report.measured_correction == pytest.approx(report.expected_correction, rel=1e-6)
+        assert marginals["space_l1_gap"] <= 1e-10
+        assert marginals["trace_normalized"] == pytest.approx(1.0, abs=1e-9)
+        assert elapsed <= SCALE_WALL_CAP_S
+        assert peak_mib <= SCALE_PEAK_CAP_MIB
 
 
 class TestNonDualMomentumRejected:
