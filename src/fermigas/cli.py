@@ -336,6 +336,7 @@ def _cmd_semiclassics_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from .oracle import (
+        ORACLE_MEMORY_CAP,
         DiscreteHamiltonian,
         apriori_diagnostics,
         free_fermion_energy,
@@ -371,7 +372,8 @@ def _cmd_oracle(args) -> int:
         )
     w_n = scaled_interaction(interaction, n_particles) if interaction is not None else None
 
-    ham = DiscreteHamiltonian(grid, potential, n_particles, w_n=w_n, basis_cap=args.basis_cap)
+    cap = ORACLE_MEMORY_CAP if args.memory_cap is None else args.memory_cap << 20
+    ham = DiscreteHamiltonian(grid, potential, n_particles, w_n=w_n, memory_cap=cap)
     energy, state = ground_state(ham, tol=args.tol)
     red = reduced_densities(state)
     apriori = apriori_diagnostics(state)
@@ -619,8 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9,
                    help="bound on the ground-state residual ||Hx - Ex||; exit 3 when it is "
                         "exceeded or the iterative eigensolver does not converge")
-    p.add_argument("--basis-cap", dest="basis_cap", type=int, default=1_000_000,
-                   help="conservative CLI cap on the occupation-basis size")
+    p.add_argument("--memory-cap", dest="memory_cap", type=int, default=None,
+                   help="cap in MiB on the oracle's estimated peak memory (default: the "
+                        "library's ORACLE_MEMORY_CAP); exit 4 above it")
     common(p)
     p.set_defaults(handler=_cmd_oracle)
 

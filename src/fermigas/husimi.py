@@ -137,6 +137,18 @@ def coherent_state(x: float, p: float, family: CoherentFamily, grid: SpatialGrid
     return family.envelope_at(y, x) * np.exp(1j * p * y / family.hbar)
 
 
+def _hermitian_defect(matrix: Array) -> tuple[float, float]:
+    """max |A - A^H| and max |A|, from one 128-row strip of the upper triangle
+    at a time against the conjugated column strip below it (no M x M temporary)."""
+    defect = peak = 0.0
+    for i in range(0, matrix.shape[0], 128):
+        upper = matrix[i : i + 128, i:]
+        lower = np.conj(matrix[i:, i : i + 128].T)
+        defect = max(defect, float(np.max(np.abs(upper - lower))))
+        peak = max(peak, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+    return defect, peak
+
+
 @dataclass
 class OneBodyOperator:
     """Occupancy-form operator on the grid: eigenvalues are occupations."""
@@ -149,8 +161,8 @@ class OneBodyOperator:
         m = self.grid.size
         if self.matrix.shape != (m, m):
             raise ValidationError(f"operator matrix must be {(m, m)}")
-        herm = np.max(np.abs(self.matrix - self.matrix.T.conj()))
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
+        herm, peak = _hermitian_defect(self.matrix)
+        scale = max(1.0, peak)
         if herm > 1e-10 * scale:
             raise ValidationError(f"operator is not Hermitian (defect {herm:.3e})")
 
@@ -396,7 +408,7 @@ def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = N
         if isinstance(source, FermionState):
             from .oracle import reduced_densities
 
-            gamma = OneBodyOperator(source.ham.grid, reduced_densities(source, k=1).gamma1)
+            gamma = OneBodyOperator(source.ham.grid, reduced_densities(source).gamma1)
             return husimi_grid_table(gamma, family)
         return husimi_grid_table(source, family)
     return husimi_at_samples(source, family, np.asarray(samples, dtype=float), k=k)
@@ -487,7 +499,7 @@ def gamma_from_measure(
     satisfies 0 <= B <= 1 up to quadrature and has trace N up to the mass
     defect.
 
-    With m_hat(x, d) = sum_k m(x, p_k) exp(2 pi i kd / M) (one inverse FFT
+    With m_hat(x, d) = sum_k m(x, p_k) exp(2 pi i kd / M) (one real FFT
     over p), B[j, j - d] = coef * exp(i p_0 d h / hbar) *
     sum_x f^h(x - y_j) f^h(x - y_(j-d)) m_hat(x, d). Windows more than 2r
     points apart do not overlap, so only lags d <= 2r are built, each from
@@ -519,7 +531,12 @@ def gamma_from_measure(
     h, dp = grid.spacing, momentum.cell_volume
     # one h from the x quadrature, one to convert the kernel to occupancy form
     coef = h * h * dp / (TWO_PI * family.hbar)
-    m_hat = momentum.size * np.fft.ifft(m.values, axis=1)
+    # m is real: m_hat(x, d) is the conjugate of rfft bin d for d <= M/2 and
+    # rfft bin M - d above; only the lags that are read are kept
+    lag = np.arange(lags + 1)
+    low = lag <= size // 2
+    m_hat = np.fft.rfft(m.values, axis=1)[:, np.where(low, lag, size - lag)]
+    m_hat[:, low] = np.conj(m_hat[:, low])
     out = np.zeros((size, size), dtype=complex)
     for d in range(lags + 1):
         j = np.arange(d, size)

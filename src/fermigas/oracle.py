@@ -8,13 +8,19 @@ occupation basis enforces antisymmetry structurally. The Hamiltonian is
 with hbar = 1/N, a 3-point Laplacian stencil and Dirichlet walls. All
 assertions downstream are made against this discrete model itself; the
 continuum is approached only under grid refinement.
+
+Row r of the occupation basis is the state c_0 < ... < c_(N-1) of colex rank
+r = sum_a C(c_a, a + 1), so a hop or a removed particle lands on a row given
+by a difference of binomials: no bit masks, no searches, and no limit on M
+but the memory cap (``oracle_memory_bytes`` against ``ORACLE_MEMORY_CAP``,
+checked before anything is allocated). The ground state comes from dense
+``eigh`` up to ``DENSE_FALLBACK_DIM`` states and from ARPACK ``eigsh`` above.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,8 +31,23 @@ from .model import ScaledInteraction, SpatialGrid, TrapPotential
 
 Array = np.ndarray
 
-BASIS_CAP = 2_000_000
-DENSE_FALLBACK_DIM = 2000
+# Dense eigh beats ARPACK below this size (faster at 120 states, slower at
+# 190, on 2 vCPUs).
+DENSE_FALLBACK_DIM = 150
+# Traced peak of the oracle chain (the Hamiltonian build, ground_state,
+# reduced_densities, apriori_diagnostics), measured with tracemalloc for
+# N = 1..18 and M up to 4000: per basis state 120 + 85 N bytes while the
+# build holds its hop tables and 410 + 25 N while ARPACK holds its 20 Lanczos
+# vectors; 8 B per entry of the C(M, N-1) x M hole matrix; up to six M x M
+# float arrays (pair coupling, gamma_1, rho_2 and their temporaries). The cap
+# admits about a million states at N = 4.
+ORACLE_MEMORY_CAP = 1 << 29
+
+
+def oracle_memory_bytes(m: int, n: int) -> int:
+    """Estimated peak bytes of the oracle chain at M sites and N particles."""
+    per_state = max(120 + 85 * n, 410 + 25 * n)
+    return math.comb(m, n) * per_state + 8 * m * math.comb(m, n - 1) + 48 * m * m
 
 
 def one_body_matrix(grid: SpatialGrid, potential: TrapPotential, hbar: float) -> Array:
@@ -45,18 +66,34 @@ def one_body_matrix(grid: SpatialGrid, potential: TrapPotential, hbar: float) ->
     return mat
 
 
+def _colex_binomials(m: int, n: int) -> Array:
+    """``table[c, j] = C(c, j)`` for c = 0..M, j = 0..N, clipped to stay in int64.
+
+    Every rank in use (of an N-state or of an (N-1)-hole) is below
+    max(C(M, N), C(M, N-1)), so no term of a valid rank is clipped.
+    """
+    clip = max(math.comb(m, n), math.comb(m, n - 1))
+    return np.array(
+        [[min(math.comb(c, j), clip) for j in range(n + 1)] for c in range(m + 1)], dtype=np.int64
+    )
+
+
 @dataclass
 class DiscreteHamiltonian:
-    """Sparse many-body Hamiltonian over the occupation basis."""
+    """Sparse many-body Hamiltonian over the colex-ranked occupation basis.
+
+    ``memory_cap`` bounds ``oracle_memory_bytes(M, N)``; above it the
+    constructor raises ``CapExceededError`` before building anything.
+    """
 
     grid: SpatialGrid
     potential: TrapPotential
     n_particles: int
     w_n: ScaledInteraction | None = None
-    basis_cap: int = BASIS_CAP
+    memory_cap: int = ORACLE_MEMORY_CAP
 
-    occupations: Array = field(init=False)  # (dim, N) sorted site indices
-    masks: Array = field(init=False)  # ascending, so a state's row is searchsorted(masks, mask)
+    occupations: Array = field(init=False)  # (dim, N) ascending sites, row = colex rank
+    binomials: Array = field(init=False)  # _colex_binomials(M, N)
     matrix: sp.csr_matrix = field(init=False)
     hbar: float = field(init=False)
 
@@ -67,21 +104,21 @@ class DiscreteHamiltonian:
         n = self.n_particles
         if not (1 <= n <= m):
             raise ValidationError(f"need 1 <= N <= M, got N={n}, M={m}")
-        dim = math.comb(m, n)
-        if dim > self.basis_cap:
+        need = oracle_memory_bytes(m, n)
+        if need > self.memory_cap:
             raise CapExceededError(
-                f"occupation basis C({m},{n}) = {dim} exceeds the cap {self.basis_cap}"
+                f"the oracle at M={m}, N={n} (basis C({m},{n}) = {math.comb(m, n)}) needs about "
+                f"{need >> 20} MiB, above the cap of {self.memory_cap >> 20} MiB"
             )
-        if m > 63:
-            raise ValidationError("lattice limited to 63 sites (uint64 masks)")
         self.hbar = 1.0 / n
-        # Lexicographic order over descending site tuples is descending mask
-        # order; reversing rows and columns gives ascending masks, ascending sites.
-        descending = np.array(list(combinations(range(m - 1, -1, -1), n)), dtype=np.int64)
-        self.occupations = np.ascontiguousarray(descending[::-1, ::-1])
-        self.masks = np.zeros(dim, dtype=np.uint64)
-        for col in range(n):
-            self.masks |= np.uint64(1) << self.occupations[:, col].astype(np.uint64)
+        self.binomials = _colex_binomials(m, n)
+        # unrank r = 0..dim-1: slot a holds the largest c with C(c, a + 1) <= what is left
+        rest = np.arange(math.comb(m, n), dtype=np.int64)
+        self.occupations = np.empty((rest.size, n), dtype=np.int64)
+        for a in range(n - 1, -1, -1):
+            col = self.binomials[:m, a + 1]
+            self.occupations[:, a] = np.searchsorted(col, rest, side="right") - 1
+            rest -= col[self.occupations[:, a]]
         self.matrix = self._build_matrix()
 
     @property
@@ -103,32 +140,30 @@ class DiscreteHamiltonian:
                 for b in range(a + 1, n):
                     diag -= coupling[occ[:, a], occ[:, b]] / n
 
-        # Nearest-neighbor hops; the Jordan-Wigner string between adjacent
-        # sites is empty, so every hopping element is -hop.
-        rows, cols = [], []
-        one = np.uint64(1)
-        for col in range(n):
-            sites = occ[:, col]
-            for step in (-1, 1):
-                target = sites + step
-                ok = (target >= 0) & (target < m)
-                ok &= ((self.masks >> target.clip(0, m - 1).astype(np.uint64)) & one) == 0
-                src = np.nonzero(ok)[0]
-                if src.size == 0:
-                    continue
-                new_masks = (
-                    self.masks[src]
-                    ^ (one << sites[src].astype(np.uint64))
-                    | (one << target[src].astype(np.uint64))
-                )
-                rows.append(src)
-                cols.append(np.searchsorted(self.masks, new_masks))
-        rows = np.concatenate(rows) if rows else np.array([], dtype=np.int64)
-        cols = np.concatenate(cols) if cols else np.array([], dtype=np.int64)
-        data = np.full(rows.shape, -hop)
-        mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
-        mat = mat + sp.diags(diag)
-        return mat.tocsr()
+        # Slot a hops from c to c + 1 unless c + 1 is the next slot's site or
+        # the wall, and to c - 1 unless that is the previous slot's site. The
+        # slot order is kept, so the rank moves by +C(c, a) or -C(c - 1, a), a
+        # shift that grows with a: a row's columns, in ascending order, are the
+        # down hops from the top slot to slot 0, the diagonal, then the up hops
+        # from slot 0. No site lies between c and c +- 1, so the Jordan-Wigner
+        # sign is +1 and every hop is -hop.
+        slots = np.arange(n)
+        rows = np.arange(dim)[:, None]
+        below = np.column_stack([np.full(dim, -1), occ[:, :-1]])
+        above = np.column_stack([occ[:, 1:], np.full(dim, m)])
+        # entries of blocked hops are garbage (a site -1 reads row M) and dropped
+        cols = np.empty((dim, 2 * n + 1), dtype=np.int64)
+        valid = np.empty(cols.shape, dtype=bool)
+        cols[:, n - 1 :: -1] = rows - self.binomials[occ - 1, slots]
+        valid[:, n - 1 :: -1] = occ - 1 > below
+        cols[:, n] = rows[:, 0]
+        valid[:, n] = True
+        cols[:, n + 1 :] = rows + self.binomials[occ, slots]
+        valid[:, n + 1 :] = occ + 1 < above
+        data = np.full(cols.shape, -hop)
+        data[:, n] = diag
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(valid, axis=1))])
+        return sp.csr_matrix((data[valid], cols[valid], indptr), shape=(dim, dim))
 
 
 @dataclass
@@ -164,7 +199,7 @@ def expectation(ham: DiscreteHamiltonian, coefficients: Array) -> float:
 
 
 def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> tuple[float, FermionState]:
-    """Lowest eigenpair; dense below DENSE_FALLBACK_DIM, else ARPACK ``eigsh``.
+    """Lowest eigenpair; dense ``eigh`` up to DENSE_FALLBACK_DIM states, else ARPACK ``eigsh``.
 
     ``seed`` draws the ARPACK start vector. On either path a residual
     ||Hx - Ex|| above ``tol``, or ARPACK stopping unconverged, raises
@@ -217,45 +252,42 @@ def _site_and_pair_occupations(state: FermionState) -> tuple[Array, Array]:
     w2 = state.coefficients**2
     occ = ham.occupations
 
-    site_occ = np.zeros(m)
-    np.add.at(site_occ, occ.ravel(), np.repeat(w2, n))
-
-    pair = np.zeros((m, m))
+    site_occ = np.bincount(occ.ravel(), weights=np.repeat(w2, n), minlength=m)
+    pair = np.zeros(m * m)
     for a in range(n):
         for b in range(a + 1, n):
-            np.add.at(pair, (occ[:, a], occ[:, b]), w2)
+            pair += np.bincount(occ[:, a] * m + occ[:, b], weights=w2, minlength=m * m)
+    pair = pair.reshape(m, m)
     return site_occ, pair + pair.T  # ordered pairs; diagonal stays exactly zero
 
 
-def reduced_densities(state: FermionState, k: int = 2) -> ReducedDensities:
-    """Site occupations, pair density and the one-body matrix of a state."""
+def reduced_densities(state: FermionState) -> ReducedDensities:
+    """Site occupations, pair density and the one-body matrix of a state.
+
+    gamma1[i, j] = <c_i^dag c_j> = (A^T A)[i, j] for the hole matrix
+    A[h, j] = <h| c_j |psi> over the C(M, N-1) states h with N - 1 particles:
+    removing slot a of state s lands on the hole of colex rank
+    sum_(b<a) C(c_b, b + 1) + sum_(b>a) C(c_b, b), with the Jordan-Wigner
+    sign (-1)^a, a being the number of occupied sites below c_a.
+    """
     ham = state.ham
     n = ham.n_particles
-    if k > n:
-        raise ValidationError(f"k={k} exceeds the particle number N={n}")
     m = ham.grid.points_per_axis
     h = ham.grid.spacing
+    occ = ham.occupations
     site_occ, pair = _site_and_pair_occupations(state)
 
-    gamma = np.diag(site_occ)
-    masks = ham.masks
-    coeffs = state.coefficients
-    one = np.uint64(1)
-    for i in range(m):
-        bit_i = one << np.uint64(i)
-        has_i = (masks & bit_i) != 0
-        for j in range(i + 1, m):
-            bit_j = one << np.uint64(j)
-            sel = np.nonzero(has_i & ((masks & bit_j) == 0))[0]
-            if sel.size == 0:
-                continue
-            dst = np.searchsorted(masks, (masks[sel] ^ bit_i) | bit_j)
-            # Jordan-Wigner string: parity of occupation strictly between i and j
-            between = ((one << np.uint64(j)) - one) ^ ((one << np.uint64(i + 1)) - one)
-            signs = 1.0 - 2.0 * (np.bitwise_count(masks[sel] & between) & 1)
-            val = float(np.sum(signs * coeffs[sel] * coeffs[dst]))
-            gamma[i, j] += val
-            gamma[j, i] += val
+    slots = np.arange(n)
+    kept = ham.binomials[occ, slots + 1]  # rank terms of the slots below the removed one
+    holes = np.cumsum(kept, axis=1)
+    holes -= kept
+    shifted = ham.binomials[occ, slots]  # a slot above the removed one moves down by one
+    above = np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1]
+    above -= shifted
+    holes += above
+    amplitudes = np.zeros((math.comb(m, n - 1), m))
+    amplitudes[holes, occ] = state.coefficients[:, None] * np.where(slots % 2, -1.0, 1.0)
+    gamma = amplitudes.T @ amplitudes
 
     return ReducedDensities(
         rho1=site_occ / h,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fermigas.cli import main
@@ -86,6 +87,27 @@ class TestTFMinimize:
 class TestOracleCommand:
     def test_basis_cap_exit_4(self, tmp_path):
         assert main(["oracle", "--N", "4", "--M", "80", "--out", str(tmp_path)]) == 4
+
+    def test_memory_cap_flag_exit_4(self, tmp_path):
+        assert main(["oracle", "--N", "3", "--M", "40", "--memory-cap", "1", "--out", str(tmp_path)]) == 4
+
+    def test_single_particle(self, tmp_path):
+        out = tmp_path / "one"
+        assert main(["oracle", "--N", "1", "--M", "40", "--beta", "0.2", "--interaction", "bump",
+                     "--out", str(out)]) == 0
+        with open(out / "oracle.json") as fh:
+            record = json.load(fh)
+        assert record["basis_dim"] == 40
+        assert record["occupations"][0] == pytest.approx(1.0, abs=1e-12)
+        assert record["interaction_integral"] == 0.0
+        rho2 = np.loadtxt(out / "rho2_slice.csv", delimiter=",", skiprows=1)
+        assert not np.any(rho2[:, 1])
+
+    def test_more_than_63_sites(self, tmp_path):
+        out = tmp_path / "wide"
+        assert main(["oracle", "--N", "2", "--M", "100", "--out", str(out)]) == 0
+        with open(out / "oracle.json") as fh:
+            assert json.load(fh)["basis_dim"] == math.comb(100, 2)
 
     def test_unreachable_tol_exit_3(self, tmp_path):
         assert main(["oracle", "--N", "2", "--M", "40", "--tol", "1e-300", "--out", str(tmp_path)]) == 3

@@ -500,6 +500,10 @@ class TestLowestOrbitals:
 # which the M x M table is 128 MiB
 SCALE_WALL_CAP_S = 3.0
 SCALE_PEAK_CAP_MIB = 192.0
+# measured on a 2-vCPU VM: gamma_from_measure of the bath-tub lift at
+# M = 2048, N = 64 peaks at 79.2 MiB traced, of which the M x M complex
+# result is 64 MiB; a complex inverse FFT of the whole table peaked at 258 MiB
+QUANTIZE_PEAK_CAP_MIB = 128.0
 
 
 class TestScale:
@@ -522,6 +526,45 @@ class TestScale:
         assert marginals["trace_normalized"] == pytest.approx(1.0, abs=1e-9)
         assert elapsed <= SCALE_WALL_CAP_S
         assert peak_mib <= SCALE_PEAK_CAP_MIB
+
+
+    def test_quantization_memory_at_m2048(self):
+        n = 64
+        grid, potential = SpatialGrid(1, 2.5, 2048), harmonic_potential(1)
+        constants = TFConstants.bathtub_consistent(1)
+        rel = RelaxedLocalEnergy(constants.c_tf, 1.0)
+        fine = minimize_1d_relaxed(potential, rel, grid.refine(4), tol=1e-3)
+        rho = sample_minimizer(potential, rel, grid, fine.lam)
+        family = CoherentFamily.default(n, 0.0)
+        lift = bathtub_lift(rho, constants, brillouin_momentum_grid(grid, family.hbar))
+        assert lift.values.shape == (2048, 2048)  # the lift builds its table before tracing
+        tracemalloc.start()
+        try:
+            gamma = gamma_from_measure(lift, family)
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert gamma.trace == pytest.approx(n, abs=0.1)
+        assert peak_mib <= QUANTIZE_PEAK_CAP_MIB
+
+
+class TestHermitianCheck:
+    # M = 300 is three 128-row strips, the last one partial; the defect sits
+    # in the last one, on either side of the diagonal, next to a large entry
+    # in the first one that sets the scale of the tolerance
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_single_defect_in_last_strip(self, dtype, side, scale):
+        grid = SpatialGrid(1, 2.2, 300)
+        matrix = np.zeros((300, 300), dtype=dtype)
+        matrix[0, 0] = scale
+        at = (298, 299) if side == "upper" else (299, 298)
+        matrix[at] = 0.99e-10 * scale
+        OneBodyOperator(grid, matrix)
+        matrix[at] = 1.01e-10 * scale
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            OneBodyOperator(grid, matrix)
 
 
 class TestNonDualMomentumRejected:
@@ -661,6 +704,14 @@ class TestStateHusimi:
         direct = husimi(state, family, k=2, samples=samples)
         wick = husimi(gamma, family, k=2, samples=samples)
         assert direct == pytest.approx(wick, rel=1e-8, abs=1e-12)
+
+    def test_full_table_of_a_state_is_the_table_of_its_gamma1(self, tiny_state):
+        from fermigas.oracle import reduced_densities
+
+        grid, state = tiny_state
+        family = CoherentFamily(2, 0.3, 0.25 / 0.3)
+        gamma = OneBodyOperator(grid, reduced_densities(state).gamma1)
+        assert np.array_equal(husimi(state, family).values, husimi_grid_table(gamma, family).values)
 
     def test_k_exceeding_n_rejected(self, tiny_state):
         _, state = tiny_state

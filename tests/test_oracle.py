@@ -1,11 +1,18 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigas.errors import CapExceededError, ConvergenceError, ValidationError
 from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
 from fermigas.oracle import (
+    DENSE_FALLBACK_DIM,
+    ORACLE_MEMORY_CAP,
     DiscreteHamiltonian,
     FermionState,
     apriori_diagnostics,
@@ -14,6 +21,7 @@ from fermigas.oracle import (
     free_fermion_energy,
     ground_state,
     one_body_matrix,
+    oracle_memory_bytes,
     reduced_densities,
     slater_energy,
     slater_upper_bound,
@@ -27,6 +35,86 @@ PROFILE = bump_profile(1, beta=0.2, radius=1.0, height=2.0)
 def make_ham(n, interacting=False, grid=GRID):
     w_n = scaled_interaction(PROFILE, n) if interacting else None
     return DiscreteHamiltonian(grid, POTENTIAL, n, w_n=w_n)
+
+
+# ---------------------------------------------------------------------------
+# Mask oracles: the uint64 bit-mask basis (M <= 63), its searchsorted
+# Hamiltonian build and its mask-scan reduced densities, which the colex-rank
+# paths replace.
+# ---------------------------------------------------------------------------
+
+
+def mask_basis(m, n):
+    """Occupations and uint64 masks in ascending mask order."""
+    descending = np.array(list(combinations(range(m - 1, -1, -1), n)), dtype=np.int64)
+    occ = np.ascontiguousarray(descending[::-1, ::-1])
+    masks = np.zeros(occ.shape[0], dtype=np.uint64)
+    for col in range(n):
+        masks |= np.uint64(1) << occ[:, col].astype(np.uint64)
+    return occ, masks
+
+
+def searchsorted_matrix(ham):
+    """The Hamiltonian, every hop target found by searchsorted on the masks."""
+    m, n = ham.grid.points_per_axis, ham.n_particles
+    occ, masks = mask_basis(m, n)
+    hop = ham.hbar**2 / ham.grid.spacing**2
+    v = np.asarray(ham.potential.evaluate(ham.grid.points()), dtype=float)
+    diag = v[occ].sum(axis=1) + 2.0 * hop * n
+    if ham.w_n is not None:
+        coupling = ham.w_n.pair_matrix(ham.grid)
+        for a in range(n):
+            for b in range(a + 1, n):
+                diag -= coupling[occ[:, a], occ[:, b]] / n
+    rows, cols = [], []
+    one = np.uint64(1)
+    for col in range(n):
+        sites = occ[:, col]
+        for step in (-1, 1):
+            target = sites + step
+            ok = (target >= 0) & (target < m)
+            ok &= ((masks >> target.clip(0, m - 1).astype(np.uint64)) & one) == 0
+            src = np.nonzero(ok)[0]
+            new_masks = masks[src] ^ (one << sites[src].astype(np.uint64)) | (one << target[src].astype(np.uint64))
+            rows.append(src)
+            cols.append(np.searchsorted(masks, new_masks))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    mat = sp.coo_matrix((np.full(rows.shape, -hop), (rows, cols)), shape=(ham.dim, ham.dim))
+    return (mat + sp.diags(diag)).tocsr()
+
+
+def mask_scan_densities(ham, coeffs):
+    """rho1, rho2 by np.add.at and gamma1 by one mask pass per site pair."""
+    m, n, h = ham.grid.points_per_axis, ham.n_particles, ham.grid.spacing
+    occ, masks = mask_basis(m, n)
+    w2 = coeffs**2
+    site_occ = np.zeros(m)
+    np.add.at(site_occ, occ.ravel(), np.repeat(w2, n))
+    pair = np.zeros((m, m))
+    for a in range(n):
+        for b in range(a + 1, n):
+            np.add.at(pair, (occ[:, a], occ[:, b]), w2)
+    gamma = np.diag(site_occ)
+    one = np.uint64(1)
+    for i in range(m):
+        bit_i = one << np.uint64(i)
+        has_i = (masks & bit_i) != 0
+        for j in range(i + 1, m):
+            bit_j = one << np.uint64(j)
+            sel = np.nonzero(has_i & ((masks & bit_j) == 0))[0]
+            dst = np.searchsorted(masks, (masks[sel] ^ bit_i) | bit_j)
+            # Jordan-Wigner string: parity of occupation strictly between i and j
+            between = ((one << np.uint64(j)) - one) ^ ((one << np.uint64(i + 1)) - one)
+            signs = 1.0 - 2.0 * (np.bitwise_count(masks[sel] & between) & 1)
+            gamma[i, j] = gamma[j, i] = float(np.sum(signs * coeffs[sel] * coeffs[dst]))
+    return site_occ / h, (pair + pair.T) / (2.0 * h * h), gamma
+
+
+# the largest M per N that keeps a property example under about 20k states
+LARGEST_M = {1: 40, 2: 40, 3: 40, 4: 28, 5: 22}
+lattices = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(max(n, 2), LARGEST_M[n]), st.booleans())
+)
 
 
 class TestGroundState:
@@ -60,20 +148,48 @@ class TestGroundState:
         residual = np.linalg.norm(ham.matrix @ state.coefficients - energy * state.coefficients)
         assert residual <= 1e-9
 
-    @pytest.mark.parametrize("m", [25, 12])  # iterative (dim 2300) and dense (dim 220) paths
-    def test_unreachable_tol_raises(self, m):
-        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, 3, w_n=scaled_interaction(PROFILE, 3))
+    # iterative (dim 2300) and dense (dim 66) paths
+    @pytest.mark.parametrize("m, n", [(25, 3), (12, 2)], ids=["25", "12"])
+    def test_unreachable_tol_raises(self, m, n):
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
+        assert (ham.dim <= DENSE_FALLBACK_DIM) == (m == 12)
         with pytest.raises(ConvergenceError):
             ground_state(ham, tol=1e-300)
 
     def test_basis_cap(self):
         with pytest.raises(CapExceededError):
-            DiscreteHamiltonian(GRID, POTENTIAL, 4, basis_cap=1000)
+            DiscreteHamiltonian(GRID, POTENTIAL, 4, memory_cap=oracle_memory_bytes(40, 4) - 1)
 
-    def test_masks_strictly_increasing(self):
+    def test_colex_rank_of_row_is_row(self):
         ham = make_ham(3)
-        assert np.all(ham.masks[1:] > ham.masks[:-1])
-        assert np.all(np.diff(ham.occupations, axis=1) > 0)
+        occ = ham.occupations
+        ranks = sum(np.array([math.comb(c, a + 1) for c in range(40)])[occ[:, a]] for a in range(3))
+        assert np.array_equal(ranks, np.arange(ham.dim))
+        assert np.all(np.diff(occ, axis=1) > 0)
+        # ascending masks are colex order: the rows are the mask basis's rows
+        assert np.array_equal(occ, mask_basis(40, 3)[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(lattice=lattices)
+    def test_matrix_matches_searchsorted_build(self, lattice):
+        n, m, interacting = lattice
+        ham = make_ham(n, interacting, SpatialGrid(1, 2.5, m))
+        ref = searchsorted_matrix(ham)
+        assert ham.matrix.has_sorted_indices
+        assert ham.matrix.nnz == ref.nnz
+        assert np.array_equal(ham.matrix.indptr, ref.indptr)
+        assert np.array_equal(ham.matrix.indices, ref.indices)
+        assert np.array_equal(ham.matrix.data, ref.data)
+
+    def test_sixty_four_sites_against_dense_eigh(self):
+        grid = SpatialGrid(1, 2.5, 64)
+        ham = make_ham(2, interacting=True, grid=grid)
+        assert ham.dim == math.comb(64, 2) > DENSE_FALLBACK_DIM
+        energy, state = ground_state(ham, tol=1e-10)
+        assert energy == pytest.approx(np.linalg.eigvalsh(ham.matrix.toarray())[0], abs=1e-9)
+        assert np.trace(reduced_densities(state).gamma1) == pytest.approx(2.0, abs=1e-12)
+        free = make_ham(2, grid=grid)
+        assert ground_state(free)[0] == pytest.approx(free_fermion_energy(free), abs=1e-9)
 
     def test_rayleigh_ritz_dominance(self, rng):
         ham = make_ham(3, interacting=True)
@@ -86,6 +202,36 @@ class TestGroundState:
         ham = make_ham(2, interacting=True)
         energy, state = ground_state(ham)
         assert expectation(ham, state.coefficients) == pytest.approx(energy, abs=1e-12)
+
+
+class TestMemoryCap:
+    @pytest.mark.parametrize("m, n", [(64, 5), (5000, 1)])  # basis-bound and M x M-bound
+    def test_raises_before_allocating(self, m, n):
+        grid = SpatialGrid(1, 2.5, m)
+        assert oracle_memory_bytes(m, n) > ORACLE_MEMORY_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="MiB"):
+                DiscreteHamiltonian(grid, POTENTIAL, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("m, n", [(400, 1), (48, 3), (24, 5), (16, 12)])
+    def test_estimate_bounds_traced_peak(self, m, n):
+        grid = SpatialGrid(1, 2.5, m)
+        tracemalloc.start()
+        try:
+            ham = DiscreteHamiltonian(grid, POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
+            _, state = ground_state(ham)
+            red = reduced_densities(state)
+            apriori_diagnostics(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert red.gamma1.shape == (m, m)
+        assert peak <= oracle_memory_bytes(m, n)
 
 
 class TestReducedDensities:
@@ -120,11 +266,30 @@ class TestReducedDensities:
         assert occ.max() <= 1.0 + 1e-8
         assert occ.min() >= -1e-8
 
-    def test_k_exceeding_n(self):
-        ham = make_ham(2)
-        _, state = ground_state(ham)
-        with pytest.raises(ValidationError):
-            reduced_densities(state, k=3)
+    def test_single_particle(self, rng):
+        ham = make_ham(1, interacting=True)
+        _, ground = ground_state(ham)
+        random = rng.standard_normal(ham.dim)
+        for state in (ground, FermionState(ham, random / np.linalg.norm(random))):
+            red = reduced_densities(state)
+            psi = state.coefficients
+            assert not np.any(red.rho2)
+            assert np.max(np.abs(red.gamma1 - np.outer(psi, psi))) <= 1e-15
+            assert red.rho1 == pytest.approx(psi**2 / GRID.spacing, abs=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lattice=lattices, seed=st.integers(0, 2**32 - 1))
+    def test_densities_match_mask_scan(self, lattice, seed):
+        n, m, interacting = lattice
+        ham = make_ham(n, interacting, SpatialGrid(1, 2.5, m))
+        _, ground = ground_state(ham)
+        random = np.random.default_rng(seed).standard_normal(ham.dim)
+        for state in (ground, FermionState(ham, random / np.linalg.norm(random))):
+            red = reduced_densities(state)
+            rho1, rho2, gamma1 = mask_scan_densities(ham, state.coefficients)
+            assert np.max(np.abs(red.gamma1 - gamma1)) <= 1e-12
+            assert np.max(np.abs(red.rho1 - rho1)) <= 1e-12
+            assert np.max(np.abs(red.rho2 - rho2)) <= 1e-12
 
     def test_gamma_offdiagonal_matches_slater(self):
         # free-fermion gamma must equal the orbital projector, strings included
