@@ -619,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interaction", default=None, help="interaction family override")
     p.add_argument("--half-width", dest="half_width", type=float, default=2.5)
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="bound on the ground-state residual ||Hx - Ex||; exit 3 when it is "
+                   help="absolute bound on the ground-state residual ||Hx - Ex||, which also "
+                        "sets where the iterative eigensolver stops; exit 3 when it is "
                         "exceeded or the iterative eigensolver does not converge")
     p.add_argument("--memory-cap", dest="memory_cap", type=int, default=None,
                    help="cap in MiB on the oracle's estimated peak memory (default: the "

@@ -20,10 +20,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.stats import beta as beta_law
-from scipy.stats import binom
+from scipy.special import bdtrc, betaincinv
 
 from .errors import CapExceededError, ValidationError
 from .model import ScaledInteraction, TrapPotential
@@ -491,6 +488,9 @@ def wasserstein1(mu, nu) -> TransportResult:
         axis = int(np.argmax(active)) if active.any() else 0
         return TransportResult(_wasserstein1_line(a_pts[:, axis], a_w, b_pts[:, axis], b_w), 0.0, 0.0)
 
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     cost = np.linalg.norm(a_pts[:, None, :] - b_pts[None, :, :], axis=2)
     # supply rows then demand rows over the row-major plan x[i * m + j]
     a_eq = sparse.vstack(
@@ -639,11 +639,12 @@ def pauli_violation_stats(
         done += size
 
     freq = hits / n_trials
-    ci_low = float(beta_law.ppf(0.025, hits, n_trials - hits + 1)) if hits > 0 else 0.0
-    ci_high = float(beta_law.ppf(0.975, hits + 1, n_trials - hits)) if hits < n_trials else 1.0
+    # Clopper-Pearson bounds are Beta quantiles; bdtrc(k, n, p) = P(Bin(n, p) > k), NaN for k > n
+    ci_low = float(betaincinv(hits, n_trials - hits + 1, 0.025)) if hits > 0 else 0.0
+    ci_high = float(betaincinv(hits + 1, n_trials - hits, 0.975)) if hits < n_trials else 1.0
     exact = None
     if exact_cell_prob is not None:
-        exact = float(binom.sf(threshold_count - 1, n_particles, exact_cell_prob))
+        exact = float(bdtrc(min(threshold_count - 1, n_particles), n_particles, exact_cell_prob))
     return PauliViolationStats(
         epsilon=epsilon,
         threshold_mass=threshold_mass,

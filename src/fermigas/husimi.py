@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridResolutionError, HypothesisViolationError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TrapPotential, _mollifier
+from .model import ScaledInteraction, SpatialGrid, TrapPotential, _mollifier, _one_body_diagonals
 from .vlasov import PhaseSpaceDensity, brillouin_momentum_grid
 
 Array = np.ndarray
@@ -196,13 +196,10 @@ def lowest_orbitals(grid: SpatialGrid, potential: TrapPotential, n: int, hbar: f
     """
     from scipy.linalg import eigh_tridiagonal
 
-    if grid.d != 1:
-        raise ValidationError("the lattice oracle is 1D only")
+    diag, off = _one_body_diagonals(grid, potential, hbar)
     if not 1 <= n <= grid.size:
         raise ValidationError(f"need 1 <= n <= {grid.size} orbitals, got {n}")
-    hop = hbar**2 / grid.spacing**2
-    diag = 2.0 * hop + np.asarray(potential.evaluate(grid.points()), dtype=float)
-    _, vecs = eigh_tridiagonal(diag, np.full(grid.size - 1, -hop), select="i", select_range=(0, n - 1))
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n - 1))
     return vecs
 
 

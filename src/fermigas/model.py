@@ -261,6 +261,19 @@ def double_well_potential(d: int, well_radius: float = 1.0, stiffness: float = 1
     )
 
 
+def _one_body_diagonals(grid: SpatialGrid, potential: TrapPotential, hbar: float) -> tuple[Array, Array]:
+    """Main and off diagonal of the lattice one-body matrix on a 1D grid.
+
+    The matrix is the 3-point -hbar^2 Laplacian with Dirichlet walls plus
+    diagonal V, shared by the many-body oracle and the Husimi orbitals.
+    """
+    if grid.d != 1:
+        raise ValidationError("the lattice oracle is 1D only")
+    t = hbar**2 / grid.spacing**2
+    diag = 2.0 * t + np.asarray(potential.evaluate(grid.points()), dtype=float)
+    return diag, np.full(grid.points_per_axis - 1, -t)
+
+
 class BetaRange(str, Enum):
     THEOREM = "theorem"
     UPPER_BOUND_ONLY = "upper_bound_only"

@@ -14,7 +14,8 @@ r = sum_a C(c_a, a + 1), so a hop or a removed particle lands on a row given
 by a difference of binomials: no bit masks, no searches, and no limit on M
 but the memory cap (``oracle_memory_bytes`` against ``ORACLE_MEMORY_CAP``,
 checked before anything is allocated). The ground state comes from dense
-``eigh`` up to ``DENSE_FALLBACK_DIM`` states and from ARPACK ``eigsh`` above.
+``eigh`` up to ``DENSE_FALLBACK_DIM`` states and from ARPACK ``eigsh`` above,
+started from the free-fermion Slater determinant.
 """
 
 from __future__ import annotations
@@ -24,45 +25,47 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .errors import CapExceededError, ConvergenceError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TrapPotential
+from .model import ScaledInteraction, SpatialGrid, TrapPotential, _one_body_diagonals
 
 Array = np.ndarray
 
 # Dense eigh beats ARPACK below this size (faster at 120 states, slower at
 # 190, on 2 vCPUs).
 DENSE_FALLBACK_DIM = 150
+# Matrix entries per chunk of the Lanczos start vector's batched determinants
+# (256 KiB of float64).
+START_CHUNK_ENTRIES = 1 << 15
 # Traced peak of the oracle chain (the Hamiltonian build, ground_state,
 # reduced_densities, apriori_diagnostics), measured with tracemalloc for
 # N = 1..18 and M up to 4000: per basis state 120 + 85 N bytes while the
 # build holds its hop tables and 410 + 25 N while ARPACK holds its 20 Lanczos
-# vectors; 8 B per entry of the C(M, N-1) x M hole matrix; up to six M x M
-# float arrays (pair coupling, gamma_1, rho_2 and their temporaries). The cap
-# admits about a million states at N = 4.
+# vectors and the start vector; 8 B per entry of the C(M, N-1) x M hole
+# matrix; up to six M x M float arrays (pair coupling, gamma_1, rho_2 and
+# their temporaries); two chunks of START_CHUNK_ENTRIES floats (1.6 traced)
+# while the start vector's determinants are taken, which only matters below
+# a few thousand states. The cap admits about a million states at N = 4.
 ORACLE_MEMORY_CAP = 1 << 29
 
 
 def oracle_memory_bytes(m: int, n: int) -> int:
     """Estimated peak bytes of the oracle chain at M sites and N particles."""
     per_state = max(120 + 85 * n, 410 + 25 * n)
-    return math.comb(m, n) * per_state + 8 * m * math.comb(m, n - 1) + 48 * m * m
+    fixed = 48 * m * m + 16 * START_CHUNK_ENTRIES
+    return math.comb(m, n) * per_state + 8 * m * math.comb(m, n - 1) + fixed
 
 
 def one_body_matrix(grid: SpatialGrid, potential: TrapPotential, hbar: float) -> Array:
     """Dense one-body matrix: 3-point -hbar^2*Laplacian plus diagonal V."""
-    if grid.d != 1:
-        raise ValidationError("the lattice oracle is 1D only")
-    m = grid.points_per_axis
-    h = grid.spacing
-    t = hbar**2 / h**2
-    mat = np.zeros((m, m))
-    np.fill_diagonal(mat, 2.0 * t)
-    idx = np.arange(m - 1)
-    mat[idx, idx + 1] = -t
-    mat[idx + 1, idx] = -t
-    mat[np.diag_indices(m)] += np.asarray(potential.evaluate(grid.points()), dtype=float)
+    diag, off = _one_body_diagonals(grid, potential, hbar)
+    mat = np.diag(diag)
+    idx = np.arange(off.size)
+    mat[idx, idx + 1] = off
+    mat[idx + 1, idx] = off
     return mat
 
 
@@ -198,19 +201,47 @@ def expectation(ham: DiscreteHamiltonian, coefficients: Array) -> float:
     return float(c @ (ham.matrix @ c)) / nrm2
 
 
+def _slater_start(ham: DiscreteHamiltonian) -> Array:
+    """Lanczos start vector: the free Slater determinant plus its lowest excitation.
+
+    s0[r] = det U[c_r, :N] over the N lowest one-body orbitals U, and s1 the
+    same with orbital N - 1 replaced by orbital N (none when N = M). For an
+    even V the orbitals alternate in reflection parity, so s0 and s1 lie in
+    opposite parity sectors and the sum overlaps a ground state in either.
+    Both have unit norm (Cauchy-Binet with orthonormal U). The determinants
+    are taken in row chunks, so the temporaries stay O(chunk * N^2).
+    """
+    m, n = ham.grid.points_per_axis, ham.n_particles
+    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(n, m - 1)))
+    picks = [np.arange(n)] + ([np.r_[: n - 1, n]] if n < m else [])
+    chunk = max(1, START_CHUNK_ENTRIES // (n * n))
+    v0 = np.zeros(ham.dim)
+    for start in range(0, ham.dim, chunk):
+        rows = ham.occupations[start : start + chunk, :, None]
+        for cols in picks:
+            v0[start : start + chunk] += np.linalg.det(u[rows, cols])
+    return v0
+
+
 def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> tuple[float, FermionState]:
     """Lowest eigenpair; dense ``eigh`` up to DENSE_FALLBACK_DIM states, else ARPACK ``eigsh``.
 
-    ``seed`` draws the ARPACK start vector. On either path a residual
+    ``eigsh`` starts from the free-fermion Slater determinant plus its lowest
+    excitation (``_slater_start``) and stops once its Ritz bound is below
+    0.1 * ``tol``: ARPACK's relative tolerance is 0.1 * tol / B, B = ||H||_inf
+    bounding |E|, clamped at machine epsilon. On either path a residual
     ||Hx - Ex|| above ``tol``, or ARPACK stopping unconverged, raises
-    ``ConvergenceError``.
+    ``ConvergenceError``. The start vector is deterministic: ``seed`` is
+    accepted for compatibility and no longer changes the result.
     """
     if ham.dim <= DENSE_FALLBACK_DIM:
         evals, evecs = np.linalg.eigh(ham.matrix.toarray())
     else:
-        v0 = np.random.default_rng(seed).standard_normal(ham.dim)
+        v0 = _slater_start(ham)
+        tol_arpack = max(0.1 * tol / sparse_norm(ham.matrix, np.inf), np.finfo(float).eps)
         try:
-            evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0)
+            evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0, tol=tol_arpack)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
     energy = float(evals[0])
@@ -410,7 +441,14 @@ def fitted_exponent(n_values, quantities) -> float:
 
 
 def free_fermion_energy(ham: DiscreteHamiltonian) -> float:
-    """Filling rule: sum of the N lowest one-body eigenvalues (w = 0)."""
-    t_mat = one_body_matrix(ham.grid, ham.potential, ham.hbar)
-    evals = np.linalg.eigvalsh(t_mat)
-    return float(np.sum(evals[: ham.n_particles]))
+    """Filling rule: sum of the N lowest one-body eigenvalues (w = 0).
+
+    Bisection runs to LAPACK's most accurate setting (twice the underflow
+    threshold) rather than its default width eps * ||T||, which reaches
+    1e-10 on fine grids.
+    """
+    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+    evals = eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(0, ham.n_particles - 1), tol=2 * np.finfo(float).tiny
+    )
+    return float(np.sum(evals))

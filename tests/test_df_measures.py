@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -405,6 +408,34 @@ class TestPauliViolation:
         sampler = uniform_box_sampler(critical_tiling)
         with pytest.raises(ValidationError, match="trial"):
             pauli_violation_stats(sampler, critical_tiling, 0, epsilon=0.5, n_particles=4, n_trials=0, seed=0)
+
+    # the last case puts the threshold count above N, where the tail is exactly 0
+    @pytest.mark.parametrize(
+        "epsilon, n, trials", [(0.5, 64, 2000), (0.25, 16, 500), (0.0, 8, 300), (0.75, 64, 1000), (1e9, 32, 100)]
+    )
+    def test_interval_and_tail_match_scipy_stats(self, critical_tiling, epsilon, n, trials):
+        from scipy.stats import beta, binom  # the reference only; the module itself avoids scipy.stats
+
+        sampler = uniform_box_sampler(critical_tiling)
+        q = critical_tiling.cell_volume / critical_tiling.box_volume
+        stats = pauli_violation_stats(sampler, critical_tiling, 0, epsilon, n, trials, seed=11, exact_cell_prob=q)
+        hits = round(stats.frequency * trials)
+        low = beta.ppf(0.025, hits, trials - hits + 1) if hits > 0 else 0.0
+        high = beta.ppf(0.975, hits + 1, trials - hits) if hits < trials else 1.0
+        assert stats.ci_low == pytest.approx(low, rel=1e-12, abs=0.0)
+        assert stats.ci_high == pytest.approx(high, rel=1e-12, abs=0.0)
+        assert stats.exact_tail == pytest.approx(binom.sf(stats.threshold_count - 1, n, q), rel=1e-12, abs=0.0)
+
+
+def test_import_leaves_stats_and_optimize_unloaded():
+    probe = (
+        "import sys, fermigas.df_measures; "
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == ""
 
 
 class TestRestrictionDefects:

@@ -9,11 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigas.errors import CapExceededError, ConvergenceError, ValidationError
-from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
+from fermigas.model import (
+    SpatialGrid,
+    box_profile,
+    bump_profile,
+    double_well_potential,
+    harmonic_potential,
+    quartic_potential,
+    scaled_interaction,
+)
 from fermigas.oracle import (
     DENSE_FALLBACK_DIM,
     ORACLE_MEMORY_CAP,
     DiscreteHamiltonian,
+    _slater_start,
     FermionState,
     apriori_diagnostics,
     expectation,
@@ -117,6 +126,34 @@ lattices = st.integers(1, 5).flatmap(
 )
 
 
+# Lanczos cases just above DENSE_FALLBACK_DIM (dims 153 to 780): traps whose
+# even V splits the basis into two reflection sectors, attractive kernels
+# strong enough to move the ground state from one sector to the other.
+TRAPS = {
+    "harmonic": harmonic_potential(1),
+    "quartic": quartic_potential(1),
+    "double_well": double_well_potential(1),
+    # wells deep enough that the lowest orbitals pair up and the ground
+    # energies of the two sectors meet to 1e-13
+    "deep_double_well": double_well_potential(1, well_radius=2.0, stiffness=10.0),
+}
+KERNELS = {"bump": bump_profile, "box": box_profile}
+hard_lanczos_cases = st.tuples(
+    st.sampled_from([(18, 2), (20, 2), (40, 2), (11, 3), (12, 3), (10, 4), (10, 5)]),
+    st.sampled_from(sorted(TRAPS)),
+    st.sampled_from(sorted(KERNELS)),
+    st.floats(0.0, 2000.0),
+    st.floats(0.2, 1.5),
+)
+
+
+def mirrored_rows(ham):
+    """Row of each basis state under the reflection c -> M - 1 - c."""
+    m, n = ham.grid.points_per_axis, ham.n_particles
+    mirrored = (m - 1 - ham.occupations)[:, ::-1]
+    return ham.binomials[mirrored, np.arange(1, n + 1)].sum(axis=1)
+
+
 class TestGroundState:
     def test_single_particle_matches_dense_one_body(self):
         # the pair coupling is inert at N = 1, interacting or not
@@ -155,6 +192,40 @@ class TestGroundState:
         assert (ham.dim <= DENSE_FALLBACK_DIM) == (m == 12)
         with pytest.raises(ConvergenceError):
             ground_state(ham, tol=1e-300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=hard_lanczos_cases)
+    def test_lanczos_path_matches_dense_eigh(self, case):
+        (m, n), trap, kernel, height, radius = case
+        w_n = scaled_interaction(KERNELS[kernel](1, beta=0.2, radius=radius, height=height), n)
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n, w_n=w_n)
+        assert ham.dim > DENSE_FALLBACK_DIM
+        energy, _ = ground_state(ham)
+        ref = np.linalg.eigvalsh(ham.matrix.toarray())[0]
+        assert abs(energy - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("trap", sorted(TRAPS))
+    @pytest.mark.parametrize("m, n", [(40, 2), (24, 3), (16, 4), (14, 5)])
+    def test_start_vector_spans_both_reflection_sectors(self, trap, m, n):
+        # P maps row r to mirrored_rows[r] up to the global sign (-1)^(N(N-1)/2)
+        # of reversing the slot order, which only swaps the two sectors
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
+        v0 = _slater_start(ham)
+        reflected = np.empty_like(v0)
+        reflected[mirrored_rows(ham)] = v0
+        for sign in (1.0, -1.0):
+            assert np.linalg.norm(v0 + sign * reflected) >= 0.1 * np.linalg.norm(v0)
+
+    def test_free_fermions_on_a_fine_grid(self):
+        ham = make_ham(2, grid=SpatialGrid(1, 2.5, 200))
+        assert ham.dim > DENSE_FALLBACK_DIM
+        assert ground_state(ham)[0] == pytest.approx(free_fermion_energy(ham), abs=1e-9)
+
+    @pytest.mark.parametrize("m, n", [(40, 3), (2000, 1)])
+    def test_free_fermion_energy_matches_dense_eigvalsh(self, m, n):
+        ham = make_ham(n, grid=SpatialGrid(1, 2.5, m))
+        dense = np.linalg.eigvalsh(one_body_matrix(ham.grid, POTENTIAL, ham.hbar))[:n].sum()
+        assert free_fermion_energy(ham) == pytest.approx(dense, abs=1e-10)
 
     def test_basis_cap(self):
         with pytest.raises(CapExceededError):
