@@ -5,6 +5,12 @@ law on a finite state space is rewritten as a mixture of N-fold products of
 empirical measures; the first marginal is reproduced exactly and the k-th
 marginal within total variation 2k(k-1)/N. Small laws are carried in exact
 rational arithmetic so these identities are tested with zero tolerance.
+Both k-marginals depend only on the prefix type (the count vector of a
+k-tuple), so they and the total variation are computed per type: integer
+tables over #multisets x C(S+k-1, k) types, O(#multisets * C(S+k-1, k) * S)
+operations in place of S^k ordered prefixes per multiset. The tables are
+int64 while N^k < 2^63 and Python ints beyond, and exact sums are formed in
+Python ints, so nothing wraps.
 
 The module also provides the phase-space tiling, measure averaging,
 Wasserstein-1 distances with a dual optimality certificate, Monte Carlo
@@ -60,6 +66,30 @@ def _multinomial(counts) -> int:
     return out
 
 
+def _count_matrix(multisets: Array, n_states: int) -> Array:
+    """Count vector of each row of sorted state tuples, shape (rows, S)."""
+    counts = np.zeros((multisets.shape[0], n_states), dtype=np.int64)
+    rows = np.arange(multisets.shape[0])
+    for column in multisets.T:
+        counts[rows, column] += 1
+    return counts
+
+
+def _scatter(types: Array, values: Array, n_states: int) -> Array:
+    """Spread per-type values onto ordered prefixes, shape (S,)*k.
+
+    ``types`` holds the sorted k-tuples in lexicographic order, so their
+    base-S keys increase and each sorted prefix finds its type by bisection.
+    """
+    k = types.shape[1]
+    if n_states**k > ENUMERATION_CAP:
+        raise CapExceededError(f"S^k = {n_states**k} exceeds the enumeration cap")
+    radix = n_states ** np.arange(k - 1, -1, -1)
+    prefixes = np.sort(np.indices((n_states,) * k).reshape(k, -1), axis=0)
+    ranks = np.searchsorted(types @ radix, radix @ prefixes)
+    return values[ranks].reshape((n_states,) * k)
+
+
 @dataclass
 class FiniteExchangeableLaw:
     """Symmetric probability law on S^N stored by multiset weights.
@@ -77,7 +107,7 @@ class FiniteExchangeableLaw:
         if self.n_states < 1 or self.n_particles < 1:
             raise ValidationError("state space and particle number must be positive")
         total = sum(self.weights.values())
-        exact = all(isinstance(w, (Fraction, int)) for w in self.weights.values())
+        exact = self.exact
         if exact:
             if total != 1:
                 raise ValidationError(f"law weights sum to {total}, expected exactly 1")
@@ -88,6 +118,17 @@ class FiniteExchangeableLaw:
                 raise ValidationError(f"multiset key {multiset} is not a sorted N-tuple")
             if w < 0:
                 raise ValidationError("negative weight")
+        keys = np.array(list(self.weights), dtype=np.int64).reshape(-1, self.n_particles)
+        self._counts = _count_matrix(keys, self.n_states)
+        # weights as numerators over one denominator: Python ints when exact
+        if exact:
+            self._denominator = math.lcm(*(Fraction(w).denominator for w in self.weights.values()))
+            self._numerators = np.array(
+                [int(Fraction(w) * self._denominator) for w in self.weights.values()], dtype=object
+            )
+        else:
+            self._denominator = 1
+            self._numerators = np.array([float(w) for w in self.weights.values()])
 
     @property
     def exact(self) -> bool:
@@ -139,58 +180,73 @@ class FiniteExchangeableLaw:
             weights[key] = weights.get(key, 0) + w
         return cls(n_states, n_particles, weights)
 
+    def _type_sums(self, k: int) -> tuple[Array, Array, Array]:
+        """Prefix types of length k and the weighted falling and power sums.
+
+        A type is the count vector u of a k-multiset, listed as its sorted
+        tuple in lexicographic order. With c the count vector of a law
+        multiset and a_c its weight times the common denominator, the sums
+        are sum_c a_c F[c, u] and sum_c a_c P[c, u], where
+        F[c, u] = prod_s c_s (c_s - 1) ... (c_s - u_s + 1) and
+        P[c, u] = prod_s c_s^u_s. No entry exceeds N^k, so the tables are int64
+        while N^k < 2^63 and Python ints beyond, and exact sums are formed
+        in Python ints.
+        """
+        n = self.n_particles
+        types = np.array(list(combinations_with_replacement(range(self.n_states), k)), dtype=np.int64)
+        u = _count_matrix(types, self.n_states)
+        c = self._counts
+        if c.shape[0] * u.shape[0] > ENUMERATION_CAP:
+            raise CapExceededError(f"{c.shape[0]} multisets x {u.shape[0]} prefix types exceed the cap")
+        dtype = np.int64 if n**k < 2**63 else object
+        falling = np.array([[math.perm(a, b) for b in range(k + 1)] for a in range(n + 1)], dtype=dtype)
+        power = np.array([[a**b for b in range(k + 1)] for a in range(n + 1)], dtype=dtype)
+        f_table = np.ones((c.shape[0], u.shape[0]), dtype=dtype)
+        p_table = np.ones((c.shape[0], u.shape[0]), dtype=dtype)
+        for s in range(self.n_states):
+            f_table = f_table * falling[c[:, s, None], u[None, :, s]]
+            p_table = p_table * power[c[:, s, None], u[None, :, s]]
+        if not self.exact:
+            f_table, p_table = f_table.astype(float), p_table.astype(float)
+        return types, self._numerators @ f_table, self._numerators @ p_table
+
+    def _scaled(self, sums: Array, denom: int) -> Array:
+        """Weighted sums over ``denom``: Fractions for exact laws, floats otherwise."""
+        if self.exact:
+            d = self._denominator * denom
+            return np.array([Fraction(x, d) for x in sums], dtype=object)
+        return sums / denom
+
     def marginal(self, k: int) -> Array:
         """Exact k-point marginal over ordered k-tuples, shape (S,)*k.
 
-        P(Z_1 = s_1, ..., Z_k = s_k) is a ratio of falling factorials of the
-        multiset counts; rational weights stay rational.
+        P(Z_1 = s_1, ..., Z_k = s_k) depends only on the prefix type u and
+        equals sum_c w_c F[c, u] / N(N-1)...(N-k+1); rational weights stay
+        rational.
         """
         if not (1 <= k <= self.n_particles):
             raise ValidationError(f"need 1 <= k <= N, got k={k}")
-        n = self.n_particles
-        shape = (self.n_states,) * k
-        out = np.zeros(shape, dtype=object)
-        denom = math.perm(n, k)
-        for multiset, w in self.weights.items():
-            counts = _multiset_counts(multiset, self.n_states)
-            for prefix in product(range(self.n_states), repeat=k):
-                numer = 1
-                used = [0] * self.n_states
-                ok = True
-                for s in prefix:
-                    avail = counts[s] - used[s]
-                    if avail <= 0:
-                        ok = False
-                        break
-                    numer *= avail
-                    used[s] += 1
-                if not ok:
-                    continue
-                if isinstance(w, (Fraction, int)):
-                    out[prefix] += w * Fraction(numer, denom)
-                else:
-                    out[prefix] += w * numer / denom
-        return out
+        types, falling, _ = self._type_sums(k)
+        return _scatter(types, self._scaled(falling, math.perm(self.n_particles, k)), self.n_states)
 
 
 @dataclass
 class DFDecomposition:
-    """The mixture over empirical measures and its product-law marginals."""
+    """The mixture over empirical measures and its product-law marginals.
+
+    Each multiset with count vector c contributes its empirical measure
+    c / N with its probability w_c.
+    """
 
     law: FiniteExchangeableLaw
-    # mixture: multiset -> (empirical measure as counts/N, probability)
-    components: list[tuple[Array, Fraction | float]]
 
     def mixture_marginal(self, k: int) -> Array:
-        """m-tilde^(k) = sum over the mixture of (empirical)^(x)k."""
-        shape = (self.law.n_states,) * k
-        out = np.zeros(shape, dtype=object)
-        for emp, w in self.components:
-            term = np.ones((), dtype=object)
-            for _ in range(k):
-                term = np.multiply.outer(term, emp)
-            out = out + w * term
-        return out
+        """m-tilde^(k) = sum_c w_c (c / N)^(x)k, equal to sum_c w_c P[c, u] / N^k per prefix type."""
+        if k < 1:
+            raise ValidationError(f"need k >= 1, got k={k}")
+        law = self.law
+        types, _, power = law._type_sums(k)
+        return _scatter(types, law._scaled(power, law.n_particles**k), law.n_states)
 
 
 def df_decomposition(law: FiniteExchangeableLaw) -> DFDecomposition:
@@ -201,16 +257,7 @@ def df_decomposition(law: FiniteExchangeableLaw) -> DFDecomposition:
     marginal identically, and the second obeys
     m-tilde2 = (N-1)/N * m2 + (1/N) * m1 on the diagonal.
     """
-    n = law.n_particles
-    components = []
-    for multiset, w in law.weights.items():
-        counts = _multiset_counts(multiset, law.n_states)
-        if law.exact:
-            emp = np.array([Fraction(c, n) for c in counts], dtype=object)
-        else:
-            emp = np.array([c / n for c in counts], dtype=float)
-        components.append((emp, w))
-    return DFDecomposition(law, components)
+    return DFDecomposition(law)
 
 
 @dataclass
@@ -222,18 +269,32 @@ class TVReport:
 
 
 def tv_bound_check(law: FiniteExchangeableLaw, k: int) -> TVReport:
-    """Total variation | m^(k) - m-tilde^(k) |_1 against the 2k(k-1)/N bound."""
-    decomp = df_decomposition(law)
-    exact_m = law.marginal(k)
-    tilde = decomp.mixture_marginal(k)
-    diff = (exact_m - tilde).ravel()
+    """Total variation | m^(k) - m-tilde^(k) |_1 against the 2k(k-1)/N bound.
+
+    Both marginals are constant on prefix types, so the sum runs over the
+    C(S+k-1, k) types weighted by their k!/prod_s u_s! orderings, never over
+    the S^k ordered prefixes: O(#multisets * C(S+k-1, k) * S) integer
+    operations. Exact laws get TV = sum_u mult(u) |N^k A_F(u) - N^(k) A_P(u)|
+    / (D N^k N^(k)) as one Fraction, with A_F, A_P the Python-int weighted
+    sums of ``_type_sums``, D the common weight denominator and
+    N^(k) = N(N-1)...(N-k+1). The tables are int64 only while N^k < 2^63.
+    Float laws evaluate the same formula in float64.
+    """
+    n = law.n_particles
+    if not (1 <= k <= n):
+        raise ValidationError(f"need 1 <= k <= N, got k={k}")
+    types, falling, power = law._type_sums(k)
+    factorials = np.array([math.factorial(j) for j in range(k + 1)], dtype=object)
+    mult = math.factorial(k) // np.prod(factorials[_count_matrix(types, law.n_states)], axis=1)
+    n_pow, n_perm = n**k, math.perm(n, k)
     if law.exact:
-        tv = sum(abs(x) for x in diff)
-        bound = Fraction(2 * k * (k - 1), law.n_particles)
+        total = np.sum(mult * np.abs(n_pow * falling - n_perm * power))
+        tv = Fraction(int(total), law._denominator * n_pow * n_perm)
+        bound = Fraction(2 * k * (k - 1), n)
         passed = tv <= bound
     else:
-        tv = float(sum(abs(float(x)) for x in diff))
-        bound = 2.0 * k * (k - 1) / law.n_particles
+        tv = float(np.sum(mult.astype(float) * np.abs(falling / n_perm - power / n_pow)))
+        bound = 2.0 * k * (k - 1) / n
         passed = tv <= bound + 1e-12
     return TVReport(k=k, tv=tv, bound=bound, passed=bool(passed))
 
@@ -311,6 +372,26 @@ class Tiling:
         idx[~inside] = -1
         return idx
 
+    def in_cell(self, points: Array, flat: int) -> Array:
+        """Mask of the points that ``cell_index`` puts in cell ``flat``.
+
+        Tests each axis with cell_index's arithmetic, y = (x + L) / side and
+        t <= y < t + 1 (that is, floor(y) == t), or x == L on the last cell
+        of the axis, without forming flat indices. ``points`` has the
+        phase-space coordinates on its last axis; the mask has the leading
+        shape.
+        """
+        pts = np.asarray(points, dtype=float)
+        coords = np.unravel_index(flat, self._axis_cells())
+        mask = np.ones(pts.shape[:-1], dtype=bool)
+        for axis, (t, cells, side) in enumerate(zip(coords, self._axis_cells(), self._axis_sides())):
+            y = (pts[..., axis] + self.half_width) / side
+            hit = (t <= y) & (y < t + 1)
+            if t == cells - 1:
+                hit |= pts[..., axis] == self.half_width
+            mask &= hit
+        return mask
+
     def cell_bounds(self, flat: int) -> tuple[Array, Array]:
         cells = self._axis_cells()
         sides = self._axis_sides()
@@ -328,8 +409,14 @@ class Tiling:
         lo, hi = self.cell_bounds(flat)
         return 0.5 * (lo + hi)
 
+    def cell_lows(self) -> Array:
+        """Lower corner of every cell, row j for flat index j (cell_bounds' arithmetic)."""
+        coords = np.indices(self._axis_cells()).reshape(2 * self.d, -1).T
+        return -self.half_width + coords * np.array(self._axis_sides())
+
     def cell_centers(self) -> Array:
-        return np.array([self.cell_center(j) for j in range(self.n_cells)])
+        lo = self.cell_lows()
+        return 0.5 * (lo + (lo + np.array(self._axis_sides())))
 
     @classmethod
     def square(cls, d: int, half_width: float, cells_per_axis: int) -> "Tiling":
@@ -410,10 +497,9 @@ class AveragedMeasure:
 
     def atoms(self) -> tuple[Array, Array]:
         """Cell-center atomization for transport computations."""
-        keep = [j for j in range(self.tiling.n_cells) if float(self.cell_masses[j]) > 0]
-        centers = np.array([self.tiling.cell_center(j) for j in keep])
-        masses = np.array([float(self.cell_masses[j]) for j in keep])
-        return centers, masses
+        masses = np.asarray(self.cell_masses, dtype=float)
+        keep = masses > 0
+        return self.tiling.cell_centers()[keep], masses[keep]
 
 
 def average_measure(mu: EmpiricalMeasure, tiling: Tiling) -> AveragedMeasure:
@@ -424,10 +510,8 @@ def average_measure(mu: EmpiricalMeasure, tiling: Tiling) -> AveragedMeasure:
     are exact rationals count/N.
     """
     idx = tiling.cell_index(mu.points)
-    masses = np.array([Fraction(0)] * tiling.n_cells, dtype=object)
-    for j in idx:
-        if j >= 0:
-            masses[j] += mu.atom_weight
+    counts = np.bincount(idx[idx >= 0], minlength=tiling.n_cells)
+    masses = np.array([Fraction(int(c), mu.n_atoms) for c in counts], dtype=object)
     return AveragedMeasure(tiling, masses, source=f"empirical({mu.n_atoms})")
 
 
@@ -548,7 +632,7 @@ def exchangeable_law_sampler(law: FiniteExchangeableLaw, tiling: Tiling):
     keys = list(law.weights.keys())
     probs = np.array([float(law.weights[k]) for k in keys])
     probs = probs / probs.sum()
-    lows = np.array([tiling.cell_bounds(j)[0] for j in range(tiling.n_cells)])
+    lows = tiling.cell_lows()
     sides = np.array(tiling._axis_sides())
 
     def draw(rng, n_trials, n_particles):
@@ -567,7 +651,7 @@ def iid_cell_sampler(tiling: Tiling, cell_probs: Array):
     probs = np.asarray(cell_probs, dtype=float)
     if probs.shape != (tiling.n_cells,) or abs(probs.sum() - 1.0) > 1e-9:
         raise ValidationError("cell probabilities must sum to 1 over the tiling")
-    lows = np.array([tiling.cell_bounds(j)[0] for j in range(tiling.n_cells)])
+    lows = tiling.cell_lows()
     sides = np.array(tiling._axis_sides())
 
     def draw(rng, n_trials, n_particles):
@@ -618,6 +702,8 @@ def pauli_violation_stats(
     """
     if n_trials < 1:
         raise ValidationError(f"need at least one Monte Carlo trial, got {n_trials}")
+    if not 0 <= cell < tiling.n_cells:
+        raise ValidationError(f"cell {cell} is not in the tiling's {tiling.n_cells} cells")
     d = tiling.d
     threshold_mass = (1.0 + epsilon) * tiling.cell_volume / TWO_PI**d
     if threshold_mass <= 0:
@@ -632,9 +718,7 @@ def pauli_violation_stats(
         if size <= 0:
             break
         rng = np.random.default_rng(ss)
-        pts = sampler(rng, size, n_particles)
-        idx = tiling.cell_index(pts.reshape(-1, 2 * d)).reshape(size, n_particles)
-        counts = (idx == cell).sum(axis=1)
+        counts = tiling.in_cell(sampler(rng, size, n_particles), cell).sum(axis=1)
         hits += int((counts >= threshold_count).sum())
         done += size
 

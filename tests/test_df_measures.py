@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from fermigas.errors import CapExceededError, ValidationError
 from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
 from fermigas.df_measures import (
     TRANSPORT_VARIABLE_CAP,
+    DFDecomposition,
     EmpiricalMeasure,
     FiniteExchangeableLaw,
     Tiling,
@@ -47,22 +48,54 @@ def brute_marginal(tensor, k):
     return out
 
 
-def brute_df_second_marginal(tensor):
-    """m-tilde^(2) = sum over configs of weight * (counts/N)^(x)2."""
+def brute_mixture_marginal(tensor, k):
+    """m-tilde^(k) = sum over configs of weight * (counts/N)^(x)k.
+
+    Integer numerators over the lcm of the weight denominators, summed by
+    an int64 einsum over every ordered configuration.
+    """
     n = tensor.ndim
     s = tensor.shape[0]
-    out = np.zeros((s, s), dtype=object)
+    weights = [Fraction(w) for w in tensor.ravel()]
+    denom = math.lcm(*(w.denominator for w in weights))
+    ints = np.array([int(w * denom) for w in weights], dtype=np.int64)
+    configs = np.indices(tensor.shape).reshape(n, -1)
+    counts = (configs[:, :, None] == np.arange(s)).sum(axis=0)
+    axes = "abcdefgh"[:k]
+    spec = "z," + ",".join("z" + a for a in axes) + "->" + axes
+    sums = np.einsum(spec, ints, *([counts] * k))
+    out = np.array([Fraction(int(x), denom * n**k) for x in sums.ravel()], dtype=object)
+    return out.reshape((s,) * k)
+
+
+def per_type_tv(law, k):
+    """| m^(k) - m-tilde^(k) |_1 summed type by type in Fractions."""
+    n, s = law.n_particles, law.n_states
+    tv = Fraction(0)
+    for prefix in combinations_with_replacement(range(s), k):
+        u = [prefix.count(a) for a in range(s)]
+        gap = Fraction(0)
+        for multiset, w in law.weights.items():
+            c = [multiset.count(a) for a in range(s)]
+            gap += Fraction(w) * Fraction(math.prod(math.perm(c[a], u[a]) for a in range(s)), math.perm(n, k))
+            gap -= Fraction(w) * Fraction(math.prod(c[a] ** u[a] for a in range(s)), n**k)
+        tv += math.factorial(k) // math.prod(math.factorial(x) for x in u) * abs(gap)
+    return tv
+
+
+def random_rational_law(s, n, raw):
+    """Law with weight raw[i] / sum(raw) on the i-th multiset, and its ordered tensor."""
+    total = sum(raw)
+    weights = {
+        ms: Fraction(w, total) for ms, w in zip(combinations_with_replacement(range(s), n), raw) if w
+    }
+    tensor = np.zeros((s,) * n, dtype=object)
     for config in product(range(s), repeat=n):
-        w = tensor[config]
-        if w == 0:
-            continue
-        counts = [0] * s
-        for c in config:
-            counts[c] += 1
-        for a in range(s):
-            for b in range(s):
-                out[a, b] += w * Fraction(counts[a] * counts[b], n * n)
-    return out
+        key = tuple(sorted(config))
+        if key in weights:
+            orderings = math.factorial(n) // math.prod(math.factorial(key.count(a)) for a in range(s))
+            tensor[config] = weights[key] / orderings
+    return weights, tensor
 
 
 def uniform_tensor(s, n):
@@ -89,7 +122,7 @@ class TestDFDecomposition:
         law = FiniteExchangeableLaw.from_tensor(tensor)
         dec = df_decomposition(law)
         mt2 = dec.mixture_marginal(2)
-        brute = brute_df_second_marginal(tensor)
+        brute = brute_mixture_marginal(tensor, 2)
         assert all(mt2[a, b] == brute[a, b] for a in range(3) for b in range(3))
 
     def test_second_marginal_lemma_entrywise(self):
@@ -175,8 +208,6 @@ class TestTVBound:
             )
         )
         total = sum(raw)
-        from itertools import combinations_with_replacement
-
         weights = {
             ms: Fraction(w, total)
             for ms, w in zip(combinations_with_replacement(range(s), n), raw)
@@ -191,6 +222,70 @@ class TestTVBound:
         assert report.passed
         if n >= 3:
             assert tv_bound_check(law, 3).passed
+
+
+class TestPrefixTypes:
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(2, 5), n=st.integers(1, 6), data=st.data())
+    def test_marginals_and_tv_against_enumeration(self, s, n, data):
+        k = data.draw(st.integers(1, min(n, 4)))
+        n_multisets = math.comb(s + n - 1, n)
+        raw = data.draw(
+            st.lists(st.integers(0, 8), min_size=n_multisets, max_size=n_multisets).filter(lambda xs: sum(xs) > 0)
+        )
+        weights, tensor = random_rational_law(s, n, raw)
+        law = FiniteExchangeableLaw.from_tensor(tensor)
+        assert law.weights == weights
+        ours, brute = law.marginal(k), brute_marginal(tensor, k)
+        assert ours.shape == brute.shape and all(a == b for a, b in zip(ours.ravel(), brute.ravel()))
+        ours, brute = df_decomposition(law).mixture_marginal(k), brute_mixture_marginal(tensor, k)
+        assert ours.shape == brute.shape and all(a == b for a, b in zip(ours.ravel(), brute.ravel()))
+        report = tv_bound_check(law, k)
+        assert isinstance(report.tv, Fraction)
+        assert report.tv == per_type_tv(law, k)
+        assert report.passed
+        floats = FiniteExchangeableLaw(s, n, {ms: float(w) for ms, w in weights.items()})
+        assert tv_bound_check(floats, k).tv == pytest.approx(float(report.tv), abs=1e-12, rel=0)
+        assert floats.marginal(k) == pytest.approx(law.marginal(k).astype(float), abs=1e-12, rel=0)
+
+    def test_counts_past_int64(self):
+        # (S, N, k) = (2, 40, 12): the tables reach 40^12 > 2^63 and switch to Python ints
+        raw = [int(x) for x in np.random.default_rng(3).integers(1, 9, 41)]
+        total = sum(raw)
+        weights = {ms: Fraction(w, total) for ms, w in zip(combinations_with_replacement(range(2), 40), raw)}
+        law = FiniteExchangeableLaw(2, 40, weights)
+        report = tv_bound_check(law, 12)
+        assert report.tv == per_type_tv(law, 12)
+        floats = FiniteExchangeableLaw(2, 40, {ms: float(w) for ms, w in weights.items()})
+        assert tv_bound_check(floats, 12).tv == pytest.approx(float(report.tv), abs=1e-12, rel=0)
+
+    def test_scale_s8_n8_k4(self):
+        # 6 435 multisets x 330 prefix types against 4 096 ordered prefixes
+        law = FiniteExchangeableLaw.from_product([Fraction(1, 8)] * 8, 8)
+        report = tv_bound_check(law, 4)
+        assert report.passed and report.tv <= Fraction(3, 1)
+        floats = FiniteExchangeableLaw(8, 8, {ms: float(w) for ms, w in law.weights.items()})
+        assert tv_bound_check(floats, 4).tv == pytest.approx(float(report.tv), abs=1e-12, rel=0)
+
+    def test_tv_never_builds_prefix_tensors(self, monkeypatch):
+        law = FiniteExchangeableLaw.uniform(6, 6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an S^k marginal tensor was built")
+
+        monkeypatch.setattr(FiniteExchangeableLaw, "marginal", refuse)
+        monkeypatch.setattr(DFDecomposition, "mixture_marginal", refuse)
+        report = tv_bound_check(law, 3)
+        assert report.tv == per_type_tv(law, 3)
+        assert report.passed
+
+    def test_k_out_of_range(self):
+        law = FiniteExchangeableLaw.uniform(3, 2)
+        for k in (0, 3):
+            with pytest.raises(ValidationError, match="k"):
+                tv_bound_check(law, k)
+        with pytest.raises(ValidationError, match="k"):
+            df_decomposition(law).mixture_marginal(0)
 
 
 class TestTiling:
@@ -209,6 +304,28 @@ class TestTiling:
             lo, hi = t.cell_bounds(j)
             inside = np.all((pts >= lo) & (pts < hi), axis=1)
             assert np.all(idx[inside] == j)
+
+    @pytest.mark.parametrize("d, cells_x, cells_p", [(1, 3, 5), (2, 2, 3)])
+    def test_cell_lows_and_centers_match_cell_bounds(self, d, cells_x, cells_p):
+        t = Tiling(d, 1.3, cells_x, cells_p)
+        bounds = [t.cell_bounds(j) for j in range(t.n_cells)]
+        assert np.array_equal(t.cell_lows(), np.array([lo for lo, _ in bounds]))
+        assert np.array_equal(t.cell_centers(), np.array([0.5 * (lo + hi) for lo, hi in bounds]))
+
+    @pytest.mark.parametrize("d, cells_x, cells_p", [(1, 3, 5), (2, 2, 3)])
+    def test_in_cell_matches_cell_index(self, rng, d, cells_x, cells_p):
+        t = Tiling(d, 1.5, cells_x, cells_p)
+        axis_values = []
+        for cells, side in zip(t._axis_cells(), t._axis_sides()):
+            edges = np.concatenate([-t.half_width + np.arange(cells + 1) * side, [-t.half_width, t.half_width]])
+            axis_values.append(np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]))
+        edge_pts = np.column_stack([rng.choice(values, 4000) for values in axis_values])
+        pts = np.vstack([edge_pts, rng.uniform(-1.6, 1.6, size=(4000, 2 * d))])
+        idx = t.cell_index(pts)
+        for cell in range(t.n_cells):
+            assert np.array_equal(t.in_cell(pts, cell), idx == cell)
+        # leading axes are kept, as for (trials, particles, coordinates) draws
+        assert np.array_equal(t.in_cell(pts.reshape(4, -1, 2 * d), 1), (idx == 1).reshape(4, -1))
 
     def test_outside_points_flagged(self):
         t = Tiling.square(1, 1.0, 2)
@@ -248,6 +365,17 @@ class TestAveraging:
         idx = t.cell_index(pts)
         for j in range(t.n_cells):
             assert avg.cell_masses[j] == Fraction(int((idx == j).sum()), 100)
+
+    def test_atoms_and_masses_match_per_cell_loops(self, rng):
+        t = Tiling.square(2, 1.0, 3)
+        pts = rng.uniform(-1.2, 1.2, size=(40, 4))
+        avg = average_measure(EmpiricalMeasure(pts), t)
+        idx = t.cell_index(pts)
+        assert all(avg.cell_masses[j] == Fraction(int((idx == j).sum()), 40) for j in range(t.n_cells))
+        keep = [j for j in range(t.n_cells) if float(avg.cell_masses[j]) > 0]
+        centers, masses = avg.atoms()
+        assert np.array_equal(centers, np.array([t.cell_center(j) for j in keep]))
+        assert np.array_equal(masses, np.array([float(avg.cell_masses[j]) for j in keep]))
 
     def test_mass_restriction(self, rng):
         t = Tiling.square(1, 1.0, 2)
@@ -403,6 +531,12 @@ class TestPauliViolation:
         sampler = uniform_box_sampler(t)
         with pytest.raises(ValidationError):
             pauli_violation_stats(sampler, t, 0, epsilon=-1.0, n_particles=4, n_trials=10, seed=0)
+
+    @pytest.mark.parametrize("cell", [-1, 4])
+    def test_cell_outside_tiling_rejected(self, critical_tiling, cell):
+        sampler = uniform_box_sampler(critical_tiling)
+        with pytest.raises(ValidationError, match="cell"):
+            pauli_violation_stats(sampler, critical_tiling, cell, epsilon=0.5, n_particles=4, n_trials=10, seed=0)
 
     def test_zero_trials_rejected(self, critical_tiling):
         sampler = uniform_box_sampler(critical_tiling)
