@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import bdtrc, betaincinv
@@ -36,6 +36,8 @@ Array = np.ndarray
 TWO_PI = 2.0 * math.pi
 
 ENUMERATION_CAP = 10_000_000
+# Flat ranks per chunk of FiniteExchangeableLaw.from_tensor.
+TENSOR_CHUNK = 1 << 16
 # The transport LP has one variable per plan entry (n * m of them). Peak
 # memory of the sparse HiGHS solve was measured at 1.0-1.3 KiB per variable
 # for n * m from 1e4 to 3.6e5 (scipy 1.17); the estimate adds margin.
@@ -136,9 +138,11 @@ class FiniteExchangeableLaw:
 
     @classmethod
     def uniform(cls, n_states: int, n_particles: int) -> "FiniteExchangeableLaw":
+        """The i.i.d. uniform law: multiset weight = multinomial / S^N, one per multiset."""
+        n_multisets = math.comb(n_states + n_particles - 1, n_particles)
+        if n_multisets > ENUMERATION_CAP:
+            raise CapExceededError(f"C(S+N-1, N) = {n_multisets} multisets exceed the enumeration cap")
         total = n_states**n_particles
-        if total > ENUMERATION_CAP:
-            raise CapExceededError(f"S^N = {total} exceeds the enumeration cap")
         weights = {
             ms: Fraction(_multinomial(_multiset_counts(ms, n_states)), total)
             for ms in combinations_with_replacement(range(n_states), n_particles)
@@ -161,7 +165,15 @@ class FiniteExchangeableLaw:
 
     @classmethod
     def from_tensor(cls, tensor: Array) -> "FiniteExchangeableLaw":
-        """Symmetric tensor over ordered configurations (S, ..., S), N axes."""
+        """Symmetric tensor over ordered configurations (S, ..., S), N axes.
+
+        Nonzero entries are grouped, in chunks of ``TENSOR_CHUNK`` flat ranks,
+        by the base-S key of their sorted digits, and ``np.add.at`` adds each
+        group onto its running total in rank order: the sums of one
+        configuration at a time, exact for object arrays of ``Fraction``.
+        Multisets are listed in ascending key order, the order of their first
+        configurations.
+        """
         tensor = np.asarray(tensor)
         n_particles = tensor.ndim
         n_states = tensor.shape[0]
@@ -169,15 +181,22 @@ class FiniteExchangeableLaw:
             raise ValidationError("tensor must be a hypercube over the state space")
         if tensor.size > ENUMERATION_CAP:
             raise CapExceededError(f"tensor with {tensor.size} entries exceeds the cap")
-        weights: dict[tuple[int, ...], Fraction | float] = {}
-        for config in product(range(n_states), repeat=n_particles):
-            w = tensor[config]
-            if isinstance(w, np.generic):
-                w = w.item()
-            if w == 0:
-                continue
-            key = tuple(sorted(config))
-            weights[key] = weights.get(key, 0) + w
+        flat = tensor.reshape(-1)
+        kind = flat.dtype.kind
+        dtype = object if kind == "O" else np.int64 if kind in "biu" else np.result_type(flat.dtype, float)
+        radix = n_states ** np.arange(n_particles - 1, -1, -1, dtype=np.int64)
+        sums: dict[int, Fraction | float] = {}
+        for start in range(0, flat.size, TENSOR_CHUNK):
+            w = flat[start : start + TENSOR_CHUNK]
+            ranks = start + np.flatnonzero(w != 0)
+            keys = np.sort(ranks[:, None] // radix % n_states, axis=1) @ radix
+            groups, inverse = np.unique(keys, return_inverse=True)
+            totals = np.array([sums.get(key, 0) for key in groups.tolist()], dtype=dtype)
+            np.add.at(totals, inverse, w[ranks - start].astype(dtype))
+            sums.update(zip(groups.tolist(), totals.tolist()))
+        keys = np.array(sorted(sums), dtype=np.int64)
+        digits = keys[:, None] // radix % n_states
+        weights = {tuple(row): sums[key] for row, key in zip(digits.tolist(), keys.tolist())}
         return cls(n_states, n_particles, weights)
 
     def _type_sums(self, k: int) -> tuple[Array, Array, Array]:

@@ -565,7 +565,7 @@ def hartree_energy(
     diag = np.real(np.diag(b))
     off = np.real(np.diag(b, 1))
     kinetic = hop * (2.0 * diag.sum() - 2.0 * off.sum())
-    v = np.asarray(potential.evaluate(grid.points()), dtype=float)
+    v = grid.sample(potential.evaluate)
     pot = float(v @ diag)
     inter = 0.0
     if w_n is not None:
@@ -680,7 +680,7 @@ def semiclassical_error_decomposition(
     measured = (kin_husimi - kin_spectral) / n
     expected = family.hbar_p * envelope_gradient_norm_sq()
 
-    v = np.asarray(potential.evaluate(grid.points()), dtype=float)
+    v = grid.sample(potential.evaluate)
     rho_blur = (table.values.sum(axis=1) * dp) / (TWO_PI * hbar)  # rho_gamma * |f^h|^2
     pot_husimi = float((v * rho_blur).sum() * h)
     pot_operator = float(v @ np.real(np.diag(gamma.matrix)))

@@ -8,6 +8,8 @@ grids with the fixed quadrature rule.
 Conventions
 -----------
 * Points are arrays of shape ``(n, d)``; scalar fields return ``(n,)``.
+  Evaluators must be pointwise (value i depends on point i only), because
+  ``SpatialGrid.sample`` feeds them the grid in blocks of rows.
 * Grids are uniform with ``M`` cell-centered points per axis and spacing
   ``h = 2 * half_width / M``; integrals are the equal-weight rule
   ``h**d * sum(values)`` (the trapezoid value for densities vanishing on
@@ -30,6 +32,9 @@ Array = np.ndarray
 
 # Slack used when checking nonnegativity / bounds on sampled probe points.
 _PROBE_SLACK = 1e-9
+# Points per block of SpatialGrid.sample and of the Thomas-Fermi solver's
+# blocked passes: 128 KiB per float64 temporary.
+SAMPLE_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,13 +145,41 @@ class SpatialGrid:
         h = self.spacing
         return -self.half_width + h * (np.arange(self.points_per_axis) + 0.5)
 
+    def _rows(self, ax: Array, start: int, stop: int) -> Array:
+        """Points of axis-0 rows ``start..stop-1``, flattened C-order, shape (rows * M^(d-1), d)."""
+        if self.d == 1:
+            return ax[start:stop, None]
+        pts = np.empty((stop - start, ax.size, 2))
+        pts[:, :, 0] = ax[start:stop, None]
+        pts[:, :, 1] = ax
+        return pts.reshape(-1, 2)
+
     def points(self) -> Array:
         """All grid points, flattened C-order, shape (M^d, d)."""
+        return self._rows(self.axis(), 0, self.points_per_axis)
+
+    def sample(self, fn: Callable[[Array], Array]) -> Array:
+        """``fn(self.points())`` as a float array, evaluated over blocks of rows.
+
+        ``fn`` must be pointwise: it maps an (n, d) array of points to the
+        (n,) values at those points, each value depending on its own point
+        only (every potential and interaction evaluator in this package is).
+        The point table is then never formed whole: each block holds about
+        ``SAMPLE_BLOCK_POINTS`` points, so the scratch stays O(block) beside
+        the one output array.
+        """
         ax = self.axis()
-        if self.d == 1:
-            return ax[:, None]
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        m = self.points_per_axis
+        row_size = self.size // m
+        rows = max(1, SAMPLE_BLOCK_POINTS // row_size)
+        out = np.empty(self.size)
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            values = np.asarray(fn(self._rows(ax, start, stop)), dtype=float)
+            if values.shape != ((stop - start) * row_size,):
+                raise ValidationError("a pointwise evaluator must map (n, d) points to (n,) values")
+            out[start * row_size : stop * row_size] = values
+        return out
 
     def integrate(self, values: Array) -> float:
         return float(self.cell_volume * np.sum(values))
@@ -159,7 +192,8 @@ class SpatialGrid:
 class TrapPotential:
     """Confining potential with sampled growth and gradient checks.
 
-    The evaluator and gradient are user code, so the assumptions
+    The evaluator and gradient are user code and must be pointwise (see
+    ``SpatialGrid.sample``), so the assumptions
     ``V >= 0``, ``V(x) >= growth_constant*|x|^s - growth_offset`` and
     ``|grad V(x)| <= gradient_constant*(|x|^(s-1)+1)`` are checked on a
     probe grid at construction rather than symbolically. ``flat_spots_null``
@@ -270,7 +304,7 @@ def _one_body_diagonals(grid: SpatialGrid, potential: TrapPotential, hbar: float
     if grid.d != 1:
         raise ValidationError("the lattice oracle is 1D only")
     t = hbar**2 / grid.spacing**2
-    diag = 2.0 * t + np.asarray(potential.evaluate(grid.points()), dtype=float)
+    diag = 2.0 * t + grid.sample(potential.evaluate)
     return diag, np.full(grid.points_per_axis - 1, -t)
 
 

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .errors import CapExceededError, ConvergenceError, ValidationError
 from .model import ScaledInteraction, SpatialGrid, TrapPotential, _one_body_diagonals
@@ -37,26 +36,33 @@ Array = np.ndarray
 # Dense eigh beats ARPACK below this size (faster at 120 states, slower at
 # 190, on 2 vCPUs).
 DENSE_FALLBACK_DIM = 150
-# Matrix entries per chunk of the Lanczos start vector's batched determinants
-# (256 KiB of float64).
-START_CHUNK_ENTRIES = 1 << 15
 # Traced peak of the oracle chain (the Hamiltonian build, ground_state,
 # reduced_densities, apriori_diagnostics), measured with tracemalloc for
 # N = 1..18 and M up to 4000: per basis state 120 + 85 N bytes while the
 # build holds its hop tables and 410 + 25 N while ARPACK holds its 20 Lanczos
 # vectors and the start vector; 8 B per entry of the C(M, N-1) x M hole
 # matrix; up to six M x M float arrays (pair coupling, gamma_1, rho_2 and
-# their temporaries); two chunks of START_CHUNK_ENTRIES floats (1.6 traced)
-# while the start vector's determinants are taken, which only matters below
-# a few thousand states. The cap admits about a million states at N = 4.
+# their temporaries). The start vector's Laplace level k holds its k x C(M, k)
+# subset table and a few C(M, k) vectors (at most 8 k + 64 B per subset)
+# beside the basis and matrix (48 + 24 N B per state); this exceeds the
+# ARPACK phase only for N > M/2, where the middle level outgrows the basis.
+# The dense path holds
+# the matrix, its eigenvectors and the LAPACK workspace (32 B per entry).
+# 64 KiB covers the small arrays of tiny bases. The cap admits about a
+# million states at N = 4.
 ORACLE_MEMORY_CAP = 1 << 29
 
 
 def oracle_memory_bytes(m: int, n: int) -> int:
     """Estimated peak bytes of the oracle chain at M sites and N particles."""
+    dim = math.comb(m, n)
     per_state = max(120 + 85 * n, 410 + 25 * n)
-    fixed = 48 * m * m + 16 * START_CHUNK_ENTRIES
-    return math.comb(m, n) * per_state + 8 * m * math.comb(m, n - 1) + fixed
+    if dim <= DENSE_FALLBACK_DIM:
+        solve = dim * per_state + 32 * dim * dim
+    else:
+        start = (48 + 24 * n) * dim + max((8 * k + 64) * math.comb(m, k) for k in range(1, n + 1))
+        solve = max(dim * per_state, start)
+    return solve + 8 * m * math.comb(m, n - 1) + 48 * m * m + (1 << 16)
 
 
 def one_body_matrix(grid: SpatialGrid, potential: TrapPotential, hbar: float) -> Array:
@@ -72,13 +78,42 @@ def one_body_matrix(grid: SpatialGrid, potential: TrapPotential, hbar: float) ->
 def _colex_binomials(m: int, n: int) -> Array:
     """``table[c, j] = C(c, j)`` for c = 0..M, j = 0..N, clipped to stay in int64.
 
-    Every rank in use (of an N-state or of an (N-1)-hole) is below
-    max(C(M, N), C(M, N-1)), so no term of a valid rank is clipped.
+    Every rank in use (of a k-subset, k <= N) is below max_k C(M, k), so no
+    term of a valid rank is clipped.
     """
-    clip = max(math.comb(m, n), math.comb(m, n - 1))
+    clip = min(max(math.comb(m, k) for k in range(n + 1)), np.iinfo(np.int64).max)
     return np.array(
         [[min(math.comb(c, j), clip) for j in range(n + 1)] for c in range(m + 1)], dtype=np.int64
     )
+
+
+def _colex_subsets(binomials: Array, m: int, k: int) -> Array:
+    """The C(M, k) sorted k-subsets of range(M), row r of colex rank r, shape (C(M, k), k)."""
+    # unrank: slot a holds the largest c with C(c, a + 1) <= what is left
+    rest = np.arange(math.comb(m, k), dtype=np.int64)
+    subsets = np.empty((rest.size, k), dtype=np.int64)
+    for a in range(k - 1, -1, -1):
+        col = binomials[:m, a + 1]
+        subsets[:, a] = np.searchsorted(col, rest, side="right") - 1
+        rest -= col[subsets[:, a]]
+    return subsets
+
+
+def _removal_ranks(binomials: Array, subsets: Array):
+    """Yield ``(a, ranks)``: the colex ranks of the rows of ``subsets`` with slot a removed.
+
+    Removing slot a of c_0 < ... < c_(k-1) leaves the (k-1)-subset of rank
+    sum_(b<a) C(c_b, b + 1) + sum_(b>a) C(c_b, b): the slots above a move
+    down by one. Both sums are kept as running row vectors, so a slot costs
+    O(rows) memory.
+    """
+    below = np.zeros(subsets.shape[0], dtype=np.int64)
+    above = sum(binomials[subsets[:, b], b] for b in range(subsets.shape[1]))
+    for a in range(subsets.shape[1]):
+        c = subsets[:, a]
+        above -= binomials[c, a]
+        yield a, below + above
+        below += binomials[c, a + 1]
 
 
 @dataclass
@@ -115,13 +150,7 @@ class DiscreteHamiltonian:
             )
         self.hbar = 1.0 / n
         self.binomials = _colex_binomials(m, n)
-        # unrank r = 0..dim-1: slot a holds the largest c with C(c, a + 1) <= what is left
-        rest = np.arange(math.comb(m, n), dtype=np.int64)
-        self.occupations = np.empty((rest.size, n), dtype=np.int64)
-        for a in range(n - 1, -1, -1):
-            col = self.binomials[:m, a + 1]
-            self.occupations[:, a] = np.searchsorted(col, rest, side="right") - 1
-            rest -= col[self.occupations[:, a]]
+        self.occupations = _colex_subsets(self.binomials, m, n)
         self.matrix = self._build_matrix()
 
     @property
@@ -134,7 +163,7 @@ class DiscreteHamiltonian:
         dim = self.dim
         occ = self.occupations
         hop = self.hbar**2 / self.grid.spacing**2
-        v = np.asarray(self.potential.evaluate(self.grid.points()), dtype=float)
+        v = self.grid.sample(self.potential.evaluate)
 
         diag = v[occ].sum(axis=1) + 2.0 * hop * n
         if self.w_n is not None:
@@ -201,6 +230,25 @@ def expectation(ham: DiscreteHamiltonian, coefficients: Array) -> float:
     return float(c @ (ham.matrix @ c)) / nrm2
 
 
+def _laplace_level(minors: Array, binomials: Array, subsets: Array, column: Array) -> Array:
+    """det [U_(k-1) | column] over the rows of each k-subset, by expansion along the last column.
+
+    ``minors[rank]`` is det U_(k-1)[S', :] over the colex-ranked (k-1)-subsets
+    S'; for S = c_0 < ... < c_(k-1) the expansion is
+    sum_a (-1)^(a + k - 1) column[c_a] minors[rank of S minus c_a].
+    """
+    k = subsets.shape[1]
+    level = np.zeros(subsets.shape[0])
+    for a, ranks in _removal_ranks(binomials, subsets):
+        term = column[subsets[:, a]]
+        term *= minors[ranks]
+        if (a + k - 1) % 2:
+            level -= term
+        else:
+            level += term
+    return level
+
+
 def _slater_start(ham: DiscreteHamiltonian) -> Array:
     """Lanczos start vector: the free Slater determinant plus its lowest excitation.
 
@@ -208,20 +256,33 @@ def _slater_start(ham: DiscreteHamiltonian) -> Array:
     same with orbital N - 1 replaced by orbital N (none when N = M). For an
     even V the orbitals alternate in reflection parity, so s0 and s1 lie in
     opposite parity sectors and the sum overlaps a ground state in either.
-    Both have unit norm (Cauchy-Binet with orthonormal U). The determinants
-    are taken in row chunks, so the temporaries stay O(chunk * N^2).
+    Both have unit norm (Cauchy-Binet with orthonormal U). The minors
+    D_k[S] = det U[S, :k] are built level by level over the colex-ranked
+    k-subsets, k = 1..N, each by Laplace expansion of the previous level.
+    s1 reuses D_(N-1) with column N, and the expansion is linear in its
+    column, so s0 + s1 is one expansion with column N - 1 plus column N.
+    Level k holds O(k C(M, k)) entries.
     """
     m, n = ham.grid.points_per_axis, ham.n_particles
     diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
     _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(n, m - 1)))
-    picks = [np.arange(n)] + ([np.r_[: n - 1, n]] if n < m else [])
-    chunk = max(1, START_CHUNK_ENTRIES // (n * n))
-    v0 = np.zeros(ham.dim)
-    for start in range(0, ham.dim, chunk):
-        rows = ham.occupations[start : start + chunk, :, None]
-        for cols in picks:
-            v0[start : start + chunk] += np.linalg.det(u[rows, cols])
-    return v0
+    minors = np.ones(1)  # D_0: the empty determinant of the one empty subset
+    for k in range(1, n):
+        minors = _laplace_level(minors, ham.binomials, _colex_subsets(ham.binomials, m, k), u[:, k - 1])
+    column = u[:, n - 1] + u[:, n] if n < m else u[:, n - 1]
+    return _laplace_level(minors, ham.binomials, ham.occupations, column)
+
+
+def _ritz_bound(ham: DiscreteHamiltonian, v0: Array) -> float:
+    """max(|rho(v0)|, |g|): a bound on |theta| for the lowest Ritz value theta from a start v0.
+
+    theta is at most the Rayleigh quotient rho(v0) and at least the lowest
+    eigenvalue, which is at least the Gershgorin bound
+    g = min_i (H_ii - sum_(j != i) |H_ij|).
+    """
+    diag = ham.matrix.diagonal()
+    radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
+    return max(abs(expectation(ham, v0)), abs(float(np.min(diag - radii))))
 
 
 def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> tuple[float, FermionState]:
@@ -229,8 +290,10 @@ def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> 
 
     ``eigsh`` starts from the free-fermion Slater determinant plus its lowest
     excitation (``_slater_start``) and stops once its Ritz bound is below
-    0.1 * ``tol``: ARPACK's relative tolerance is 0.1 * tol / B, B = ||H||_inf
-    bounding |E|, clamped at machine epsilon. On either path a residual
+    0.1 * ``tol``. ARPACK accepts a Ritz value theta when its bound is at most
+    tol_arpack * max(eps^(2/3), |theta|), so tol_arpack = 0.1 * tol / B with
+    B = max(``_ritz_bound``, eps^(2/3)) >= |theta|, clamped at machine
+    epsilon. On either path a residual
     ||Hx - Ex|| above ``tol``, or ARPACK stopping unconverged, raises
     ``ConvergenceError``. The start vector is deterministic: ``seed`` is
     accepted for compatibility and no longer changes the result.
@@ -239,7 +302,8 @@ def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> 
         evals, evecs = np.linalg.eigh(ham.matrix.toarray())
     else:
         v0 = _slater_start(ham)
-        tol_arpack = max(0.1 * tol / sparse_norm(ham.matrix, np.inf), np.finfo(float).eps)
+        eps = np.finfo(float).eps
+        tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0), eps ** (2.0 / 3.0)), eps)
         try:
             evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0, tol=tol_arpack)
         except ArpackNoConvergence as exc:
@@ -298,8 +362,8 @@ def reduced_densities(state: FermionState) -> ReducedDensities:
     gamma1[i, j] = <c_i^dag c_j> = (A^T A)[i, j] for the hole matrix
     A[h, j] = <h| c_j |psi> over the C(M, N-1) states h with N - 1 particles:
     removing slot a of state s lands on the hole of colex rank
-    sum_(b<a) C(c_b, b + 1) + sum_(b>a) C(c_b, b), with the Jordan-Wigner
-    sign (-1)^a, a being the number of occupied sites below c_a.
+    ``_removal_ranks``, with the Jordan-Wigner sign (-1)^a, a being the
+    number of occupied sites below c_a.
     """
     ham = state.ham
     n = ham.n_particles
@@ -308,16 +372,9 @@ def reduced_densities(state: FermionState) -> ReducedDensities:
     occ = ham.occupations
     site_occ, pair = _site_and_pair_occupations(state)
 
-    slots = np.arange(n)
-    kept = ham.binomials[occ, slots + 1]  # rank terms of the slots below the removed one
-    holes = np.cumsum(kept, axis=1)
-    holes -= kept
-    shifted = ham.binomials[occ, slots]  # a slot above the removed one moves down by one
-    above = np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1]
-    above -= shifted
-    holes += above
     amplitudes = np.zeros((math.comb(m, n - 1), m))
-    amplitudes[holes, occ] = state.coefficients[:, None] * np.where(slots % 2, -1.0, 1.0)
+    for a, holes in _removal_ranks(ham.binomials, occ):
+        amplitudes[holes, occ[:, a]] = -state.coefficients if a % 2 else state.coefficients
     gamma = amplitudes.T @ amplitudes
 
     return ReducedDensities(

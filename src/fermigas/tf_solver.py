@@ -10,6 +10,13 @@ by a per-point activation rule. In both dimensions a point with threshold
 ``s`` (``V`` in 2D, ``V - alpha`` in 1D) is active iff ``s < lam`` and then
 carries ``g(lam - s)`` for one fixed increasing profile ``g``, so ``lam`` is
 solved exactly from the sorted thresholds instead of by bisection.
+
+A solve holds two grid-sized float arrays: the thresholds, sampled from the
+potential by ``SpatialGrid.sample`` (so the evaluator must be pointwise), and
+their sorted copy, which becomes the density once ``lam`` is known. Mass
+probes, the density, the Euler-Lagrange certificates and the energies run
+over slices of ``SAMPLE_BLOCK_POINTS`` points, so the rest of the scratch is
+O(block) plus one boolean mask of the support.
 """
 
 from __future__ import annotations
@@ -20,11 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, MassJumpError, ValidationError
-from .model import SpatialGrid, TFConstants, TrapPotential
+from .model import SAMPLE_BLOCK_POINTS, SpatialGrid, TFConstants, TrapPotential
 
 Array = np.ndarray
 
 _MAX_NEWTON_STEPS = 100
+
+
+def _slices(n: int):
+    """Consecutive slices of ``SAMPLE_BLOCK_POINTS`` indices covering ``range(n)``."""
+    return (slice(i, min(i + SAMPLE_BLOCK_POINTS, n)) for i in range(0, n, SAMPLE_BLOCK_POINTS))
 
 
 @dataclass
@@ -40,12 +52,13 @@ class DensityField:
             raise ValidationError(
                 f"density has {self.values.size} values for a grid of size {self.grid.size}"
             )
-        if np.any(self.values < 0):
+        if self.values.min() < 0:
             raise ValidationError("density values must be nonnegative")
 
     @classmethod
     def from_callable(cls, grid: SpatialGrid, fn) -> "DensityField":
-        return cls(grid, np.asarray(fn(grid.points()), dtype=float))
+        """Density of a pointwise ``fn``, sampled by ``grid.sample``."""
+        return cls(grid, grid.sample(fn))
 
     @property
     def mass(self) -> float:
@@ -116,16 +129,17 @@ class RelaxedLocalEnergy:
         t = np.asarray(t, dtype=float)
         return np.where(t >= self.rho_jump, self.local_energy(t), 0.0)
 
-    def active_density(self, u: Array) -> Array:
+    def active_density(self, u: Array, out: Array | None = None) -> Array:
         """Density of an active point, ``u = lam - (V - alpha) > 0``.
 
         The root ``t >= rho_jump`` of ``e'(t) = u``, i.e. the larger root of
         ``3 a t^2 - 2 i_w t = lam - V``; it tends to ``rho_jump`` as
         ``u -> 0``. Values are clamped to at least ``rho_jump`` so that
-        rounding never puts an active point inside the jump gap.
+        rounding never puts an active point inside the jump gap. Written
+        into ``out`` (which may be ``u``) when given.
         """
         a = self.cubic_coefficient
-        t = 3.0 * a * u  # the rest in place: this runs on every mass evaluation
+        t = np.multiply(3.0 * a, u, out=out)  # the rest in place: this runs on every mass evaluation
         t += 0.25 * self.i_w**2
         np.sqrt(t, out=t)
         t += self.i_w
@@ -160,9 +174,23 @@ class TFSolution:
     support_interior_min: float = math.nan
 
 
-def _energy_terms(grid: SpatialGrid, values: Array, v: Array, c_tf: float, i_w: float) -> EnergyBreakdown:
-    kinetic = c_tf * grid.integrate(values ** (1.0 + 2.0 / grid.d))
-    return EnergyBreakdown(kinetic, grid.integrate(v * values), -i_w * grid.integrate(values**2))
+def _energy_terms(
+    grid: SpatialGrid, values: Array, s: Array, c_tf: float, i_w: float, alpha: float = 0.0
+) -> EnergyBreakdown:
+    """The three terms at a density, given the thresholds ``s = V - alpha``.
+
+    ``I(V rho) = I(s rho) + alpha I(rho)``, so a 1D solve never holds V beside
+    s. The sums run over slices, so no grid-sized temporary is formed.
+    """
+    p = 1.0 + 2.0 / grid.d
+    power = square = linear = 0.0
+    for b in _slices(values.size):
+        rho = values[b]
+        power += float(np.sum(rho**p))
+        square += float(np.sum(rho**2))
+        linear += float(np.sum(s[b] * rho))
+    h = grid.cell_volume
+    return EnergyBreakdown(c_tf * (h * power), h * linear + alpha * grid.integrate(values), -i_w * (h * square))
 
 
 def tf_energy(rho: DensityField, potential: TrapPotential, constants: TFConstants, i_w: float) -> EnergyBreakdown:
@@ -176,18 +204,16 @@ def tf_energy(rho: DensityField, potential: TrapPotential, constants: TFConstant
         raise ValidationError("potential and density dimensions differ")
     if constants.d != rho.grid.d:
         raise ValidationError("constants and density dimensions differ")
-    v = np.asarray(potential.evaluate(rho.grid.points()), dtype=float)
-    if v.shape != (rho.grid.size,):
-        raise ValidationError("potential sampling does not match the density grid")
+    v = rho.grid.sample(potential.evaluate)
     return _energy_terms(rho.grid, rho.values, v, constants.c_tf, i_w)
 
 
 def _ramp(kappa: float):
-    """2D activation profile ``g(u) = u / (2 kappa)``."""
-    return lambda u: u / (2.0 * kappa)
+    """2D activation profile ``g(u) = u / (2 kappa)``, written into ``out`` when given."""
+    return lambda u, out=None: np.divide(u, 2.0 * kappa, out=out)
 
 
-def _pointwise_density(s: Array, lam: float, profile) -> Array:
+def _pointwise_density(s: Array, lam: float, profile, out: Array | None = None) -> Array:
     """Grid density at multiplier ``lam``: ``g(lam - s)`` where ``s < lam``, else 0.
 
     This is the activation rule of the mass map. In 1D (``s = V - alpha``,
@@ -198,17 +224,32 @@ def _pointwise_density(s: Array, lam: float, profile) -> Array:
     minimum is negative and sits at ``e'(t) = u`` iff ``u > 0``, and is 0 at
     t = 0 otherwise. Exact ties go to 0, which reproduces the jump of the
     continuum minimizer instead of smearing it across a cell.
+
+    The density is written slice by slice into ``out`` (which may be ``s``);
+    ``profile(u, out=u)`` must work in place. Distinct floats have a nonzero
+    difference, so ``u = lam - s > 0`` exactly where ``s < lam``.
     """
-    out = np.zeros_like(s)
-    active = s < lam
-    out[active] = profile(lam - s[active])
+    if out is None:
+        out = np.empty_like(s)
+    for b in _slices(s.size):
+        u = np.subtract(lam, s[b], out=out[b])
+        inactive = u <= 0.0
+        np.maximum(u, 0.0, out=u)  # keeps the profile's square root real
+        profile(u, out=u)
+        u[inactive] = 0.0
     return out
 
 
 def _mass(s: Array, lam: float, profile, volume: float) -> float:
-    """Mass ``volume * sum g(lam - s_i)`` over the active ``s_i < lam``; ``s`` is sorted."""
-    active = s[: np.searchsorted(s, lam)]
-    return volume * float(np.sum(profile(lam - active)))
+    """Mass ``volume * sum g(lam - s_i)`` over the active ``s_i < lam``; ``s`` is sorted.
+
+    Summed over slices of the active prefix, so a probe allocates O(block).
+    """
+    total = 0.0
+    for b in _slices(int(np.searchsorted(s, lam))):
+        u = np.subtract(lam, s[b])
+        total += float(np.sum(profile(u, out=u)))
+    return volume * total
 
 
 def _solve_unit_mass(s: Array, profile, volume: float, tol: float, segment_root) -> tuple[float, Array]:
@@ -223,10 +264,13 @@ def _solve_unit_mass(s: Array, profile, volume: float, tol: float, segment_root)
     returned when its ``|mass - 1| <= tol``; otherwise a jump raises
     ``MassJumpError`` with the exact jump ``[s_j, nextafter(s_j, inf)]`` and
     the masses at its ends, and a segment ``ConvergenceError``.
+
+    The sorted copy of ``s`` is the only grid-sized array this adds: the
+    density is written into it once ``lam`` is known.
     """
-    if not np.all(np.isfinite(s)):
+    t = np.sort(s)  # NaN sorts last
+    if not (np.isfinite(t[0]) and np.isfinite(t[-1])):
         raise ValidationError("potential samples must be finite")
-    t = np.sort(s)
     lo, hi = 1, t.size  # the mass at t[0] is 0
     while lo < hi:
         mid = (lo + hi) // 2
@@ -248,7 +292,7 @@ def _solve_unit_mass(s: Array, profile, volume: float, tol: float, segment_root)
         )
     else:
         lam = segment_root(t[:lo], lam_high, float(t[lo]))
-    values = _pointwise_density(s, lam, profile)
+    values = _pointwise_density(s, lam, profile, out=t)
     gap = abs(volume * float(np.sum(values)) - 1.0)
     if gap <= tol:
         return lam, values
@@ -275,13 +319,20 @@ def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalE
     the mass is increasing and concave in lam, with slope
     ``volume * sum 1 / e''(rho)``. Newton steps from the left end therefore
     never pass the root: they rise monotonically until rounding stops them.
+    Mass and slope are summed over slices of ``active``.
     """
     a = rel.cubic_coefficient
     lam = lo
     for _ in range(_MAX_NEWTON_STEPS):
-        rho = rel.active_density(lam - active)
-        slope = volume * float(np.sum(1.0 / (6.0 * a * rho - 2.0 * rel.i_w)))
-        nxt = min(lam + (1.0 - volume * float(np.sum(rho))) / slope, hi)
+        mass = slope = 0.0
+        for b in _slices(active.size):
+            rho = np.subtract(lam, active[b])
+            rel.active_density(rho, out=rho)
+            mass += float(np.sum(rho))
+            rho *= 6.0 * a
+            rho -= 2.0 * rel.i_w
+            slope += float(np.sum(np.reciprocal(rho, out=rho)))
+        nxt = min(lam + (1.0 - volume * mass) / (volume * slope), hi)
         if not nxt > lam:
             break
         lam = nxt
@@ -289,11 +340,29 @@ def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalE
 
 
 def _el_defects(values: Array, s: Array, lam: float, derivative) -> tuple[float, float]:
-    """(sup over supp(rho) of ``|derivative(rho) + s - lam|``, min over the complement of ``s - lam``)."""
-    supp = values > 0
-    supp_residual = float(np.max(np.abs(derivative(values[supp]) + s[supp] - lam))) if supp.any() else 0.0
-    comp_min = float(np.min(s[~supp] - lam)) if (~supp).any() else math.inf
+    """(sup over supp(rho) of ``|derivative(rho) + s - lam|``, min over the complement of ``s - lam``).
+
+    Taken slice by slice; rounding is monotone, so the complement's minimum
+    of ``s - lam`` is its minimum of ``s``, minus ``lam``.
+    """
+    supp_residual, comp_min = 0.0, math.inf
+    for b in _slices(values.size):
+        rho, sb = values[b], s[b]
+        supp = rho > 0
+        if supp.any():
+            r = derivative(rho[supp])
+            r += sb[supp]
+            r -= lam
+            supp_residual = max(supp_residual, float(np.max(np.abs(r, out=r))))
+        if not supp.all():
+            comp_min = min(comp_min, float(np.min(sb, where=~supp, initial=math.inf)) - lam)
     return supp_residual, comp_min
+
+
+def _min_where(values: Array, mask: Array) -> float:
+    """Smallest value under ``mask``, NaN when the mask is empty."""
+    low = float(np.min(values, where=mask, initial=math.inf))
+    return low if low < math.inf else math.nan
 
 
 def _check_support_inside(grid: SpatialGrid, values: Array):
@@ -330,7 +399,7 @@ def minimize_2d(
         raise ValidationError(
             f"minimize_2d requires i_w < c_tf, got i_w={i_w} with c_tf={constants.c_tf}"
         )
-    v = np.asarray(potential.evaluate(grid.points()), dtype=float)
+    v = grid.sample(potential.evaluate)
     volume = grid.cell_volume
     ramp = _ramp(kappa)
 
@@ -341,7 +410,6 @@ def minimize_2d(
     _check_support_inside(grid, values)
     rho = DensityField(grid, values)
     residual, comp_min = _el_defects(values, v, lam, lambda t: 2.0 * kappa * t)
-    supp = values > 0
     return TFSolution(
         rho=rho,
         lam=lam,
@@ -351,7 +419,7 @@ def minimize_2d(
         mass_gap=abs(rho.mass - 1.0),
         c_tf=constants.c_tf,
         i_w=i_w,
-        support_interior_min=float(values[supp].min()) if supp.any() else math.nan,
+        support_interior_min=_min_where(values, values > 0),
     )
 
 
@@ -359,13 +427,11 @@ def _support_interior(grid: SpatialGrid, values: Array) -> Array:
     """Mask of support points all of whose grid neighbors are also occupied."""
     pos = (values > 0).reshape(grid.shape)
     interior = pos.copy()
-    if grid.d == 1:
-        shifted_left = np.concatenate([[False], pos[:-1]])
-        shifted_right = np.concatenate([pos[1:], [False]])
-        interior &= shifted_left & shifted_right
-    else:
-        pad = np.pad(pos, 1, constant_values=False)
-        interior &= pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]
+    for axis in range(grid.d):
+        inner, occupied = np.moveaxis(interior, axis, 0), np.moveaxis(pos, axis, 0)
+        inner[1:] &= occupied[:-1]
+        inner[:-1] &= occupied[1:]
+        inner[0] = inner[-1] = False
     return interior.ravel()
 
 
@@ -398,8 +464,8 @@ def minimize_1d_relaxed(
             "the 1D minimizer requires a potential whose level sets are null "
             "(flat_spots_null flag)"
         )
-    v = np.asarray(potential.evaluate(grid.points()), dtype=float)
-    s = v - rel.alpha
+    s = grid.sample(potential.evaluate)
+    s -= rel.alpha
     h = grid.cell_volume
     lam, values = _solve_unit_mass(
         s, rel.active_density, h, tol, lambda active, lo, hi: _newton_segment_root(active, lo, hi, rel, h)
@@ -407,18 +473,18 @@ def minimize_1d_relaxed(
     _check_support_inside(grid, values)
     rho = DensityField(grid, values)
     residual, comp_min = _el_defects(values, s, lam, rel.local_energy_derivative)
-    interior = _support_interior(grid, values)
+    interior_min = _min_where(values, _support_interior(grid, values))
     return TFSolution(
         rho=rho,
         lam=lam,
-        energy=_energy_terms(grid, values, v, rel.c_tf, rel.i_w),
+        energy=_energy_terms(grid, values, s, rel.c_tf, rel.i_w, rel.alpha),
         el_residual=residual,
         el_complement_min=comp_min,
         mass_gap=abs(rho.mass - 1.0),
         c_tf=rel.c_tf,
         i_w=rel.i_w,
         eta=rel.eta,
-        support_interior_min=float(values[interior].min()) if interior.any() else math.nan,
+        support_interior_min=interior_min,
     )
 
 
@@ -432,8 +498,9 @@ def sample_minimizer(
     by the coarse quadrature error, bypassing the activation-jump lottery of
     a direct coarse-grid solve.
     """
-    v = np.asarray(potential.evaluate(grid.points()), dtype=float)
-    return DensityField(grid, _pointwise_density(v - rel.alpha, lam, rel.active_density))
+    s = grid.sample(potential.evaluate)
+    s -= rel.alpha
+    return DensityField(grid, _pointwise_density(s, lam, rel.active_density, out=s))
 
 
 def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEnergy | None = None):
@@ -445,13 +512,14 @@ def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEner
     ``2 (c_tf - i_w) rho + V = lam`` and alpha plays no role.
     """
     grid = sol.rho.grid
-    v = np.asarray(potential.evaluate(grid.points()), dtype=float)
+    v = grid.sample(potential.evaluate)
     if grid.d == 2:
         kappa = sol.c_tf - sol.i_w
         return _el_defects(sol.rho.values, v, sol.lam, lambda t: 2.0 * kappa * t)
     if rel is None:
         rel = RelaxedLocalEnergy(sol.c_tf, sol.i_w, sol.eta)
-    return _el_defects(sol.rho.values, v - rel.alpha, sol.lam, rel.local_energy_derivative)
+    v -= rel.alpha
+    return _el_defects(sol.rho.values, v, sol.lam, rel.local_energy_derivative)
 
 
 @dataclass
@@ -466,7 +534,7 @@ class EquivalenceReport:
 
 def relaxed_energy(rho: DensityField, potential: TrapPotential, rel: RelaxedLocalEnergy) -> float:
     """Relaxed functional: I(J(rho)) + I(V rho) - alpha * I(rho)."""
-    v = np.asarray(potential.evaluate(rho.grid.points()), dtype=float)
+    v = rho.grid.sample(potential.evaluate)
     return float(
         rho.grid.integrate(rel.relaxed_local_energy(rho.values))
         + rho.grid.integrate(v * rho.values)
@@ -511,7 +579,7 @@ def mass_curve(
     lam_values: Array | None = None,
 ) -> tuple[Array, Array]:
     """Lam -> mass samples of the minimizers' mass map, for monotonicity diagnostics."""
-    v = np.asarray(potential.evaluate(grid.points()), dtype=float)
+    v = grid.sample(potential.evaluate)
     if grid.d == 2:
         if constants is None:
             raise ValidationError("2D mass curve needs constants")

@@ -234,7 +234,7 @@ def vlasov_energy(
     densities.
     """
     rho_m = DensityField(m.grid, np.clip(m.spatial_density(), 0.0, None))
-    v = np.asarray(potential.evaluate(m.grid.points()), dtype=float)
+    v = m.grid.sample(potential.evaluate)
     kinetic = m.grid.integrate(m.kinetic_density())
     pot = m.grid.integrate(v * rho_m.values)
     if w_n is None:

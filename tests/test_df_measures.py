@@ -5,15 +5,18 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermigas import df_measures
 from fermigas.errors import CapExceededError, ValidationError
 from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
 from fermigas.df_measures import (
+    ENUMERATION_CAP,
     TRANSPORT_VARIABLE_CAP,
     DFDecomposition,
     EmpiricalMeasure,
@@ -102,6 +105,68 @@ def uniform_tensor(s, n):
     tensor = np.empty((s,) * n, dtype=object)
     tensor[...] = Fraction(1, s**n)
     return tensor
+
+
+def loop_from_tensor(tensor):
+    """Multiset weights read one ordered configuration at a time, as from_tensor once did."""
+    tensor = np.asarray(tensor)
+    weights = {}
+    for config in product(range(tensor.shape[0]), repeat=tensor.ndim):
+        w = tensor[config]
+        if isinstance(w, np.generic):
+            w = w.item()
+        if w == 0:
+            continue
+        key = tuple(sorted(config))
+        weights[key] = weights.get(key, 0) + w
+    return weights
+
+
+def symmetric_tensor(rng, s, n, zero_frac=0.3):
+    """Exact symmetric tensor: random rational multiset weights (some zero) spread over orderings."""
+    multisets = list(combinations_with_replacement(range(s), n))
+    raw = [0 if rng.random() < zero_frac else int(rng.integers(1, 50)) for _ in multisets]
+    raw[0] = raw[0] or 1
+    total = sum(raw)
+    tensor = np.empty((s,) * n, dtype=object)
+    for config in product(range(s), repeat=n):
+        ms = tuple(sorted(config))
+        counts = [ms.count(v) for v in range(s)]
+        orderings = math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+        tensor[config] = Fraction(raw[multisets.index(ms)], total * orderings)
+    return tensor
+
+
+class TestFromTensor:
+    @pytest.mark.parametrize("s, n", [(2, 1), (3, 4), (4, 5), (6, 3)])
+    @pytest.mark.parametrize("chunk", [5, 64, 1 << 16])
+    def test_matches_configuration_loop(self, rng, s, n, chunk):
+        exact = symmetric_tensor(rng, s, n)
+        floats = exact.astype(float)
+        ref_exact, ref_float = loop_from_tensor(exact), loop_from_tensor(floats)
+        with patch.object(df_measures, "TENSOR_CHUNK", chunk):
+            law_exact = FiniteExchangeableLaw.from_tensor(exact)
+            law_float = FiniteExchangeableLaw.from_tensor(floats)
+        assert law_exact.weights == ref_exact
+        assert list(law_exact.weights) == list(ref_exact)
+        assert all(isinstance(w, Fraction) for w in law_exact.weights.values())
+        assert law_float.weights.keys() == ref_float.keys()
+        for key, w in ref_float.items():
+            assert abs(law_float.weights[key] - w) <= 1e-15 * w
+        # some multisets drew weight 0 (all but the single-particle case) and none is a key
+        assert all(w != 0 for w in law_exact.weights.values())
+        assert len(law_exact.weights) < math.comb(s + n - 1, n) or n == 1
+
+    def test_uniform_builds_only_multisets(self):
+        # S^N = 16 777 216 is above the enumeration cap; the law has 6 435 multisets
+        assert 8**8 > ENUMERATION_CAP
+        law = FiniteExchangeableLaw.uniform(8, 8)
+        assert law.weights == FiniteExchangeableLaw.from_product([Fraction(1, 8)] * 8, 8).weights
+
+    def test_uniform_cap_on_multisets(self):
+        assert math.comb(30 + 10 - 1, 10) > ENUMERATION_CAP
+        with pytest.raises(CapExceededError, match="multisets"):
+            FiniteExchangeableLaw.uniform(30, 10)
 
 
 class TestDFDecomposition:

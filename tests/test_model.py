@@ -1,8 +1,11 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+from fermigas import model
 
 from fermigas.errors import ConfigError, ValidationError
 from fermigas.model import (
@@ -100,6 +103,52 @@ class TestSpatialGrid:
             SpatialGrid(1, 1.0, 1)
         with pytest.raises(ValidationError):
             SpatialGrid(1, -1.0, 16)
+
+
+def meshgrid_points(grid):
+    """The (M^d, d) point table as two meshgrid copies and a column_stack."""
+    ax = grid.axis()
+    if grid.d == 1:
+        return ax[:, None]
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+class TestSample:
+    EVALUATORS = {
+        "harmonic": lambda d: harmonic_potential(d, 1.7).evaluate,
+        "double_well": lambda d: double_well_potential(d, 0.8).evaluate,
+        "bump": lambda d: bump_profile(d, 0.2, radius=1.3).evaluate,
+        "box": lambda d: box_profile(d, 0.2, radius=0.9).evaluate,
+    }
+
+    # several blocks with a short last one (100_003 and 300 rows are not
+    # multiples of SAMPLE_BLOCK_POINTS // M^(d-1)), and a single block
+    @pytest.mark.parametrize("d, m", [(1, 100_003), (1, 64), (2, 300), (2, 17)])
+    @pytest.mark.parametrize("family", sorted(EVALUATORS))
+    def test_bit_equal_to_evaluating_all_points(self, d, m, family):
+        grid = SpatialGrid(d, 2.5, m)
+        fn = self.EVALUATORS[family](d)
+        assert np.array_equal(grid.sample(fn), np.asarray(fn(grid.points()), dtype=float))
+
+    @pytest.mark.parametrize("block", [1, 5, 34, 40])
+    def test_small_blocks_split_rows(self, block):
+        for grid in (SpatialGrid(1, 2.0, 23), SpatialGrid(2, 2.0, 11)):
+            fn = harmonic_potential(grid.d).evaluate
+            with patch.object(model, "SAMPLE_BLOCK_POINTS", block):
+                sampled = grid.sample(fn)
+            assert np.array_equal(sampled, fn(grid.points()))
+
+    @pytest.mark.parametrize("d, m", [(1, 50), (2, 33), (2, 256)])
+    def test_points_unchanged(self, d, m):
+        grid = SpatialGrid(d, 2.5, m)
+        pts, ref = grid.points(), meshgrid_points(grid)
+        assert pts.shape == ref.shape == (grid.size, d)
+        assert np.array_equal(pts, ref)
+
+    def test_non_pointwise_evaluator_rejected(self):
+        with pytest.raises(ValidationError, match="pointwise"):
+            SpatialGrid(2, 2.0, 8).sample(lambda pts: np.zeros(3))
 
 
 class TestTrapPotential:

@@ -5,12 +5,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigas.errors import CapExceededError, ConvergenceError, ValidationError
 from fermigas.model import (
     SpatialGrid,
+    _one_body_diagonals,
     box_profile,
     bump_profile,
     double_well_potential,
@@ -147,6 +149,16 @@ hard_lanczos_cases = st.tuples(
 )
 
 
+def determinant_start(ham):
+    """The batched-determinant start vector that the Laplace levels replaced, kept as their oracle."""
+    m, n = ham.grid.points_per_axis, ham.n_particles
+    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(n, m - 1)))
+    picks = [np.arange(n)] + ([np.r_[: n - 1, n]] if n < m else [])
+    rows = ham.occupations[:, :, None]
+    return sum(np.linalg.det(u[rows, cols]) for cols in picks)
+
+
 def mirrored_rows(ham):
     """Row of each basis state under the reflection c -> M - 1 - c."""
     m, n = ham.grid.points_per_axis, ham.n_particles
@@ -215,6 +227,15 @@ class TestGroundState:
         reflected[mirrored_rows(ham)] = v0
         for sign in (1.0, -1.0):
             assert np.linalg.norm(v0 + sign * reflected) >= 0.1 * np.linalg.norm(v0)
+
+    # N = 1, N = M, N > M/2 (the middle level outgrows the basis), and N < M/2
+    @pytest.mark.parametrize("m, n", [(9, 1), (200, 1), (7, 7), (12, 12), (12, 9), (16, 12), (14, 7), (24, 3), (40, 2)])
+    @pytest.mark.parametrize("trap", ["harmonic", "double_well"])
+    def test_laplace_start_matches_determinants(self, trap, m, n):
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
+        v0, ref = _slater_start(ham), determinant_start(ham)
+        assert v0.shape == ref.shape == (ham.dim,)
+        assert np.max(np.abs(v0 - ref)) <= 1e-12
 
     def test_free_fermions_on_a_fine_grid(self):
         ham = make_ham(2, grid=SpatialGrid(1, 2.5, 200))
@@ -302,6 +323,23 @@ class TestMemoryCap:
         finally:
             tracemalloc.stop()
         assert red.gamma1.shape == (m, m)
+        assert peak <= oracle_memory_bytes(m, n)
+
+
+    # dense-path bases (dims 3 to 136): the matrix, eigenvectors and LAPACK workspace
+    @pytest.mark.parametrize("m, n", [(3, 2), (9, 4), (17, 2), (150, 1)])
+    def test_estimate_bounds_dense_path_peak(self, m, n):
+        grid = SpatialGrid(1, 2.5, m)
+        tracemalloc.start()
+        try:
+            ham = DiscreteHamiltonian(grid, POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
+            assert ham.dim <= DENSE_FALLBACK_DIM
+            _, state = ground_state(ham)
+            reduced_densities(state)
+            apriori_diagnostics(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= oracle_memory_bytes(m, n)
 
 

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fermigas import tf_solver
 from fermigas.errors import ConvergenceError, MassJumpError, ValidationError
 from fermigas.model import (
     SpatialGrid,
@@ -19,7 +22,9 @@ from fermigas.tf_solver import (
     DensityField,
     RelaxedLocalEnergy,
     _mass,
+    _newton_segment_root,
     _ramp,
+    _solve_unit_mass,
     el_residual,
     mass_curve,
     minimize_1d_relaxed,
@@ -91,6 +96,64 @@ def bisect_unit_mass(s, profile, volume, tol, max_iter=400):
         if hi - lo <= 64.0 * np.finfo(float).eps * max(1.0, abs(hi)):
             raise MassJumpError("bracket collapsed", lam_low=lo, lam_high=hi, mass_low=m_lo, mass_high=m_hi)
     raise AssertionError(f"bisection did not converge in {max_iter} steps")
+
+
+def ref_pointwise_density(s, lam, profile):
+    """The allocating activation rule that the in-place one replaced."""
+    out = np.zeros_like(s)
+    active = s < lam
+    out[active] = profile(lam - s[active])
+    return out
+
+
+def ref_mass(s, lam, profile, volume):
+    active = s[: np.searchsorted(s, lam)]
+    return volume * float(np.sum(profile(lam - active)))
+
+
+def ref_newton_segment_root(active, lo, hi, rel, volume):
+    a = rel.cubic_coefficient
+    lam = lo
+    for _ in range(100):
+        rho = rel.active_density(lam - active)
+        slope = volume * float(np.sum(1.0 / (6.0 * a * rho - 2.0 * rel.i_w)))
+        nxt = min(lam + (1.0 - volume * float(np.sum(rho))) / slope, hi)
+        if not nxt > lam:
+            break
+        lam = nxt
+    return lam
+
+
+def ref_solve_unit_mass(s, profile, volume, tol, segment_root):
+    """The unit-mass solve over whole-prefix temporaries, kept as the oracle of the blocked one."""
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("potential samples must be finite")
+    t = np.sort(s)
+    lo, hi = 1, t.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ref_mass(t, t[mid], profile, volume) >= 1.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    lam_low = float(t[lo - 1])
+    lam_high = float(np.nextafter(lam_low, np.inf))
+    mass_low = ref_mass(t, lam_low, profile, volume)
+    mass_high = ref_mass(t, lam_high, profile, volume)
+    jump = mass_high >= 1.0
+    if jump:
+        lam = lam_low if 1.0 - mass_low <= mass_high - 1.0 else lam_high
+    elif lo == t.size:
+        raise ValidationError("unit mass needs every grid point occupied")
+    else:
+        lam = segment_root(t[:lo], lam_high, float(t[lo]))
+    values = ref_pointwise_density(s, lam, profile)
+    gap = abs(volume * float(np.sum(values)) - 1.0)
+    if gap <= tol:
+        return lam, values
+    if jump:
+        raise MassJumpError("jump", lam_low=lam_low, lam_high=lam_high, mass_low=mass_low, mass_high=mass_high)
+    raise ConvergenceError("segment")
 
 
 def dyadic_grid(d, m):
@@ -415,6 +478,99 @@ class TestExactMassSolve:
                 assert sol.mass_gap <= 1e-12
             else:
                 assert values[values > 0].min() >= rel.rho_jump
+
+
+class TestBlockedMassSolve:
+    """The blocked, in-place unit-mass solve against the allocating one it replaced."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        levels=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+        mirrored=st.booleans(),
+        scale=st.floats(0.01, 2.0),
+        i_w=st.floats(0.0, 3.0),
+        top_mass=st.floats(1.05, 40.0),
+        log_tol=st.floats(-13.0, -1.0),
+        block=st.sampled_from([1, 3, 8, 1 << 14]),
+    )
+    def test_matches_allocating_solve(self, d, levels, mirrored, scale, i_w, top_mass, log_tol, block):
+        # integer levels give ties; a mirrored copy gives symmetric pairs
+        s = scale * np.array(levels, dtype=float)
+        if mirrored:
+            s = np.concatenate([s, s[::-1]])
+        tol = 10.0**log_tol
+        if d == 1:
+            rel = RelaxedLocalEnergy(math.pi**2 / 3.0, i_w)
+            s -= rel.alpha
+            profile = rel.active_density
+        else:
+            kappa = 1.0 + i_w
+            profile = _ramp(kappa)
+        # the cell volume puts the mass with every point active at top_mass > 1,
+        # so unit mass falls on a segment or inside a jump below the top
+        everything = ref_mass(np.sort(s), float(np.nextafter(s.max(), np.inf)), profile, 1.0)
+        assume(everything > 0.0)
+        volume = top_mass / everything
+        if d == 1:
+            root = lambda active, lo, hi: _newton_segment_root(active, lo, hi, rel, volume)  # noqa: E731
+            ref_root = lambda active, lo, hi: ref_newton_segment_root(active, lo, hi, rel, volume)  # noqa: E731
+        else:
+            root = ref_root = lambda active, lo, hi: (2.0 * kappa / volume + float(np.sum(active))) / active.size  # noqa: E731
+
+        def outcome(solve, segment_root):
+            try:
+                return solve(s.copy(), profile, volume, tol, segment_root)
+            except (MassJumpError, ConvergenceError, ValidationError) as exc:
+                return exc
+
+        with patch.object(tf_solver, "SAMPLE_BLOCK_POINTS", block):
+            got = outcome(_solve_unit_mass, root)
+        want = outcome(ref_solve_unit_mass, ref_root)
+        assert type(got) is type(want)
+        if isinstance(want, MassJumpError):
+            assert (got.lam_low, got.lam_high) == (want.lam_low, want.lam_high)
+            assert got.mass_low == pytest.approx(want.mass_low, rel=1e-14)
+            assert got.mass_high == pytest.approx(want.mass_high, rel=1e-14)
+        elif isinstance(want, tuple):
+            (lam, values), (ref_lam, ref_values) = got, want
+            assert lam == pytest.approx(ref_lam, rel=1e-14)
+            assert np.max(np.abs(values - ref_values)) <= 1e-14 * np.max(ref_values)
+            assert np.array_equal(values > 0, ref_values > 0)
+
+
+class TestFootprint:
+    """A solve holds the thresholds and the density, plus O(block) scratch."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_minimize_2d(self, harmonic_2d):
+        grid = SpatialGrid(2, 2.5, 1024)
+        constants = TFConstants.paper_literal(2)
+        peak = self.traced_peak(
+            lambda: minimize_2d(harmonic_2d, constants, constants.c_tf - 4.0 * math.pi, grid, tol=1e-9)
+        )
+        assert peak <= 2.25 * 8 * grid.size
+
+    @pytest.mark.parametrize(
+        "rel, tol",
+        [
+            (RelaxedLocalEnergy(math.pi**2, 0.0), 1e-9),
+            (RelaxedLocalEnergy(math.pi**2 / 3.0, 2.0), 2e-3),
+        ],
+        ids=["free", "coupled"],
+    )
+    def test_minimize_1d_relaxed(self, harmonic_1d, rel, tol):
+        grid = SpatialGrid(1, 3.0, 1 << 20)
+        peak = self.traced_peak(lambda: minimize_1d_relaxed(harmonic_1d, rel, grid, tol=tol))
+        assert peak <= 2.5 * 8 * grid.size
 
 
 def _solution_shell(grid, values, lam, rel):
