@@ -341,6 +341,7 @@ def _cmd_oracle(args) -> int:
         apriori_diagnostics,
         free_fermion_energy,
         ground_state,
+        oracle_memory_bytes,
         reduced_densities,
     )
 
@@ -383,6 +384,8 @@ def _cmd_oracle(args) -> int:
         "n_particles": n_particles,
         "m_points": grid.points_per_axis,
         "basis_dim": ham.dim,
+        "nnz": ham.matrix.nnz,
+        "memory_estimate_mib": oracle_memory_bytes(grid.points_per_axis, n_particles) / 2**20,
         "occupations": [float(v) for v in sorted(red.occupations(), reverse=True)],
         "free_filling_energy": free_fermion_energy(ham),
         "kinetic_potential": apriori.kinetic_potential,

@@ -141,22 +141,23 @@ class SpatialGrid:
     def cell_volume(self) -> float:
         return self.spacing**self.d
 
-    def axis(self) -> Array:
-        h = self.spacing
-        return -self.half_width + h * (np.arange(self.points_per_axis) + 0.5)
+    def axis(self, start: int = 0, stop: int | None = None) -> Array:
+        """Cell centres ``start..stop-1`` along one axis (all of them by default)."""
+        stop = self.points_per_axis if stop is None else stop
+        return -self.half_width + self.spacing * (np.arange(start, stop) + 0.5)
 
-    def _rows(self, ax: Array, start: int, stop: int) -> Array:
+    def _rows(self, start: int, stop: int) -> Array:
         """Points of axis-0 rows ``start..stop-1``, flattened C-order, shape (rows * M^(d-1), d)."""
         if self.d == 1:
-            return ax[start:stop, None]
-        pts = np.empty((stop - start, ax.size, 2))
-        pts[:, :, 0] = ax[start:stop, None]
-        pts[:, :, 1] = ax
+            return self.axis(start, stop)[:, None]
+        pts = np.empty((stop - start, self.points_per_axis, 2))
+        pts[:, :, 0] = self.axis(start, stop)[:, None]
+        pts[:, :, 1] = self.axis()
         return pts.reshape(-1, 2)
 
     def points(self) -> Array:
         """All grid points, flattened C-order, shape (M^d, d)."""
-        return self._rows(self.axis(), 0, self.points_per_axis)
+        return self._rows(0, self.points_per_axis)
 
     def sample(self, fn: Callable[[Array], Array]) -> Array:
         """``fn(self.points())`` as a float array, evaluated over blocks of rows.
@@ -168,14 +169,13 @@ class SpatialGrid:
         ``SAMPLE_BLOCK_POINTS`` points, so the scratch stays O(block) beside
         the one output array.
         """
-        ax = self.axis()
         m = self.points_per_axis
         row_size = self.size // m
         rows = max(1, SAMPLE_BLOCK_POINTS // row_size)
         out = np.empty(self.size)
         for start in range(0, m, rows):
             stop = min(start + rows, m)
-            values = np.asarray(fn(self._rows(ax, start, stop)), dtype=float)
+            values = np.asarray(fn(self._rows(start, stop)), dtype=float)
             if values.shape != ((stop - start) * row_size,):
                 raise ValidationError("a pointwise evaluator must map (n, d) points to (n,) values")
             out[start * row_size : stop * row_size] = values

@@ -13,9 +13,13 @@ Row r of the occupation basis is the state c_0 < ... < c_(N-1) of colex rank
 r = sum_a C(c_a, a + 1), so a hop or a removed particle lands on a row given
 by a difference of binomials: no bit masks, no searches, and no limit on M
 but the memory cap (``oracle_memory_bytes`` against ``ORACLE_MEMORY_CAP``,
-checked before anything is allocated). The ground state comes from dense
+checked before anything is allocated). The Hamiltonian is written straight
+into its CSR arrays, one pass per hop slot, so the build holds O(dim) scratch
+beside the matrix and stays below the ARPACK phase, whose 410 + 25 N B per
+state is the estimate's one per-state term. The ground state comes from dense
 ``eigh`` up to ``DENSE_FALLBACK_DIM`` states and from ARPACK ``eigsh`` above,
-started from the free-fermion Slater determinant.
+started from the free-fermion Slater determinant, whose minors are expanded
+over the particles for N <= M/2 and over the holes above.
 """
 
 from __future__ import annotations
@@ -38,30 +42,30 @@ Array = np.ndarray
 DENSE_FALLBACK_DIM = 150
 # Traced peak of the oracle chain (the Hamiltonian build, ground_state,
 # reduced_densities, apriori_diagnostics), measured with tracemalloc for
-# N = 1..18 and M up to 4000: per basis state 120 + 85 N bytes while the
-# build holds its hop tables and 410 + 25 N while ARPACK holds its 20 Lanczos
-# vectors and the start vector; 8 B per entry of the C(M, N-1) x M hole
-# matrix; up to six M x M float arrays (pair coupling, gamma_1, rho_2 and
-# their temporaries). The start vector's Laplace level k holds its k x C(M, k)
-# subset table and a few C(M, k) vectors (at most 8 k + 64 B per subset)
-# beside the basis and matrix (48 + 24 N B per state); this exceeds the
-# ARPACK phase only for N > M/2, where the middle level outgrows the basis.
-# The dense path holds
-# the matrix, its eigenvectors and the LAPACK workspace (32 B per entry).
-# 64 KiB covers the small arrays of tiny bases. The cap admits about a
-# million states at N = 4.
+# N = 1..18 and M up to 2000: per basis state 410 + 25 N bytes while ARPACK
+# holds its Lanczos vectors, the start vector and the matrix (measured 440 to
+# 640 B); the build, which writes the CSR arrays directly, stays below that
+# (150 B per state at N = 3, 175 at N = 4, 320 at N = 18); 8 B per entry of
+# the C(M, N-1) x M hole matrix; up to six M x M float arrays (pair coupling,
+# gamma_1, rho_2 and their temporaries). The start vector's Laplace level k
+# holds its k x C(M, k) subset table and a few C(M, k) vectors (at most
+# 8 k + 64 B per subset) beside the basis and matrix (48 + 24 N B per state);
+# its levels stop at k = min(N, M - N), so none outgrows the basis. The dense
+# path holds the matrix, its eigenvectors and the LAPACK workspace (32 B per
+# entry). 64 KiB covers the small arrays of tiny bases. The cap admits about
+# a million states at N = 4.
 ORACLE_MEMORY_CAP = 1 << 29
 
 
 def oracle_memory_bytes(m: int, n: int) -> int:
     """Estimated peak bytes of the oracle chain at M sites and N particles."""
     dim = math.comb(m, n)
-    per_state = max(120 + 85 * n, 410 + 25 * n)
+    per_state = 410 + 25 * n
     if dim <= DENSE_FALLBACK_DIM:
         solve = dim * per_state + 32 * dim * dim
     else:
-        start = (48 + 24 * n) * dim + max((8 * k + 64) * math.comb(m, k) for k in range(1, n + 1))
-        solve = max(dim * per_state, start)
+        levels = max((8 * k + 64) * math.comb(m, k) for k in range(1, min(n, m - n) + 1))
+        solve = max(dim * per_state, (48 + 24 * n) * dim + levels)
     return solve + 8 * m * math.comb(m, n - 1) + 48 * m * m + (1 << 16)
 
 
@@ -157,12 +161,17 @@ class DiscreteHamiltonian:
     def dim(self) -> int:
         return self.occupations.shape[0]
 
+    @property
+    def hop(self) -> float:
+        """hbar^2 / h^2, the magnitude of every off-diagonal entry (each one is -hop)."""
+        return self.hbar**2 / self.grid.spacing**2
+
     def _build_matrix(self) -> sp.csr_matrix:
         m = self.grid.points_per_axis
         n = self.n_particles
         dim = self.dim
         occ = self.occupations
-        hop = self.hbar**2 / self.grid.spacing**2
+        hop = self.hop
         v = self.grid.sample(self.potential.evaluate)
 
         diag = v[occ].sum(axis=1) + 2.0 * hop * n
@@ -179,23 +188,36 @@ class DiscreteHamiltonian:
         # down hops from the top slot to slot 0, the diagonal, then the up hops
         # from slot 0. No site lies between c and c +- 1, so the Jordan-Wigner
         # sign is +1 and every hop is -hop.
-        slots = np.arange(n)
-        rows = np.arange(dim)[:, None]
-        below = np.column_stack([np.full(dim, -1), occ[:, :-1]])
-        above = np.column_stack([occ[:, 1:], np.full(dim, m)])
-        # entries of blocked hops are garbage (a site -1 reads row M) and dropped
-        cols = np.empty((dim, 2 * n + 1), dtype=np.int64)
-        valid = np.empty(cols.shape, dtype=bool)
-        cols[:, n - 1 :: -1] = rows - self.binomials[occ - 1, slots]
-        valid[:, n - 1 :: -1] = occ - 1 > below
-        cols[:, n] = rows[:, 0]
-        valid[:, n] = True
-        cols[:, n + 1 :] = rows + self.binomials[occ, slots]
-        valid[:, n + 1 :] = occ + 1 < above
-        data = np.full(cols.shape, -hop)
-        data[:, n] = diag
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(valid, axis=1))])
-        return sp.csr_matrix((data[valid], cols[valid], indptr), shape=(dim, dim))
+        # Gap b lies between slot b - 1 and slot b (slot -1 at site -1, slot N
+        # at site M); when it is wider than one site, slot b hops down into it
+        # and slot b - 1 up.
+        gaps = np.empty((n + 1, dim), dtype=bool)
+        np.greater(occ[:, 0], 0, out=gaps[0])
+        for b in range(1, n):
+            np.greater(occ[:, b] - occ[:, b - 1], 1, out=gaps[b])
+        np.less(occ[:, -1], m - 1, out=gaps[n])
+        count = 1 + gaps[0] + gaps[n] + 2 * gaps[1:n].sum(axis=0, dtype=np.int64)
+        nnz = int(count.sum())
+        index = np.int32 if nnz < 2**31 else np.int64  # scipy's choice for this nnz
+        indptr = np.zeros(dim + 1, dtype=index)
+        np.cumsum(count, out=indptr[1:])
+        del count
+        # count, then fill: each row's cursor walks its slots in column order
+        indices = np.empty(nnz, dtype=index)
+        data = np.full(nnz, -hop)
+        cursor = indptr[:-1].copy()
+        rows = np.arange(dim, dtype=index)
+        for a in range(n - 1, -1, -1):
+            # a blocked hop's target is garbage (a site -1 reads row M) and is masked out
+            indices[cursor[gaps[a]]] = (rows - self.binomials[occ[:, a] - 1, a])[gaps[a]]
+            cursor += gaps[a]
+        indices[cursor] = rows
+        data[cursor] = diag
+        cursor += 1
+        for a in range(n):
+            indices[cursor[gaps[a + 1]]] = (rows + self.binomials[occ[:, a], a])[gaps[a + 1]]
+            cursor += gaps[a + 1]
+        return sp.csr_matrix((data, indices, indptr), shape=(dim, dim), copy=False)
 
 
 @dataclass
@@ -249,6 +271,20 @@ def _laplace_level(minors: Array, binomials: Array, subsets: Array, column: Arra
     return level
 
 
+def _minors(binomials: Array, m: int, columns: Array, last: Array, subsets: Array) -> Array:
+    """det [columns | last] over the rows of each subset, level by level by Laplace expansion.
+
+    Level k = 1..len(columns) holds D_k[S] = det columns[S, :k] over the
+    colex-ranked k-subsets S of range(M), O(k C(M, k)) entries; the last
+    level expands the one below it along ``last`` over the rows of
+    ``subsets``, which are one site wider.
+    """
+    minors = np.ones(1)  # D_0: the empty determinant of the one empty subset
+    for k in range(1, columns.shape[1] + 1):
+        minors = _laplace_level(minors, binomials, _colex_subsets(binomials, m, k), columns[:, k - 1])
+    return _laplace_level(minors, binomials, subsets, last)
+
+
 def _slater_start(ham: DiscreteHamiltonian) -> Array:
     """Lanczos start vector: the free Slater determinant plus its lowest excitation.
 
@@ -256,21 +292,43 @@ def _slater_start(ham: DiscreteHamiltonian) -> Array:
     same with orbital N - 1 replaced by orbital N (none when N = M). For an
     even V the orbitals alternate in reflection parity, so s0 and s1 lie in
     opposite parity sectors and the sum overlaps a ground state in either.
-    Both have unit norm (Cauchy-Binet with orthonormal U). The minors
-    D_k[S] = det U[S, :k] are built level by level over the colex-ranked
-    k-subsets, k = 1..N, each by Laplace expansion of the previous level.
-    s1 reuses D_(N-1) with column N, and the expansion is linear in its
-    column, so s0 + s1 is one expansion with column N - 1 plus column N.
-    Level k holds O(k C(M, k)) entries.
+    Both have unit norm (Cauchy-Binet with orthonormal U). The minors are
+    expanded by ``_minors``, which is linear in its last column, so s0 + s1
+    is one expansion with orbital N - 1 plus orbital N as that column.
+
+    For N > M/2 the expansion runs over the complements instead, so no level
+    is wider than C(M, M - N). Complete U[:, :N+1] to an orthogonal Q (any
+    completion); by Jacobi's identity det Q[S, J] = (-1)^(sum S + sum J)
+    det Q det Q[S^c, J^c]. The complements of J = {0..N-1} and of
+    {0..N-2, N} share the columns N + 1..M - 1, taken first (a cyclic shift
+    of each, sign (-1)^(M - N - 1)), and s1's sum J is one larger, so s0 + s1
+    is one expansion with orbital N minus orbital N - 1 last. Complementing
+    reverses colex order, so S^c of row r has rank C(M, N) - 1 - r.
     """
     m, n = ham.grid.points_per_axis, ham.n_particles
     diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
     _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(n, m - 1)))
-    minors = np.ones(1)  # D_0: the empty determinant of the one empty subset
-    for k in range(1, n):
-        minors = _laplace_level(minors, ham.binomials, _colex_subsets(ham.binomials, m, k), u[:, k - 1])
-    column = u[:, n - 1] + u[:, n] if n < m else u[:, n - 1]
-    return _laplace_level(minors, ham.binomials, ham.occupations, column)
+    if 2 * n <= m:
+        return _minors(ham.binomials, m, u[:, : n - 1], u[:, n - 1] + u[:, n], ham.occupations)
+    if n == m:
+        return np.array([np.linalg.det(u)])
+    # any orthonormal completion of the N + 1 orbitals serves as Q
+    q = np.linalg.qr(u, mode="complete")[0]
+    q[:, : n + 1] = u
+    sign = np.linalg.slogdet(q)[0] * (-1) ** (n * (n - 1) // 2 + m - n - 1)
+    start = _minors(ham.binomials, m, q[:, n + 1 :], u[:, n] - u[:, n - 1], _colex_subsets(ham.binomials, m, m - n))
+    start = start[::-1] * sign
+    start[ham.occupations.sum(axis=1) % 2 == 1] *= -1.0
+    return start
+
+
+def _gershgorin_radii(ham: DiscreteHamiltonian) -> Array:
+    """sum_(j != i) |H_ij| per row, without a copy of the matrix.
+
+    Every row stores its diagonal and every off-diagonal entry is -hop, so
+    the radius of row i is hop times its stored entries less one.
+    """
+    return ham.hop * (np.diff(ham.matrix.indptr) - 1)
 
 
 def _ritz_bound(ham: DiscreteHamiltonian, v0: Array) -> float:
@@ -280,9 +338,8 @@ def _ritz_bound(ham: DiscreteHamiltonian, v0: Array) -> float:
     eigenvalue, which is at least the Gershgorin bound
     g = min_i (H_ii - sum_(j != i) |H_ij|).
     """
-    diag = ham.matrix.diagonal()
-    radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
-    return max(abs(expectation(ham, v0)), abs(float(np.min(diag - radii))))
+    g = float(np.min(ham.matrix.diagonal() - _gershgorin_radii(ham)))
+    return max(abs(expectation(ham, v0)), abs(g))
 
 
 def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> tuple[float, FermionState]:

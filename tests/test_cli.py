@@ -125,6 +125,26 @@ class TestOracleCommand:
         assert max(record["occupations"]) <= 1.0 + 1e-8
 
 
+    def test_record_carries_nnz_and_memory_estimate(self, tmp_path):
+        from fermigas.model import SpatialGrid, harmonic_potential
+        from fermigas.oracle import DiscreteHamiltonian, oracle_memory_bytes
+
+        out = tmp_path / "obs"
+        assert main(["oracle", "--N", "3", "--M", "24", "--out", str(out)]) == 0
+        with open(out / "oracle.json") as fh:
+            record = json.load(fh)
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, 24), harmonic_potential(1), 3)
+        assert record["nnz"] == ham.matrix.nnz
+        assert record["memory_estimate_mib"] == oracle_memory_bytes(24, 3) / 2**20
+        sweep = tmp_path / "sweep"
+        argv = ["sweep", "--subcommand", "oracle", "--param", "N", "--values", "3", "--args", "--M 24"]
+        assert main(argv + ["--out", str(sweep)]) == 0
+        header, row = (sweep / "sweep.csv").read_text().strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert float(fields["nnz"]) == ham.matrix.nnz
+        assert float(fields["memory_estimate_mib"]) == record["memory_estimate_mib"]
+
+
 class TestVlasovLift:
     def test_lift_consumes_density_csv(self, harmonic_1d_config, tmp_path):
         out = tmp_path / "tf"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermigas.errors import CapExceededError, ConvergenceError, ValidationError
@@ -24,6 +24,8 @@ from fermigas.oracle import (
     DENSE_FALLBACK_DIM,
     ORACLE_MEMORY_CAP,
     DiscreteHamiltonian,
+    _gershgorin_radii,
+    _ritz_bound,
     _slater_start,
     FermionState,
     apriori_diagnostics,
@@ -159,6 +161,64 @@ def determinant_start(ham):
     return sum(np.linalg.det(u[rows, cols]) for cols in picks)
 
 
+def table_matrix(ham):
+    """The Hamiltonian from (dim, 2N+1) column, value and mask tables, the build the CSR fill replaced."""
+    m, n, dim, occ = ham.grid.points_per_axis, ham.n_particles, ham.dim, ham.occupations
+    hop = ham.hbar**2 / ham.grid.spacing**2
+    v = ham.grid.sample(ham.potential.evaluate)
+    diag = v[occ].sum(axis=1) + 2.0 * hop * n
+    if ham.w_n is not None:
+        coupling = ham.w_n.pair_matrix(ham.grid)
+        for a in range(n):
+            for b in range(a + 1, n):
+                diag -= coupling[occ[:, a], occ[:, b]] / n
+    slots = np.arange(n)
+    rows = np.arange(dim)[:, None]
+    below = np.column_stack([np.full(dim, -1), occ[:, :-1]])
+    above = np.column_stack([occ[:, 1:], np.full(dim, m)])
+    cols = np.empty((dim, 2 * n + 1), dtype=np.int64)
+    valid = np.empty(cols.shape, dtype=bool)
+    cols[:, n - 1 :: -1] = rows - ham.binomials[occ - 1, slots]
+    valid[:, n - 1 :: -1] = occ - 1 > below
+    cols[:, n] = rows[:, 0]
+    valid[:, n] = True
+    cols[:, n + 1 :] = rows + ham.binomials[occ, slots]
+    valid[:, n + 1 :] = occ + 1 < above
+    data = np.full(cols.shape, -hop)
+    data[:, n] = diag
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(valid, axis=1))])
+    return sp.csr_matrix((data[valid], cols[valid], indptr), shape=(dim, dim))
+
+
+def abs_sum_ritz_bound(ham, v0):
+    """The Ritz bound with Gershgorin radii from a copy |H| of the matrix."""
+    diag = ham.matrix.diagonal()
+    radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
+    return max(abs(expectation(ham, v0)), abs(float(np.min(diag - radii))))
+
+
+def parent_estimate(m, n, levels_max):
+    """The estimate before the direct CSR build: two per-state terms, Laplace levels up to k = N."""
+    dim = math.comb(m, n)
+    per_state = max(120 + 85 * n, 410 + 25 * n)
+    if dim <= DENSE_FALLBACK_DIM:
+        solve = dim * per_state + 32 * dim * dim
+    else:
+        solve = max(dim * per_state, (48 + 24 * n) * dim + levels_max)
+    return solve + 8 * m * math.comb(m, n - 1) + 48 * m * m + (1 << 16)
+
+
+# M <= 40, N <= 6 and N = M, at most about 40k states per example
+BUILD_LARGEST_M = {1: 40, 2: 40, 3: 40, 4: 30, 5: 24, 6: 20}
+build_cases = st.tuples(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(max(n, 2), BUILD_LARGEST_M[n]), st.just(n))),
+    st.sampled_from(["harmonic", "quartic", "double_well"]),
+    st.sampled_from([None, "bump", "box"]),
+    st.floats(0.0, 50.0),
+    st.floats(0.2, 1.5),
+)
+
+
 def mirrored_rows(ham):
     """Row of each basis state under the reflection c -> M - 1 - c."""
     m, n = ham.grid.points_per_axis, ham.n_particles
@@ -228,9 +288,14 @@ class TestGroundState:
         for sign in (1.0, -1.0):
             assert np.linalg.norm(v0 + sign * reflected) >= 0.1 * np.linalg.norm(v0)
 
-    # N = 1, N = M, N > M/2 (the middle level outgrows the basis), and N < M/2
-    @pytest.mark.parametrize("m, n", [(9, 1), (200, 1), (7, 7), (12, 12), (12, 9), (16, 12), (14, 7), (24, 3), (40, 2)])
-    @pytest.mark.parametrize("trap", ["harmonic", "double_well"])
+    # N = 1, N = M, N > M/2 (complementary minors, N = M - 1 included), and N < M/2;
+    # the quartic and deep double-well spectra hold exactly degenerate pairs
+    @pytest.mark.parametrize(
+        "m, n",
+        [(9, 1), (200, 1), (7, 7), (12, 12), (12, 9), (16, 12), (14, 7), (24, 3), (40, 2),
+         (13, 6), (13, 7), (14, 8), (10, 9), (20, 15)],
+    )
+    @pytest.mark.parametrize("trap", ["harmonic", "double_well", "quartic", "deep_double_well"])
     def test_laplace_start_matches_determinants(self, trap, m, n):
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
         v0, ref = _slater_start(ham), determinant_start(ham)
@@ -296,6 +361,85 @@ class TestGroundState:
         assert expectation(ham, state.coefficients) == pytest.approx(energy, abs=1e-12)
 
 
+class TestDirectBuild:
+    """The CSR arrays are written directly; the table build is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=build_cases)
+    @example(case=((6, 6), "harmonic", "bump", 2.0, 1.0))
+    @example(case=((2, 2), "quartic", None, 0.0, 1.0))
+    @example(case=((40, 1), "double_well", "box", 2.0, 1.0))
+    @example(case=((20, 6), "double_well", "bump", 50.0, 0.2))
+    def test_matches_table_build(self, case):
+        (m, n), trap, kernel, height, radius = case
+        w_n = None
+        if kernel is not None:
+            w_n = scaled_interaction(KERNELS[kernel](1, beta=0.2, radius=radius, height=height), n)
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n, w_n=w_n)
+        ref = table_matrix(ham)
+        for key in ("indptr", "indices", "data"):
+            got, want = getattr(ham.matrix, key), getattr(ref, key)
+            assert got.dtype == want.dtype, key
+            assert np.array_equal(got, want), key
+        # the copy-free Gershgorin radii against those of |H|
+        radii = np.asarray(abs(ref).sum(axis=1)).ravel() - np.abs(ref.diagonal())
+        assert np.allclose(_gershgorin_radii(ham), radii, rtol=1e-12, atol=0.0)
+        v0 = np.random.default_rng(m * 7 + n).standard_normal(ham.dim)
+        assert _ritz_bound(ham, v0) == pytest.approx(abs_sum_ritz_bound(ham, v0), rel=1e-12)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_constructor_peak_per_state(self):
+        # the table build peaked at 444 B per state here, occupations included
+        grid = SpatialGrid(1, 2.5, 48)
+        peak = self.traced_peak(lambda: DiscreteHamiltonian(grid, POTENTIAL, 4, w_n=scaled_interaction(PROFILE, 4)))
+        assert peak <= 222 * math.comb(48, 4)
+
+    def test_ritz_bound_copies_no_matrix(self):
+        # |H| alone is the 19 MiB of the matrix's data and indices
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, 48), POTENTIAL, 4, w_n=scaled_interaction(PROFILE, 4))
+        v0 = _slater_start(ham)
+        assert self.traced_peak(lambda: _ritz_bound(ham, v0)) <= 8 << 20
+
+
+class TestNearlyFullLattices:
+    """N > M/2: the start expands complementary minors, so no Laplace level outgrows the basis."""
+
+    @pytest.mark.parametrize("m, n", [(24, 18), (40, 37)])
+    def test_constructs_and_passes_residual_gate(self, m, n):
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
+        assert ham.dim > DENSE_FALLBACK_DIM
+        energy, state = ground_state(ham)  # raises ConvergenceError above the residual gate
+        x = state.coefficients
+        assert np.linalg.norm(ham.matrix @ x - energy * x) <= 1e-9
+
+    @pytest.mark.parametrize("trap", ["harmonic", "quartic", "double_well"])
+    @pytest.mark.parametrize("m, n", [(12, 8), (14, 10)])
+    def test_eigsh_path_matches_dense_eigh(self, trap, m, n):
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n, w_n=scaled_interaction(PROFILE, n))
+        assert ham.dim > DENSE_FALLBACK_DIM and 2 * n > m
+        energy, _ = ground_state(ham)
+        assert energy == pytest.approx(np.linalg.eigvalsh(ham.matrix.toarray())[0], abs=1e-10)
+
+    def test_admits_every_pair_the_parent_estimate_admits(self):
+        for m in range(2, 200):
+            levels_max = 0
+            for n in range(1, m + 1):
+                levels_max = max(levels_max, (8 * n + 64) * math.comb(m, n))
+                if parent_estimate(m, n, levels_max) <= ORACLE_MEMORY_CAP:
+                    assert oracle_memory_bytes(m, n) <= ORACLE_MEMORY_CAP, (m, n)
+        for m, n in [(24, 18), (40, 37)]:
+            levels_max = max((8 * k + 64) * math.comb(m, k) for k in range(1, n + 1))
+            assert parent_estimate(m, n, levels_max) > ORACLE_MEMORY_CAP >= oracle_memory_bytes(m, n)
+
+
 class TestMemoryCap:
     @pytest.mark.parametrize("m, n", [(64, 5), (5000, 1)])  # basis-bound and M x M-bound
     def test_raises_before_allocating(self, m, n):
@@ -310,7 +454,7 @@ class TestMemoryCap:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("m, n", [(400, 1), (48, 3), (24, 5), (16, 12)])
+    @pytest.mark.parametrize("m, n", [(400, 1), (48, 3), (24, 5), (16, 12), (20, 15), (40, 37)])
     def test_estimate_bounds_traced_peak(self, m, n):
         grid = SpatialGrid(1, 2.5, m)
         tracemalloc.start()

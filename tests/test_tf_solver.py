@@ -572,6 +572,19 @@ class TestFootprint:
         peak = self.traced_peak(lambda: minimize_1d_relaxed(harmonic_1d, rel, grid, tol=tol))
         assert peak <= 2.5 * 8 * grid.size
 
+    def test_relaxation_equivalence_check(self, harmonic_1d):
+        grid = SpatialGrid(1, 3.0, 1 << 20)
+        rel = RelaxedLocalEnergy(math.pi**2 / 3.0, 2.0)
+        reports = []
+        peak = self.traced_peak(lambda: reports.append(relaxation_equivalence_check(harmonic_1d, rel, grid)))
+        assert peak <= 2.5 * 8 * grid.size
+        # the grid-sized evaluation that the sliced sums replaced
+        rho = minimize_1d_relaxed(harmonic_1d, rel, grid, tol=1e-6).rho
+        v = grid.sample(harmonic_1d.evaluate)
+        ref = grid.integrate(rel.relaxed_local_energy(rho.values)) + grid.integrate(v * rho.values) - rel.alpha * rho.mass
+        assert reports[0].passed
+        assert reports[0].relaxed_minimum == pytest.approx(ref, rel=1e-12)
+
 
 def _solution_shell(grid, values, lam, rel):
     from fermigas.tf_solver import EnergyBreakdown, TFSolution
