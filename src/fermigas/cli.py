@@ -152,7 +152,6 @@ def _cmd_constants_audit(args) -> int:
 def _cmd_tf_minimize(args) -> int:
     from .tf_solver import (
         RelaxedLocalEnergy,
-        el_residual,
         minimize_1d_relaxed,
         minimize_2d,
         relaxed_energy,
@@ -167,7 +166,6 @@ def _cmd_tf_minimize(args) -> int:
         rel = RelaxedLocalEnergy(cfg.constants.c_tf, i_w)
         sol = minimize_1d_relaxed(cfg.potential, rel, cfg.grid, tol=args.tol)
         relaxation = relaxed_energy(sol.rho, cfg.potential, rel)
-    supp_res, comp_min = el_residual(sol, cfg.potential)
     record = {
         "lambda": sol.lam,
         "energy": {
@@ -176,8 +174,8 @@ def _cmd_tf_minimize(args) -> int:
             "interaction_term": sol.energy.interaction_term,
             "total": sol.energy.total,
         },
-        "el_residual": supp_res,
-        "el_complement_min": comp_min,
+        "el_residual": sol.el_residual,
+        "el_complement_min": sol.el_complement_min,
         "mass_gap": sol.mass_gap,
         "support_interior_min": sol.support_interior_min,
         "relaxed_energy": relaxation,

@@ -777,6 +777,13 @@ def decay_fit(n_values, frequencies, epsilon: float, delta: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_pair_energy(x: Array, weights: Array, w_n: ScaledInteraction) -> float:
+    """sum_(i, j) w_N(x_i - x_j) m_i m_j over the ordered pairs of atoms, the diagonal included."""
+    diffs = x[:, None, :] - x[None, :, :]
+    kernel = np.asarray(w_n.evaluate(diffs.reshape(-1, x.shape[1])), dtype=float)
+    return float(weights @ kernel.reshape(len(weights), len(weights)) @ weights)
+
+
 def measure_energy(
     points: Array,
     weights: Array,
@@ -795,10 +802,7 @@ def measure_energy(
     one_body = float(np.sum(w * (np.sum(p**2, axis=1) + potential.evaluate(x))))
     if w_n is None or pts.shape[0] == 0:
         return one_body
-    diffs = x[:, None, :] - x[None, :, :]
-    kernel = np.asarray(w_n.evaluate(diffs.reshape(-1, d)), dtype=float).reshape(len(w), len(w))
-    two_body = float(w @ kernel @ w)
-    return one_body - two_body
+    return one_body - _kernel_pair_energy(x, w, w_n)
 
 
 def averaged_measure_energy(
@@ -819,7 +823,6 @@ def averaged_measure_energy(
     if len(masses) == 0:
         return 0.0
     # closed-form mean of p^2 over a centered interval of side l_p per axis
-    kin_per_axis = []
     total_kin = 0.0
     pot = 0.0
     for center, mass in zip(centers, masses):
@@ -837,9 +840,7 @@ def averaged_measure_energy(
     one_body = total_kin + pot
     if w_n is None:
         return one_body
-    diffs = centers[:, None, :d] - centers[None, :, :d]
-    kernel = np.asarray(w_n.evaluate(diffs.reshape(-1, d)), dtype=float).reshape(len(masses), len(masses))
-    return one_body - float(masses @ kernel @ masses)
+    return one_body - _kernel_pair_energy(centers[:, :d], masses, w_n)
 
 
 @dataclass

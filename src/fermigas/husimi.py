@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridResolutionError, HypothesisViolationError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TrapPotential, _mollifier, _one_body_diagonals
+from .model import ScaledInteraction, SpatialGrid, TrapPotential, _mollifier, _one_body_diagonals, _one_body_traces
 from .vlasov import PhaseSpaceDensity, brillouin_momentum_grid
 
 Array = np.ndarray
@@ -190,9 +190,9 @@ def slater_operator(orbitals: Array, grid: SpatialGrid) -> OneBodyOperator:
 def lowest_orbitals(grid: SpatialGrid, potential: TrapPotential, n: int, hbar: float) -> Array:
     """Columns = N lowest eigenvectors of the lattice one-body Hamiltonian.
 
-    The Hamiltonian (``oracle.one_body_matrix``: 3-point -hbar^2 Laplacian
-    plus diagonal V) is tridiagonal, so only the N wanted eigenpairs are
-    computed, by bisection and inverse iteration on its two diagonals.
+    The Hamiltonian (3-point -hbar^2 Laplacian plus diagonal V) is
+    tridiagonal, so only the N wanted eigenpairs are computed, by bisection
+    and inverse iteration on its two diagonals.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -389,28 +389,6 @@ def _husimi_state(state, family: CoherentFamily, samples: Array, k: int) -> Arra
     return out
 
 
-def husimi(source, family: CoherentFamily, k: int = 1, samples: Array | None = None):
-    """Husimi function of an operator or state.
-
-    With ``samples=None`` and k=1 returns the full grid table; otherwise the
-    values at the given samples.
-    """
-    from .oracle import FermionState
-
-    if isinstance(source, FermionState) and k > source.n_particles:
-        raise ValidationError(f"k={k} exceeds N={source.n_particles}")
-    if samples is None:
-        if k != 1:
-            raise ValidationError("full tables are only built for k = 1")
-        if isinstance(source, FermionState):
-            from .oracle import reduced_densities
-
-            gamma = OneBodyOperator(source.ham.grid, reduced_densities(source).gamma1)
-            return husimi_grid_table(gamma, family)
-        return husimi_grid_table(source, family)
-    return husimi_at_samples(source, family, np.asarray(samples, dtype=float), k=k)
-
-
 # ---------------------------------------------------------------------------
 # Frame identities and the measure -> operator construction
 # ---------------------------------------------------------------------------
@@ -553,26 +531,16 @@ def hartree_energy(
 ) -> dict:
     """hbar^2 tr(-Lap gamma) + tr(V gamma) - N^-1 * double integral (w_N * rho) rho.
 
-    The Laplacian is the fixed 3-point lattice stencil; the interaction is a
-    direct double quadrature of the scaled kernel against the operator's
-    spatial density.
+    The Laplacian is the fixed 3-point lattice stencil; the interaction is
+    the mean-field pair sum of the scaled kernel (``density_pair_sum``) over
+    the operator's site occupations.
     """
-    grid = gamma.grid
-    hbar = float(n_particles) ** -1.0
-    h = grid.spacing
-    b = gamma.matrix
-    hop = hbar**2 / h**2
-    diag = np.real(np.diag(b))
-    off = np.real(np.diag(b, 1))
-    kinetic = hop * (2.0 * diag.sum() - 2.0 * off.sum())
-    v = grid.sample(potential.evaluate)
-    pot = float(v @ diag)
+    kinetic, pot = _one_body_traces(gamma.grid, potential, float(n_particles) ** -1.0, gamma.matrix)
     inter = 0.0
     if w_n is not None:
-        rho = diag / h
-        inter = -float(rho @ w_n.pair_matrix(grid) @ rho) * h * h / n_particles
+        inter = -w_n.density_pair_sum(gamma.grid, np.real(np.diag(gamma.matrix))) / n_particles
     return {
-        "kinetic_term": float(kinetic),
+        "kinetic_term": kinetic,
         "potential_term": pot,
         "interaction_term": float(inter),
         "total": float(kinetic + pot + inter),

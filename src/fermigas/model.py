@@ -308,6 +308,19 @@ def _one_body_diagonals(grid: SpatialGrid, potential: TrapPotential, hbar: float
     return diag, np.full(grid.points_per_axis - 1, -t)
 
 
+def _one_body_traces(grid: SpatialGrid, potential: TrapPotential, hbar: float, gamma: Array) -> tuple[float, float]:
+    """(tr(T gamma), tr(V gamma)) for the 3-point -hbar^2 Laplacian T and diagonal V.
+
+    Both are tridiagonal, so only gamma's diagonal and first off-diagonal are
+    read; gamma is taken Hermitian, its upper off-diagonal standing for both.
+    """
+    hop = hbar**2 / grid.spacing**2
+    diag = np.real(np.diag(gamma))
+    off = np.real(np.diag(gamma, 1))
+    kinetic = hop * (2.0 * diag.sum() - 2.0 * off.sum())
+    return float(kinetic), float(grid.sample(potential.evaluate) @ diag)
+
+
 class BetaRange(str, Enum):
     THEOREM = "theorem"
     UPPER_BOUND_ONLY = "upper_bound_only"
@@ -417,11 +430,43 @@ class ScaledInteraction:
     def evaluate(self, points: Array) -> Array:
         return self.amplitude * self.profile.evaluate(np.asarray(points) * self.length_factor)
 
-    def pair_matrix(self, grid: SpatialGrid) -> Array:
-        """w_N(|x_i - x_j|) over the sites of a 1D grid, diagonal included."""
-        m = grid.points_per_axis
-        table = np.asarray(self.evaluate((np.arange(m) * grid.spacing)[:, None]), dtype=float)
-        return table[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
+    def lag_table(self, grid: SpatialGrid) -> Array:
+        """w_N(d h) for the lags d = 0..M-1 of a 1D grid."""
+        return np.asarray(self.evaluate((np.arange(grid.points_per_axis) * grid.spacing)[:, None]), dtype=float)
+
+    def matrix_pair_sum(self, grid: SpatialGrid, pairs: Array) -> float:
+        """sum_(i, j) w_N(x_i - x_j) P_ij of an M x M array P on a 1D grid.
+
+        Read off the diagonals of P: lag d contributes w_N(|d| h) times the
+        trace of P's d-th diagonal, for the lags where w_N is nonzero.
+        """
+        table = self.lag_table(grid)
+        m = table.size
+        return float(sum(table[abs(d)] * np.trace(pairs, d) for d in range(1 - m, m) if table[abs(d)]))
+
+    def density_pair_sum(self, grid: SpatialGrid, values: Array) -> float:
+        """sum_(x, y) w_N(x - y) a(x) a(y) over the sites of a 1D or 2D grid.
+
+        The mean-field pair energy -double integral w_N rho rho is minus this
+        sum over the cell masses a = rho h^d; in the local limit it tends to
+        -I_w integral rho^2, twice the lattice side's -N^-1 sum_(j<k) w_N.
+        The sum runs over the site offsets o with |o h| within the support
+        and w_N(o h) nonzero, one shifted product of ``values`` per offset.
+        """
+        h, shape = grid.spacing, grid.shape
+        reach = min(int(math.floor(self.support_radius / h)) + 1, grid.points_per_axis - 1)
+        axis = np.arange(-reach, reach + 1)
+        offsets = np.stack(np.meshgrid(*[axis] * grid.d, indexing="ij"), axis=-1).reshape(-1, grid.d)
+        offsets = offsets[np.linalg.norm(offsets * h, axis=1) <= self.support_radius]
+        weights = np.asarray(self.evaluate(offsets * h), dtype=float)
+        a = np.asarray(values, dtype=float).reshape(shape)
+        total = 0.0
+        for o, w in zip(offsets[weights != 0.0], weights[weights != 0.0]):
+            # y over `low`, x = y + o over `high`
+            low = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(o, shape))
+            high = tuple(slice(max(0, k), n + min(0, k)) for k, n in zip(o, shape))
+            total += w * float(np.vdot(a[low], a[high]))
+        return total
 
     def integral_quadrature(self, points_per_axis: int = 4096) -> float:
         """Integral of the scaled kernel on a support-adapted grid."""

@@ -33,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapExceededError, ConvergenceError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TrapPotential, _one_body_diagonals
+from .model import ScaledInteraction, SpatialGrid, TrapPotential, _one_body_diagonals, _one_body_traces
 
 Array = np.ndarray
 
@@ -46,8 +46,11 @@ DENSE_FALLBACK_DIM = 150
 # holds its Lanczos vectors, the start vector and the matrix (measured 440 to
 # 640 B); the build, which writes the CSR arrays directly, stays below that
 # (150 B per state at N = 3, 175 at N = 4, 320 at N = 18); 8 B per entry of
-# the C(M, N-1) x M hole matrix; up to six M x M float arrays (pair coupling,
-# gamma_1, rho_2 and their temporaries). The start vector's Laplace level k
+# the C(M, N-1) x M hole matrix; 48 B per M^2 for the M x M float arrays of
+# reduced_densities (gamma_1, rho_2 and their temporaries), which peak at
+# 24 M^2 B (measured at N = 1, M = 500..2000). The coefficient stays at 48:
+# a lower one would admit N = 1 grids of M ~ 3300-4600, which fail the
+# absolute residual gate of ground_state. The start vector's Laplace level k
 # holds its k x C(M, k) subset table and a few C(M, k) vectors (at most
 # 8 k + 64 B per subset) beside the basis and matrix (48 + 24 N B per state);
 # its levels stop at k = min(N, M - N), so none outgrows the basis. The dense
@@ -67,16 +70,6 @@ def oracle_memory_bytes(m: int, n: int) -> int:
         levels = max((8 * k + 64) * math.comb(m, k) for k in range(1, min(n, m - n) + 1))
         solve = max(dim * per_state, (48 + 24 * n) * dim + levels)
     return solve + 8 * m * math.comb(m, n - 1) + 48 * m * m + (1 << 16)
-
-
-def one_body_matrix(grid: SpatialGrid, potential: TrapPotential, hbar: float) -> Array:
-    """Dense one-body matrix: 3-point -hbar^2*Laplacian plus diagonal V."""
-    diag, off = _one_body_diagonals(grid, potential, hbar)
-    mat = np.diag(diag)
-    idx = np.arange(off.size)
-    mat[idx, idx + 1] = off
-    mat[idx + 1, idx] = off
-    return mat
 
 
 def _colex_binomials(m: int, n: int) -> Array:
@@ -118,6 +111,21 @@ def _removal_ranks(binomials: Array, subsets: Array):
         above -= binomials[c, a]
         yield a, below + above
         below += binomials[c, a + 1]
+
+
+def _pair_terms(ham: DiscreteHamiltonian):
+    """Yield w_N(x_b - x_a) / N per basis state, one array for each slot pair a < b.
+
+    Their sum is the lattice side's pair energy N^-1 sum_(j<k) w_N(x_j - x_k),
+    which the Hamiltonian subtracts on its diagonal; the mean-field side's
+    ``density_pair_sum`` counts every pair twice. Slot b lies above slot a,
+    so the lag is c_b - c_a, read from the 1D lag table.
+    """
+    n, occ = ham.n_particles, ham.occupations
+    table = ham.w_n.lag_table(ham.grid)
+    for a in range(n):
+        for b in range(a + 1, n):
+            yield table[occ[:, b] - occ[:, a]] / n
 
 
 @dataclass
@@ -176,10 +184,9 @@ class DiscreteHamiltonian:
 
         diag = v[occ].sum(axis=1) + 2.0 * hop * n
         if self.w_n is not None:
-            coupling = self.w_n.pair_matrix(self.grid)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    diag -= coupling[occ[:, a], occ[:, b]] / n
+            for term in _pair_terms(self):
+                diag -= term
+                del term  # freed before the next term is built
 
         # Slot a hops from c to c + 1 unless c + 1 is the next slot's site or
         # the wall, and to c - 1 unless that is the previous slot's site. The
@@ -447,8 +454,9 @@ def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
     """Exact lattice energy of the Slater determinant of orthonormal orbitals.
 
     Wick's rule gives <n_i n_j> = nu_i nu_j - |G_ij|^2 for the
-    density-density interaction; the one-body part is the orbital trace of
-    the lattice kinetic-plus-potential matrix.
+    density-density interaction, of which the lattice pair energy is half
+    the ``matrix_pair_sum`` over N; the one-body part is tr(T G) + tr(V G),
+    read from G's two inner diagonals.
     """
     n = ham.n_particles
     if orbitals.shape != (ham.grid.points_per_axis, n):
@@ -456,17 +464,14 @@ def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
     overlap = orbitals.T.conj() @ orbitals
     if not np.allclose(overlap, np.eye(n), atol=1e-8):
         raise ValidationError("orbitals must be orthonormal in the plain lattice product")
-    t_mat = one_body_matrix(ham.grid, ham.potential, ham.hbar)
-    e_one = float(np.real(np.einsum("ia,ij,ja->", orbitals.conj(), t_mat, orbitals)))
-    if ham.w_n is None:
-        return e_one
     g = orbitals @ orbitals.T.conj()
+    kinetic, pot = _one_body_traces(ham.grid, ham.potential, ham.hbar, g)
+    if ham.w_n is None:
+        return kinetic + pot
     nu = np.real(np.diag(g))
-    # the i = j terms of the two sums cancel (g_ii = nu_i), so no self-interaction
-    coupling = ham.w_n.pair_matrix(ham.grid)
-    direct = 0.5 * float(nu @ coupling @ nu)
-    exchange = 0.5 * float(np.sum(coupling * np.abs(g) ** 2))
-    return e_one - (direct - exchange) / n
+    # the diagonal nu_i^2 - |g_ii|^2 vanishes, so no self-interaction
+    pairs = np.outer(nu, nu) - np.abs(g) ** 2
+    return kinetic + pot - 0.5 * ham.w_n.matrix_pair_sum(ham.grid, pairs) / n
 
 
 @dataclass
@@ -523,8 +528,9 @@ class AprioriReport:
 def apriori_diagnostics(state: FermionState) -> AprioriReport:
     """Kinetic+potential expectation and the two-body interaction integral.
 
-    The interaction integral is N^-1 <sum_{j<k} w_N(x_j - x_k)>, from the
-    pair density; the kinetic+potential part tr(T gamma_1) is <H> plus it.
+    The interaction integral is N^-1 <sum_{j<k} w_N(x_j - x_k)>, summed
+    state by state over ``_pair_terms``; the kinetic+potential part
+    tr(T gamma_1) is <H> plus it.
     Reported next to the reference growth scales N^(1+beta*d/2) and
     N^(1+beta*d^2/(2(d+2))); purely diagnostic, nothing is asserted.
     """
@@ -534,9 +540,8 @@ def apriori_diagnostics(state: FermionState) -> AprioriReport:
         inter = 0.0
         beta = 0.0
     else:
-        _, pair = _site_and_pair_occupations(state)
-        # the pair occupation vanishes on the diagonal, so the self-coupling drops out
-        inter = 0.5 * float(np.sum(ham.w_n.pair_matrix(ham.grid) * pair)) / n
+        w2 = state.coefficients**2
+        inter = sum((float(w2 @ term) for term in _pair_terms(ham)), 0.0)
         beta = ham.w_n.profile.beta
     return AprioriReport(
         n_particles=n,

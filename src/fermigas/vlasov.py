@@ -177,49 +177,6 @@ class VlasovReport:
         return self.kinetic_term + self.potential_term + self.interaction_term
 
 
-def interaction_quadrature(rho: DensityField, w_n: ScaledInteraction) -> float:
-    """Double integral of w_N(x - y) rho(x) rho(y), restricted to the kernel support.
-
-    Direct double quadrature over offsets |x - y| <= support radius; the
-    support shrinks with N so the offset window stays small.
-    """
-    grid = rho.grid
-    h = grid.spacing
-    reach = int(math.floor(w_n.support_radius / h)) + 1
-    if grid.d == 1:
-        vals = rho.values
-        total = 0.0
-        for m in range(-reach, reach + 1):
-            off = m * h
-            if abs(off) > w_n.support_radius:
-                continue
-            w = float(w_n.evaluate(np.array([[off]]))[0])
-            if w == 0.0:
-                continue
-            if m >= 0:
-                overlap = vals[: grid.size - m] @ vals[m:]
-            else:
-                overlap = vals[-m:] @ vals[: grid.size + m]
-            total += w * overlap
-        return total * h * h
-    vals = rho.values.reshape(grid.shape)
-    total = 0.0
-    for mx in range(-reach, reach + 1):
-        for my in range(-reach, reach + 1):
-            off = np.array([[mx * h, my * h]])
-            if np.linalg.norm(off) > w_n.support_radius:
-                continue
-            w = float(w_n.evaluate(off)[0])
-            if w == 0.0:
-                continue
-            sx = slice(max(0, mx), grid.shape[0] + min(0, mx))
-            sx0 = slice(max(0, -mx), grid.shape[0] + min(0, -mx))
-            sy = slice(max(0, my), grid.shape[1] + min(0, my))
-            sy0 = slice(max(0, -my), grid.shape[1] + min(0, -my))
-            total += w * float(np.sum(vals[sx0, sy0] * vals[sx, sy]))
-    return total * grid.cell_volume**2
-
-
 def vlasov_energy(
     m: PhaseSpaceDensity,
     potential: TrapPotential,
@@ -229,9 +186,9 @@ def vlasov_energy(
     """Phase-space energy of m, in singular or short-range mode.
 
     Singular mode (``w_n is None``) uses ``i_w * integral(rho_m^2)`` for the
-    interaction; short-range mode evaluates the w_N double integral, which
-    by Young's inequality never exceeds the singular value for nonnegative
-    densities.
+    interaction; short-range mode evaluates the w_N double integral as
+    ``density_pair_sum`` over the cells, which by Young's inequality never
+    exceeds the singular value for nonnegative densities.
     """
     rho_m = DensityField(m.grid, np.clip(m.spatial_density(), 0.0, None))
     v = m.grid.sample(potential.evaluate)
@@ -241,7 +198,7 @@ def vlasov_energy(
         inter = -i_w * rho_m.power_integral(2.0)
         mode = "singular"
     else:
-        inter = -interaction_quadrature(rho_m, w_n)
+        inter = -w_n.density_pair_sum(m.grid, rho_m.values) * m.grid.cell_volume**2
         mode = f"scaled_n={w_n.n_particles}"
     return VlasovReport(kinetic, pot, inter, m.normalization(), mode)
 

@@ -1,0 +1,59 @@
+"""What the benchmark under ``bench/`` calls in the package.
+
+The benchmark wraps the functions named in ``bench/spans.py`` ``TRACED`` and
+calls a few of them with fixed signatures from ``bench/workloads.py``; a
+rename or deletion here would otherwise surface only as a failed benchmark
+run. ``bench/spans.py`` is loaded read-only, by path.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fermigas.husimi import OneBodyOperator, hartree_energy
+from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
+from fermigas.oracle import DiscreteHamiltonian, ground_state
+
+
+def load_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    previous, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache file under bench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = previous
+    return module
+
+
+TRACED = load_spans().TRACED
+
+
+@pytest.mark.parametrize(
+    "layer, name", [(layer, name) for layer, names in sorted(TRACED.items()) for name in names]
+)
+def test_traced_function_exists(layer, name):
+    module = importlib.import_module(f"fermigas.{layer}")
+    assert callable(getattr(module, name, None)), f"fermigas.{layer}.{name}"
+
+
+def test_hamiltonian_build_runs_in_post_init():
+    assert callable(DiscreteHamiltonian.__dict__.get("__post_init__"))
+
+
+def test_ground_state_accepts_seed():
+    assert "seed" in inspect.signature(ground_state).parameters
+
+
+def test_hartree_energy_returns_its_four_terms():
+    grid = SpatialGrid(1, 2.5, 16)
+    gamma = OneBodyOperator(grid, np.eye(grid.size) / grid.size)
+    w_n = scaled_interaction(bump_profile(1, beta=0.2), 2)
+    out = hartree_energy(gamma, harmonic_potential(1), w_n, 2)
+    assert set(out) == {"kinetic_term", "potential_term", "interaction_term", "total"}

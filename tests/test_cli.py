@@ -74,6 +74,24 @@ class TestTFMinimize:
         for name in ("solution.json", "density.csv"):
             assert sha(out1 / name) == sha(out2 / name)
 
+    @pytest.mark.parametrize("config", ["harmonic_2d_config", "harmonic_1d_config"])
+    def test_certificates_match_el_residual(self, config, request, tmp_path):
+        # the record carries the solver's certificates, which el_residual recomputes
+        from fermigas.model import load_config
+        from fermigas.tf_solver import RelaxedLocalEnergy, el_residual, minimize_1d_relaxed, minimize_2d
+
+        path = request.getfixturevalue(config)
+        assert main(["tf-minimize", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "solution.json") as fh:
+            solution = json.load(fh)
+        cfg = load_config(path)
+        i_w = cfg.interaction.i_w if cfg.interaction is not None else 0.0
+        if cfg.d == 2:
+            sol = minimize_2d(cfg.potential, cfg.constants, i_w, cfg.grid, tol=1e-6)
+        else:
+            sol = minimize_1d_relaxed(cfg.potential, RelaxedLocalEnergy(cfg.constants.c_tf, i_w), cfg.grid, tol=1e-6)
+        assert (solution["el_residual"], solution["el_complement_min"]) == el_residual(sol, cfg.potential)
+
     def test_d3_config_exits_2_citing_dimension(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json", {"d": 3, "potential": {"family": "harmonic"}})
         assert main(["tf-minimize", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -237,7 +237,7 @@ class TestTVBound:
 
     def test_husimi_weights_law(self):
         # symmetric 3-body Husimi weights over a small tiling, float path
-        from fermigas.husimi import CoherentFamily, husimi
+        from fermigas.husimi import CoherentFamily, husimi_at_samples
         from fermigas.oracle import DiscreteHamiltonian, ground_state
 
         grid = SpatialGrid(1, 2.5, 30)
@@ -251,7 +251,7 @@ class TestTVBound:
         for config in product(range(s), repeat=3):
             z = np.concatenate([centers[list(config)]], axis=0)[:, [0, 1]].reshape(-1)
             samples = z[None, :]
-            tensor[config] = husimi(state, family, k=3, samples=samples)[0]
+            tensor[config] = husimi_at_samples(state, family, samples, k=3)[0]
         tensor /= tensor.sum()
         law = FiniteExchangeableLaw.from_tensor(tensor)
         report = tv_bound_check(law, 2)
@@ -650,7 +650,7 @@ class TestRestrictionDefects:
         # empirical configuration drawn from the oracle ground state's
         # symmetrized Husimi weights on a coarse tiling
         from fermigas.df_measures import exchangeable_law_sampler
-        from fermigas.husimi import CoherentFamily, husimi
+        from fermigas.husimi import CoherentFamily, husimi_at_samples
         from fermigas.oracle import DiscreteHamiltonian, ground_state
 
         grid = SpatialGrid(1, 2.5, 30)
@@ -663,7 +663,7 @@ class TestRestrictionDefects:
         tensor = np.zeros((s_states,) * 3)
         for config in product(range(s_states), repeat=3):
             z = centers[list(config)].reshape(-1)
-            tensor[config] = husimi(state, family, k=3, samples=z[None, :])[0]
+            tensor[config] = husimi_at_samples(state, family, z[None, :], k=3)[0]
         tensor /= tensor.sum()
         law = FiniteExchangeableLaw.from_tensor(tensor)
         sampler = exchangeable_law_sampler(law, base)

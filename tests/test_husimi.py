@@ -10,6 +10,7 @@ from fermigas.errors import GridResolutionError, HypothesisViolationError, Valid
 from fermigas.model import (
     SpatialGrid,
     TFConstants,
+    _one_body_diagonals,
     bump_profile,
     double_well_potential,
     harmonic_potential,
@@ -26,7 +27,6 @@ from fermigas.husimi import (
     frame_apply,
     gamma_from_measure,
     hartree_energy,
-    husimi,
     husimi_at_samples,
     husimi_grid_table,
     lowest_orbitals,
@@ -36,7 +36,6 @@ from fermigas.husimi import (
     slater_operator,
     smearing_errors,
 )
-from fermigas.oracle import one_body_matrix
 from fermigas.tf_solver import RelaxedLocalEnergy, minimize_1d_relaxed, sample_minimizer
 from fermigas.vlasov import PhaseSpaceDensity, bathtub_lift, brillouin_momentum_grid, vlasov_energy
 
@@ -150,12 +149,12 @@ class TestHusimiTables:
         )
         zs[:, 2] = zs[:, 0]
         zs[:, 3] = zs[:, 1]
-        vals = husimi(gamma, family, k=2, samples=zs)
+        vals = husimi_at_samples(gamma, family, zs, k=2)
         assert np.all(np.abs(vals) <= 1e-10)
 
     def test_k2_slater_positive_off_diagonal(self, setup):
         _, _, family, gamma = setup
-        vals = husimi(gamma, family, k=2, samples=np.array([[-0.8, 0.5, 0.8, -0.5]]))
+        vals = husimi_at_samples(gamma, family, np.array([[-0.8, 0.5, 0.8, -0.5]]), k=2)
         assert vals[0] > 0.0
 
 
@@ -481,7 +480,8 @@ class TestLowestOrbitals:
     def test_matches_dense_eigh(self, trap, m):
         grid, potential, n, hbar = SpatialGrid(1, 2.2, m), TRAPS[trap], N_PARTICLES, 1.0 / N_PARTICLES
         u = lowest_orbitals(grid, potential, n, hbar)
-        t_mat = one_body_matrix(grid, potential, hbar)
+        diag, off = _one_body_diagonals(grid, potential, hbar)
+        t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         energies, vecs = np.linalg.eigh(t_mat)
         dense = vecs[:, :n]
         assert np.max(np.abs(u @ u.T - dense @ dense.T)) <= 1e-12
@@ -610,6 +610,21 @@ class TestHartree:
             tr1 = float(np.trace(gamma))
             assert 0.0 <= tr2 <= tr1 + 1e-10
 
+    def test_interaction_forms_no_pair_array_at_m4096(self):
+        # the dense M x M coupling and its index array were 256 MiB here
+        n = 128
+        grid, potential = SpatialGrid(1, 2.5, 4096), harmonic_potential(1)
+        gamma = slater_operator(lowest_orbitals(grid, potential, n, 1.0 / n), grid)
+        w_n = scaled_interaction(bump_profile(1, beta=0.2, radius=1.0, height=2.0), n)
+        tracemalloc.start()
+        try:
+            out = hartree_energy(gamma, potential, w_n, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["interaction_term"] < 0.0
+        assert peak <= 8 << 20
+
     def test_hartree_tracks_n_vlasov_energy(self, harmonic_1d):
         # |E^H[gamma^h]/N - E^V_N[m]| shrinks along N = 8, 16, 32
         constants = TFConstants.bathtub_consistent(1)
@@ -701,20 +716,12 @@ class TestStateHusimi:
         samples = np.array(
             [[-0.5, 0.4, 0.6, -0.3], [0.0, 1.0, 0.2, -1.0], [0.3, 0.0, -0.3, 0.0]]
         )
-        direct = husimi(state, family, k=2, samples=samples)
-        wick = husimi(gamma, family, k=2, samples=samples)
+        direct = husimi_at_samples(state, family, samples, k=2)
+        wick = husimi_at_samples(gamma, family, samples, k=2)
         assert direct == pytest.approx(wick, rel=1e-8, abs=1e-12)
-
-    def test_full_table_of_a_state_is_the_table_of_its_gamma1(self, tiny_state):
-        from fermigas.oracle import reduced_densities
-
-        grid, state = tiny_state
-        family = CoherentFamily(2, 0.3, 0.25 / 0.3)
-        gamma = OneBodyOperator(grid, reduced_densities(state).gamma1)
-        assert np.array_equal(husimi(state, family).values, husimi_grid_table(gamma, family).values)
 
     def test_k_exceeding_n_rejected(self, tiny_state):
         _, state = tiny_state
         family = CoherentFamily(2, 0.3, 0.25 / 0.3)
         with pytest.raises(ValidationError, match="exceeds"):
-            husimi(state, family, k=3, samples=np.zeros((1, 6)))
+            husimi_at_samples(state, family, np.zeros((1, 6)), k=3)

@@ -26,6 +26,7 @@ from fermigas.oracle import (
     DiscreteHamiltonian,
     _gershgorin_radii,
     _ritz_bound,
+    _site_and_pair_occupations,
     _slater_start,
     FermionState,
     apriori_diagnostics,
@@ -33,7 +34,6 @@ from fermigas.oracle import (
     fitted_exponent,
     free_fermion_energy,
     ground_state,
-    one_body_matrix,
     oracle_memory_bytes,
     reduced_densities,
     slater_energy,
@@ -43,6 +43,19 @@ from fermigas.oracle import (
 GRID = SpatialGrid(1, 2.5, 40)
 POTENTIAL = harmonic_potential(1)
 PROFILE = bump_profile(1, beta=0.2, radius=1.0, height=2.0)
+
+
+def one_body_matrix(grid, potential, hbar):
+    """Dense one-body matrix: 3-point -hbar^2*Laplacian plus diagonal V."""
+    diag, off = _one_body_diagonals(grid, potential, hbar)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def pair_matrix(w_n, grid):
+    """w_N(|x_i - x_j|) over the sites of a 1D grid, the dense coupling the lag-table sums replaced."""
+    m = grid.points_per_axis
+    table = np.asarray(w_n.evaluate((np.arange(m) * grid.spacing)[:, None]), dtype=float)
+    return table[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
 
 
 def make_ham(n, interacting=False, grid=GRID):
@@ -75,7 +88,7 @@ def searchsorted_matrix(ham):
     v = np.asarray(ham.potential.evaluate(ham.grid.points()), dtype=float)
     diag = v[occ].sum(axis=1) + 2.0 * hop * n
     if ham.w_n is not None:
-        coupling = ham.w_n.pair_matrix(ham.grid)
+        coupling = pair_matrix(ham.w_n, ham.grid)
         for a in range(n):
             for b in range(a + 1, n):
                 diag -= coupling[occ[:, a], occ[:, b]] / n
@@ -168,7 +181,7 @@ def table_matrix(ham):
     v = ham.grid.sample(ham.potential.evaluate)
     diag = v[occ].sum(axis=1) + 2.0 * hop * n
     if ham.w_n is not None:
-        coupling = ham.w_n.pair_matrix(ham.grid)
+        coupling = pair_matrix(ham.w_n, ham.grid)
         for a in range(n):
             for b in range(a + 1, n):
                 diag -= coupling[occ[:, a], occ[:, b]] / n
@@ -663,6 +676,94 @@ class TestAprioriDiagnostics:
         assert kinpots == sorted(kinpots)
         assert values == sorted(values)
         assert fitted_exponent([2, 3, 4], kinpots) > 0
+
+
+def parent_slater_energy(ham, orbitals):
+    """slater_energy from the dense one-body einsum and the dense pair coupling."""
+    n = ham.n_particles
+    t_mat = one_body_matrix(ham.grid, ham.potential, ham.hbar)
+    e_one = float(np.real(np.einsum("ia,ij,ja->", orbitals.conj(), t_mat, orbitals)))
+    if ham.w_n is None:
+        return e_one
+    g = orbitals @ orbitals.T.conj()
+    nu = np.real(np.diag(g))
+    coupling = pair_matrix(ham.w_n, ham.grid)
+    direct = 0.5 * float(nu @ coupling @ nu)
+    exchange = 0.5 * float(np.sum(coupling * np.abs(g) ** 2))
+    return e_one - (direct - exchange) / n
+
+
+def parent_apriori_interaction(state):
+    """apriori_diagnostics' interaction integral from the dense coupling and pair occupation."""
+    ham = state.ham
+    _, pair = _site_and_pair_occupations(state)
+    return 0.5 * float(np.sum(pair_matrix(ham.w_n, ham.grid) * pair)) / ham.n_particles
+
+
+# M <= 48, N <= 4
+pair_sum_cases = st.tuples(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(st.integers(max(n, 2), 48), st.just(n))),
+    st.sampled_from(["harmonic", "quartic", "double_well"]),
+    st.sampled_from([None, "bump", "box"]),
+    st.floats(0.1, 50.0),
+    st.floats(0.2, 1.5),
+)
+
+
+class TestLagTableSums:
+    """slater_energy and apriori_diagnostics against the dense M x M formulas they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=pair_sum_cases, seed=st.integers(0, 2**32 - 1))
+    @example(case=((48, 4), "harmonic", "bump", 2.0, 1.0), seed=0)
+    @example(case=((40, 1), "double_well", "box", 2.0, 1.0), seed=1)
+    def test_match_dense_coupling(self, case, seed):
+        (m, n), trap, kernel, height, radius = case
+        w_n = None
+        if kernel is not None:
+            w_n = scaled_interaction(KERNELS[kernel](1, beta=0.2, radius=radius, height=height), n)
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n, w_n=w_n)
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        for orbitals in (np.linalg.qr(raw.real)[0], np.linalg.qr(raw)[0]):
+            assert slater_energy(ham, orbitals) == pytest.approx(parent_slater_energy(ham, orbitals), rel=1e-12)
+        coeffs = rng.standard_normal(ham.dim)
+        state = FermionState(ham, coeffs / np.linalg.norm(coeffs))
+        report = apriori_diagnostics(state)
+        inter = 0.0 if w_n is None else parent_apriori_interaction(state)
+        assert report.interaction_integral == pytest.approx(inter, rel=1e-12)
+        assert report.kinetic_potential == pytest.approx(state.energy() + inter, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_hartree_interaction_is_twice_the_slater_direct_part(self, n):
+        # acceptance 08's model: the mean-field -double integral w_N rho rho counts
+        # every pair twice, the lattice -N^-1 sum_(j<k) w_N once
+        from fermigas.husimi import hartree_energy, lowest_orbitals, slater_operator
+
+        grid = SpatialGrid(1, 2.5, 48)
+        w_n = scaled_interaction(PROFILE, n)
+        orbitals = lowest_orbitals(grid, POTENTIAL, n, 1.0 / n)
+        nu = np.sum(orbitals**2, axis=1)
+        direct = -0.5 * float(nu @ pair_matrix(w_n, grid) @ nu) / n
+        # slater_energy's pair term is -1/2 matrix_pair_sum / N, linear in the pair occupation
+        assert -0.5 * w_n.matrix_pair_sum(grid, np.outer(nu, nu)) / n == pytest.approx(direct, rel=1e-12)
+        inter = hartree_energy(slater_operator(orbitals, grid), POTENTIAL, w_n, n)["interaction_term"]
+        assert inter == pytest.approx(2.0 * direct, rel=1e-12)
+
+    def test_apriori_forms_no_pair_array(self):
+        # the dense coupling and pair occupation were 92 MiB here
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, 2000), POTENTIAL, 1, w_n=scaled_interaction(PROFILE, 1))
+        _, state = ground_state(ham)
+        tracemalloc.start()
+        try:
+            reduced_densities(state)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            apriori_diagnostics(state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestHusimiCrossCheck:

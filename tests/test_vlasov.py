@@ -3,18 +3,106 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigas.errors import CapExceededError, MomentumCoverageError, ValidationError
-from fermigas.model import SpatialGrid, TFConstants, bump_profile, scaled_interaction
+from fermigas.model import (
+    SpatialGrid,
+    TFConstants,
+    box_profile,
+    bump_profile,
+    hat_profile,
+    plateau_profile,
+    scaled_interaction,
+)
 from fermigas.tf_solver import DensityField, RelaxedLocalEnergy, minimize_1d_relaxed, minimize_2d, tf_energy
 from fermigas.vlasov import (
     LIFT_TABLE_CAP,
     PhaseSpaceDensity,
     bathtub_lift,
-    interaction_quadrature,
     tf_vlasov_equality_check,
     vlasov_energy,
 )
+
+
+def interaction_quadrature(rho, w_n):
+    """The offset loops that ``density_pair_sum`` replaced, one per dimension, kept as its reference."""
+    grid = rho.grid
+    h = grid.spacing
+    reach = int(math.floor(w_n.support_radius / h)) + 1
+    if grid.d == 1:
+        vals = rho.values
+        total = 0.0
+        for m in range(-reach, reach + 1):
+            off = m * h
+            if abs(off) > w_n.support_radius:
+                continue
+            w = float(w_n.evaluate(np.array([[off]]))[0])
+            if w == 0.0:
+                continue
+            if m >= 0:
+                overlap = vals[: grid.size - m] @ vals[m:]
+            else:
+                overlap = vals[-m:] @ vals[: grid.size + m]
+            total += w * overlap
+        return total * h * h
+    vals = rho.values.reshape(grid.shape)
+    total = 0.0
+    for mx in range(-reach, reach + 1):
+        for my in range(-reach, reach + 1):
+            off = np.array([[mx * h, my * h]])
+            if np.linalg.norm(off) > w_n.support_radius:
+                continue
+            w = float(w_n.evaluate(off)[0])
+            if w == 0.0:
+                continue
+            sx = slice(max(0, mx), grid.shape[0] + min(0, mx))
+            sx0 = slice(max(0, -mx), grid.shape[0] + min(0, -mx))
+            sy = slice(max(0, my), grid.shape[1] + min(0, my))
+            sy0 = slice(max(0, -my), grid.shape[1] + min(0, -my))
+            total += w * float(np.sum(vals[sx0, sy0] * vals[sx, sy]))
+    return total * grid.cell_volume**2
+
+
+PAIR_SUM_KERNELS = {
+    (1, "box"): lambda r, c: box_profile(1, beta=0.2, radius=r, height=c),
+    (1, "bump"): lambda r, c: bump_profile(1, beta=0.2, radius=r, height=c),
+    (1, "hat"): lambda r, c: hat_profile(beta=0.2, radius=r, height=c),
+    (1, "plateau"): lambda r, c: plateau_profile(beta=0.2, radius=r, edge_width=1e-2, height=c),
+    (2, "box"): lambda r, c: box_profile(2, beta=0.2, radius=r, height=c),
+    (2, "bump"): lambda r, c: bump_profile(2, beta=0.2, radius=r, height=c),
+}
+
+
+class TestDensityPairSum:
+    # kernel radii below the box half-width 1.5, where the offset loops are defined
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(PAIR_SUM_KERNELS)),
+        points=st.integers(2, 256),
+        n=st.sampled_from([1, 8, 64]),
+        radius=st.floats(0.05, 1.4),
+        height=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_offset_loops(self, kernel, points, n, radius, height, seed):
+        d = kernel[0]
+        grid = SpatialGrid(d, 1.5, points if d == 1 else 2 + points % 63)
+        w_n = scaled_interaction(PAIR_SUM_KERNELS[kernel](radius, height), n)
+        rho = DensityField(grid, np.random.default_rng(seed).random(grid.size))
+        ref = interaction_quadrature(rho, w_n)
+        got = w_n.density_pair_sum(grid, rho.values) * grid.cell_volume**2
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_kernel_wider_than_the_box(self, d, rng):
+        # w_N = 1 on every pair of sites, so the sum is (sum a)^2; the offset
+        # loops indexed past the grid here
+        grid = SpatialGrid(d, 1.0, 64 if d == 1 else 16)
+        w_n = scaled_interaction(box_profile(d, beta=0.2, radius=5.0), 1)
+        a = rng.random(grid.size)
+        assert w_n.density_pair_sum(grid, a) == pytest.approx(a.sum() ** 2, rel=1e-12)
 
 
 class TestBathtubLift:
@@ -199,7 +287,7 @@ class TestVlasovEnergy:
         gaps = []
         for n in (8, 32, 128):
             w_n = scaled_interaction(profile, n)
-            gaps.append(singular - interaction_quadrature(rho, w_n))
+            gaps.append(singular - w_n.density_pair_sum(grid, rho.values) * grid.cell_volume**2)
         assert all(g > 0 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
         rate = np.polyfit(np.log([8, 32, 128]), np.log(gaps), 1)[0]
