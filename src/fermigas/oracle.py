@@ -20,6 +20,14 @@ state is the estimate's one per-state term. The ground state comes from dense
 ``eigh`` up to ``DENSE_FALLBACK_DIM`` states and from ARPACK ``eigsh`` above,
 started from the free-fermion Slater determinant, whose minors are expanded
 over the particles for N <= M/2 and over the holes above.
+
+Every hop of H is -hbar^2/h^2 with Jordan-Wigner sign +1 (H is stoquastic)
+and the hops connect every pair of states, so by Perron-Frobenius the ground
+state is unique and strictly positive. The reflection c -> M - 1 - c is an
+unsigned permutation P of the rows; when it also maps the diagonal of H onto
+itself to within 0.1 * tol, P commutes with H (to within 0.05 * tol in norm),
+the positive ground state is P-symmetric, and ARPACK runs on the symmetric
+sector, which has half the rows.
 """
 
 from __future__ import annotations
@@ -43,14 +51,16 @@ DENSE_FALLBACK_DIM = 150
 # Traced peak of the oracle chain (the Hamiltonian build, ground_state,
 # reduced_densities, apriori_diagnostics), measured with tracemalloc for
 # N = 1..18 and M up to 2000: per basis state 410 + 25 N bytes while ARPACK
-# holds its Lanczos vectors, the start vector and the matrix (measured 440 to
-# 640 B); the build, which writes the CSR arrays directly, stays below that
+# holds its Lanczos vectors, the start vector and the matrix (measured 280 to
+# 530 B since ARPACK runs on the mirror-folded sector: 230 to 270 B traced in
+# ground_state beside the matrix and basis, 370 B on the full space); the
+# build, which writes the CSR arrays directly, stays below that
 # (150 B per state at N = 3, 175 at N = 4, 320 at N = 18); 8 B per entry of
 # the C(M, N-1) x M hole matrix; 48 B per M^2 for the M x M float arrays of
-# reduced_densities (gamma_1, rho_2 and their temporaries), which peak at
-# 24 M^2 B (measured at N = 1, M = 500..2000). The coefficient stays at 48:
-# a lower one would admit N = 1 grids of M ~ 3300-4600, which fail the
-# absolute residual gate of ground_state. The start vector's Laplace level k
+# reduced_densities (gamma_1 and rho_2), which peak at 16 M^2 B (measured at
+# N = 1, M = 2000). The coefficient stays at 48: a lower one would admit
+# N = 1 grids up to M ~ 4600, where the absolute residual gate of
+# ground_state fails (2.2e-9 at M = 4600). The start vector's Laplace level k
 # holds its k x C(M, k) subset table and a few C(M, k) vectors (at most
 # 8 k + 64 B per subset) beside the basis and matrix (48 + 24 N B per state);
 # its levels stop at k = min(N, M - N), so none outgrows the basis. The dense
@@ -293,40 +303,80 @@ def _minors(binomials: Array, m: int, columns: Array, last: Array, subsets: Arra
 
 
 def _slater_start(ham: DiscreteHamiltonian) -> Array:
-    """Lanczos start vector: the free Slater determinant plus its lowest excitation.
+    """Lanczos start vector: the free Slater determinant s0[r] = det U[c_r, :N].
 
-    s0[r] = det U[c_r, :N] over the N lowest one-body orbitals U, and s1 the
-    same with orbital N - 1 replaced by orbital N (none when N = M). For an
-    even V the orbitals alternate in reflection parity, so s0 and s1 lie in
-    opposite parity sectors and the sum overlaps a ground state in either.
-    Both have unit norm (Cauchy-Binet with orthonormal U). The minors are
-    expanded by ``_minors``, which is linear in its last column, so s0 + s1
-    is one expansion with orbital N - 1 plus orbital N as that column.
+    U holds the N lowest one-body orbitals; s0 has unit norm (Cauchy-Binet
+    with orthonormal U). The one-body matrix is tridiagonal with negative
+    off-diagonals, so by Gantmacher-Krein all N x N minors of its N lowest
+    eigenvectors on ordered rows share one sign: s0 is single-signed, and it
+    overlaps the strictly positive (Perron-Frobenius) ground state. For an
+    even V, reflecting the rows reverses the slot order, sign
+    (-1)^(N(N-1)/2), and orbital k has parity (-1)^k, with the same product,
+    so s0 is mirror-symmetric and lies in the ground state's sector.
 
     For N > M/2 the expansion runs over the complements instead, so no level
-    is wider than C(M, M - N). Complete U[:, :N+1] to an orthogonal Q (any
+    is wider than C(M, M - N). Complete U to an orthogonal Q (any
     completion); by Jacobi's identity det Q[S, J] = (-1)^(sum S + sum J)
-    det Q det Q[S^c, J^c]. The complements of J = {0..N-1} and of
-    {0..N-2, N} share the columns N + 1..M - 1, taken first (a cyclic shift
-    of each, sign (-1)^(M - N - 1)), and s1's sum J is one larger, so s0 + s1
-    is one expansion with orbital N minus orbital N - 1 last. Complementing
-    reverses colex order, so S^c of row r has rank C(M, N) - 1 - r.
+    det Q det Q[S^c, J^c], and the complement of J = {0..N-1} is the
+    columns N..M - 1 of Q. Complementing reverses colex order, so S^c of row
+    r has rank C(M, N) - 1 - r.
     """
     m, n = ham.grid.points_per_axis, ham.n_particles
     diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
-    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(n, m - 1)))
+    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, n - 1))
     if 2 * n <= m:
-        return _minors(ham.binomials, m, u[:, : n - 1], u[:, n - 1] + u[:, n], ham.occupations)
+        return _minors(ham.binomials, m, u[:, : n - 1], u[:, n - 1], ham.occupations)
     if n == m:
         return np.array([np.linalg.det(u)])
-    # any orthonormal completion of the N + 1 orbitals serves as Q
+    # any orthonormal completion of the N orbitals serves as Q
     q = np.linalg.qr(u, mode="complete")[0]
-    q[:, : n + 1] = u
-    sign = np.linalg.slogdet(q)[0] * (-1) ** (n * (n - 1) // 2 + m - n - 1)
-    start = _minors(ham.binomials, m, q[:, n + 1 :], u[:, n] - u[:, n - 1], _colex_subsets(ham.binomials, m, m - n))
+    q[:, :n] = u
+    sign = np.linalg.slogdet(q)[0] * (-1) ** (n * (n - 1) // 2)
+    start = _minors(ham.binomials, m, q[:, n:-1], q[:, -1], _colex_subsets(ham.binomials, m, m - n))
     start = start[::-1] * sign
     start[ham.occupations.sum(axis=1) % 2 == 1] *= -1.0
     return start
+
+
+def _mirror_rows(ham: DiscreteHamiltonian) -> Array:
+    """Row of each basis state under the reflection c -> M - 1 - c.
+
+    The reflected state's slot a holds M - 1 - c_(N-1-a), so its colex rank
+    is summed one slot at a time.
+    """
+    m, n = ham.grid.points_per_axis, ham.n_particles
+    mirror = np.zeros(ham.dim, dtype=np.int64)
+    for a in range(n):
+        mirror += ham.binomials[m - 1 - ham.occupations[:, n - 1 - a], a + 1]
+    return mirror
+
+
+def _mirror_fold(ham: DiscreteHamiltonian, mirror: Array) -> tuple[sp.csr_matrix, Array, Array]:
+    """The symmetric-sector operator B^T H B, with its representative rows and their weights.
+
+    Column j of B is the unit P-symmetric vector of the pair {r, mirror(r)}
+    represented by r = min of the two: weight 1/sqrt(2) on both rows, or 1
+    on a row that is its own mirror. As H commutes with P, row j of
+    B^T H B is row r of H with each column moved to its pair k and scaled by
+    w_k / w_j; the two columns of one pair add up. So the fold slices rows
+    and sums duplicates, O(nnz), with no sparse product.
+    """
+    reps = np.flatnonzero(np.arange(ham.dim) <= mirror)
+    own = (mirror[reps] == reps).view(np.int8)  # 1 on a row that is its own mirror
+    pair = np.empty(ham.dim, dtype=ham.matrix.indices.dtype)
+    pair[reps] = np.arange(reps.size)
+    pair[mirror[reps]] = pair[reps]
+    weight = np.where(own, 1.0, math.sqrt(0.5))
+    sub = ham.matrix[reps]
+    cols = pair[sub.indices]
+    del pair
+    # w_k / w_j by (row own mirror, column own mirror): entries within one kind keep
+    # their value exactly, and sqrt(0.5) + sqrt(0.5) rounds to sqrt(2), so the fold is symmetric
+    ratio = np.array([[1.0, math.sqrt(2.0)], [math.sqrt(0.5), 1.0]])
+    sub.data *= ratio[np.repeat(own, np.diff(sub.indptr)), own[cols]]
+    fold = sp.csr_matrix((sub.data, cols, sub.indptr), shape=(reps.size, reps.size), copy=False)
+    fold.sum_duplicates()
+    return fold, reps, weight
 
 
 def _gershgorin_radii(ham: DiscreteHamiltonian) -> Array:
@@ -352,28 +402,54 @@ def _ritz_bound(ham: DiscreteHamiltonian, v0: Array) -> float:
 def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> tuple[float, FermionState]:
     """Lowest eigenpair; dense ``eigh`` up to DENSE_FALLBACK_DIM states, else ARPACK ``eigsh``.
 
-    ``eigsh`` starts from the free-fermion Slater determinant plus its lowest
-    excitation (``_slater_start``) and stops once its Ritz bound is below
-    0.1 * ``tol``. ARPACK accepts a Ritz value theta when its bound is at most
+    H is stoquastic with connected hops, so its ground state is unique and
+    strictly positive (Perron-Frobenius), hence fixed by any unsigned
+    permutation that commutes with H. ``eigsh`` therefore runs once, on the
+    mirror-symmetric sector B^T H B (``_mirror_fold``, half the rows) when
+    the diagonal d of H satisfies max |d - d o mirror| <= 0.1 * ``tol``: then
+    H and the P-symmetric matrix that the fold reads differ by at most that
+    on the diagonal, below the residual gate. Otherwise (an asymmetric
+    potential) it runs on H itself. The sector vector y comes back as
+    x = B y. ``eigsh`` starts from the free-fermion Slater determinant
+    (``_slater_start``) and stops once its Ritz bound is below 0.1 * ``tol``.
+    ARPACK accepts a Ritz value theta when its bound is at most
     tol_arpack * max(eps^(2/3), |theta|), so tol_arpack = 0.1 * tol / B with
     B = max(``_ritz_bound``, eps^(2/3)) >= |theta|, clamped at machine
-    epsilon. On either path a residual
-    ||Hx - Ex|| above ``tol``, or ARPACK stopping unconverged, raises
-    ``ConvergenceError``. The start vector is deterministic: ``seed`` is
-    accepted for compatibility and no longer changes the result.
+    epsilon. On either path a residual ||Hx - Ex|| on the full H above
+    ``tol``, or ARPACK stopping unconverged, raises ``ConvergenceError``.
+    The start vector is deterministic: ``seed`` is accepted for
+    compatibility and no longer changes the result.
     """
     if ham.dim <= DENSE_FALLBACK_DIM:
         evals, evecs = np.linalg.eigh(ham.matrix.toarray())
+        vec = evecs[:, 0]
     else:
-        v0 = _slater_start(ham)
+        # s0 is single-signed, so this only fixes its sign and rounding-level tails; where
+        # orbitals N - 1 and N are degenerate, |s0| still overlaps the positive ground state
+        v0 = np.abs(_slater_start(ham))
         eps = np.finfo(float).eps
         tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0), eps ** (2.0 / 3.0)), eps)
+        mirror = _mirror_rows(ham)
+        diag = ham.matrix.diagonal()
+        fold = float(np.max(np.abs(diag - diag[mirror]))) <= 0.1 * tol
+        del diag
+        if fold:
+            op, reps, weight = _mirror_fold(ham, mirror)
+            mirror = mirror[reps]
+            v0 = v0[reps] / weight  # B^T v0 for the mirror-symmetric v0
+        else:
+            op = ham.matrix
         try:
-            evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0, tol=tol_arpack)
+            evals, evecs = eigsh(op, k=1, which="SA", v0=v0, tol=tol_arpack)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+        if fold:
+            vec = np.empty(ham.dim)
+            vec[reps] = vec[mirror] = evecs[:, 0] * weight  # x = B y
+        else:
+            vec = evecs[:, 0]
     energy = float(evals[0])
-    vec = evecs[:, 0] / np.linalg.norm(evecs[:, 0])
+    vec /= np.linalg.norm(vec)
     residual = float(np.linalg.norm(ham.matrix @ vec - energy * vec))
     if residual > tol:
         raise ConvergenceError(f"ground-state residual {residual:.3e} exceeds tol {tol:.3e}")
@@ -404,7 +480,11 @@ def gamma_hermitize(g: Array) -> Array:
 
 
 def _site_and_pair_occupations(state: FermionState) -> tuple[Array, Array]:
-    """<n_i> and the ordered-pair <n_i n_j> (i != j, zero diagonal) of a state."""
+    """<n_i> and the ordered-pair <n_i n_j> (i != j, zero diagonal) of a state.
+
+    The pair array is the only M x M array held, beside one ``bincount``
+    output at a time.
+    """
     ham = state.ham
     n = ham.n_particles
     m = ham.grid.points_per_axis
@@ -412,12 +492,18 @@ def _site_and_pair_occupations(state: FermionState) -> tuple[Array, Array]:
     occ = ham.occupations
 
     site_occ = np.bincount(occ.ravel(), weights=np.repeat(w2, n), minlength=m)
-    pair = np.zeros(m * m)
+    pair = np.zeros((m, m))
+    if n == 1:
+        return site_occ, pair
+    flat = pair.reshape(-1)
     for a in range(n):
         for b in range(a + 1, n):
-            pair += np.bincount(occ[:, a] * m + occ[:, b], weights=w2, minlength=m * m)
-    pair = pair.reshape(m, m)
-    return site_occ, pair + pair.T  # ordered pairs; diagonal stays exactly zero
+            flat += np.bincount(occ[:, a] * m + occ[:, b], weights=w2, minlength=m * m)
+    # slot a lies below slot b, so the sums fill the upper triangle; mirror it row by
+    # row (no transposed copy) into ordered pairs, the diagonal staying exactly zero
+    for i in range(1, m):
+        pair[i, :i] = pair[:i, i]
+    return site_occ, pair
 
 
 def reduced_densities(state: FermionState) -> ReducedDensities:
@@ -440,10 +526,11 @@ def reduced_densities(state: FermionState) -> ReducedDensities:
     for a, holes in _removal_ranks(ham.binomials, occ):
         amplitudes[holes, occ[:, a]] = -state.coefficients if a % 2 else state.coefficients
     gamma = amplitudes.T @ amplitudes
+    pair /= 2.0 * h * h
 
     return ReducedDensities(
         rho1=site_occ / h,
-        rho2=pair / (2.0 * h * h),
+        rho2=pair,
         gamma1=gamma,
         grid=ham.grid,
         n_particles=n,

@@ -236,6 +236,26 @@ class TestDFExperiment:
         assert outs[0]["frequency"] == outs[1]["frequency"]
         assert outs[0]["matches_exact"]
 
+    def test_sweep_reuses_the_run_at_n(self, tmp_path, monkeypatch):
+        # --N in --sweep: the sweep row reuses the Monte Carlo run of the same
+        # arguments and seed, so each command runs two, not three
+        from fermigas import df_measures
+
+        calls = []
+        real = df_measures.pauli_violation_stats
+        monkeypatch.setattr(
+            df_measures, "pauli_violation_stats", lambda *args, **kw: calls.append(args) or real(*args, **kw)
+        )
+        decay = []
+        for n in ("16", "64"):
+            out = tmp_path / n
+            argv = ["df-experiment", "--seed", "7", "--N", n, "--sweep", "16", "64", "--trials", "2000"]
+            assert main(argv + ["--out", str(out)]) == 0
+            decay.append((out / "decay.csv").read_bytes())
+        assert len(calls) == 4
+        # a reused row (N = 16 first, N = 64 second) is byte for byte a fresh one
+        assert decay[0] == decay[1]
+
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = main(["df-experiment", "--seed", "7", "--trials", "0", "--out", str(tmp_path / "z")])
         assert code == 2

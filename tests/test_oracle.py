@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import eigsh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fermigas import oracle
 from fermigas.errors import CapExceededError, ConvergenceError, ValidationError
 from fermigas.model import (
     SpatialGrid,
+    TrapPotential,
     _one_body_diagonals,
     box_profile,
     bump_profile,
@@ -24,7 +27,11 @@ from fermigas.oracle import (
     DENSE_FALLBACK_DIM,
     ORACLE_MEMORY_CAP,
     DiscreteHamiltonian,
+    _colex_subsets,
     _gershgorin_radii,
+    _minors,
+    _mirror_fold,
+    _mirror_rows,
     _ritz_bound,
     _site_and_pair_occupations,
     _slater_start,
@@ -143,9 +150,9 @@ lattices = st.integers(1, 5).flatmap(
 )
 
 
-# Lanczos cases just above DENSE_FALLBACK_DIM (dims 153 to 780): traps whose
-# even V splits the basis into two reflection sectors, attractive kernels
-# strong enough to move the ground state from one sector to the other.
+# Lanczos cases just above DENSE_FALLBACK_DIM (dims 153 to 780): even traps,
+# whose reflection splits the basis into two sectors, and attractive kernels
+# from weak to strong; the positive ground state stays in the symmetric one.
 TRAPS = {
     "harmonic": harmonic_potential(1),
     "quartic": quartic_potential(1),
@@ -164,14 +171,50 @@ hard_lanczos_cases = st.tuples(
 )
 
 
+def slater_determinants(ham, picks):
+    """Sum over the column picks of det U[c_r, pick] per basis row, U the lowest one-body orbitals."""
+    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+    # the same orbital count as the start it checks: degenerate pairs come out rotated otherwise
+    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, max(p.max() for p in picks)))
+    rows = ham.occupations[:, :, None]
+    return sum(np.linalg.det(u[rows, cols]) for cols in picks)
+
+
 def determinant_start(ham):
-    """The batched-determinant start vector that the Laplace levels replaced, kept as their oracle."""
+    """The batched-determinant s0 that the Laplace levels replaced, kept as their oracle."""
+    return slater_determinants(ham, [np.arange(ham.n_particles)])
+
+
+def parent_start(ham):
+    """s0 + s1 by Laplace levels, complementary for N > M/2: the start of the full-space solve.
+
+    Both are single expansions, linear in the last column: orbital N - 1 plus
+    orbital N, or over the holes orbital N minus orbital N - 1 after the
+    columns N + 1..M - 1 (a cyclic shift, sign (-1)^(M - N - 1)).
+    """
     m, n = ham.grid.points_per_axis, ham.n_particles
     diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
     _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(n, m - 1)))
-    picks = [np.arange(n)] + ([np.r_[: n - 1, n]] if n < m else [])
-    rows = ham.occupations[:, :, None]
-    return sum(np.linalg.det(u[rows, cols]) for cols in picks)
+    if 2 * n <= m:
+        return _minors(ham.binomials, m, u[:, : n - 1], u[:, n - 1] + u[:, n], ham.occupations)
+    if n == m:
+        return np.array([np.linalg.det(u)])
+    q = np.linalg.qr(u, mode="complete")[0]
+    q[:, : n + 1] = u
+    sign = np.linalg.slogdet(q)[0] * (-1) ** (n * (n - 1) // 2 + m - n - 1)
+    start = _minors(ham.binomials, m, q[:, n + 1 :], u[:, n] - u[:, n - 1], _colex_subsets(ham.binomials, m, m - n))
+    start = start[::-1] * sign
+    start[ham.occupations.sum(axis=1) % 2 == 1] *= -1.0
+    return start
+
+
+def parent_ground_state(ham, tol=1e-9):
+    """The full-space solve that the mirror fold replaced, kept as its oracle: eigsh on H from s0 + s1."""
+    v0 = parent_start(ham)
+    eps = np.finfo(float).eps
+    tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0), eps ** (2.0 / 3.0)), eps)
+    evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0, tol=tol_arpack)
+    return float(evals[0]), evecs[:, 0] / np.linalg.norm(evecs[:, 0])
 
 
 def table_matrix(ham):
@@ -292,14 +335,30 @@ class TestGroundState:
     @pytest.mark.parametrize("trap", sorted(TRAPS))
     @pytest.mark.parametrize("m, n", [(40, 2), (24, 3), (16, 4), (14, 5)])
     def test_start_vector_spans_both_reflection_sectors(self, trap, m, n):
-        # P maps row r to mirrored_rows[r] up to the global sign (-1)^(N(N-1)/2)
-        # of reversing the slot order, which only swaps the two sectors
+        # the full-space oracle's s0 + s1 start, which must reach a ground state in
+        # either sector; P maps row r to mirrored_rows[r] up to the global sign
+        # (-1)^(N(N-1)/2) of reversing the slot order, which only swaps the two sectors
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
-        v0 = _slater_start(ham)
+        v0 = parent_start(ham)
         reflected = np.empty_like(v0)
         reflected[mirrored_rows(ham)] = v0
         for sign in (1.0, -1.0):
             assert np.linalg.norm(v0 + sign * reflected) >= 0.1 * np.linalg.norm(v0)
+
+    # not the deep double well: its orbitals pair up to 1e-13, so at odd N orbital
+    # N - 1 comes out as any mix of its pair (ground_state starts from |s0| for that)
+    @pytest.mark.parametrize("trap", ["harmonic", "quartic", "double_well"])
+    @pytest.mark.parametrize("m, n", [(40, 2), (24, 3), (16, 4), (14, 5), (14, 10), (24, 18)])
+    def test_start_vector_is_positive_and_mirror_symmetric(self, trap, m, n):
+        # Gantmacher-Krein: the minors of the N lowest orbitals share one sign, so s0
+        # overlaps the positive ground state; the orbital parities cancel the sign
+        # of reversing the slot order, so s0 lies in the ground state's sector
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
+        v0 = _slater_start(ham)
+        v0 = v0 * np.sign(v0.sum())
+        assert np.linalg.norm(v0) == pytest.approx(1.0, abs=1e-12)
+        assert v0.min() >= -1e-12
+        assert np.max(np.abs(v0 - v0[mirrored_rows(ham)])) <= 1e-12
 
     # N = 1, N = M, N > M/2 (complementary minors, N = M - 1 included), and N < M/2;
     # the quartic and deep double-well spectra hold exactly degenerate pairs
@@ -314,6 +373,9 @@ class TestGroundState:
         v0, ref = _slater_start(ham), determinant_start(ham)
         assert v0.shape == ref.shape == (ham.dim,)
         assert np.max(np.abs(v0 - ref)) <= 1e-12
+        # the full-space oracle's s0 + s1 start, s1 with orbital N - 1 replaced by orbital N
+        ref = slater_determinants(ham, [np.arange(n)] + ([np.r_[: n - 1, n]] if n < m else []))
+        assert np.max(np.abs(parent_start(ham) - ref)) <= 1e-12
 
     def test_free_fermions_on_a_fine_grid(self):
         ham = make_ham(2, grid=SpatialGrid(1, 2.5, 200))
@@ -420,6 +482,113 @@ class TestDirectBuild:
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, 48), POTENTIAL, 4, w_n=scaled_interaction(PROFILE, 4))
         v0 = _slater_start(ham)
         assert self.traced_peak(lambda: _ritz_bound(ham, v0)) <= 8 << 20
+
+
+# V = (x - 0.3)^2: no mirror symmetry, so ground_state must solve on H itself
+SHIFTED = TrapPotential(1, lambda p: np.sum((p - 0.3) ** 2, axis=1), lambda p: 2.0 * (p - 0.3), 2.0, 0.5, 0.1, 2.0)
+
+
+def lowest_two(ham):
+    """The two lowest eigenvalues of the full H: dense up to 1200 states, else ARPACK."""
+    if ham.dim <= 1200:
+        return np.linalg.eigvalsh(ham.matrix.toarray())[:2]
+    return np.sort(eigsh(ham.matrix, k=2, which="SA", tol=1e-14)[0])
+
+
+def solve_counting_folds(ham, monkeypatch):
+    """ground_state, and whether it solved on the folded sector."""
+    folds = []
+    monkeypatch.setattr(oracle, "_mirror_fold", lambda *args: folds.append(True) or _mirror_fold(*args))
+    energy, state = ground_state(ham)
+    return energy, state.coefficients, bool(folds)
+
+
+def assert_positive_ground_state(ham, x, energy, gap, ref=None):
+    """Residual gate; above a gap of 1e-8, one sign and (against ``ref``) the same vector up to sign.
+
+    By Davis-Kahan each vector lies within angle (residual / gap) of the eigenvector.
+    """
+    residual = np.linalg.norm(ham.matrix @ x - energy * x)
+    assert residual <= 1e-9
+    if gap < 1e-8:
+        return
+    x = x * np.sign(x.sum())
+    assert x.min() >= -1e-8 * x.max()
+    if ref is not None:
+        ref_energy, y = ref
+        y = y * np.sign(y.sum())
+        ref_residual = np.linalg.norm(ham.matrix @ y - ref_energy * y)
+        assert np.linalg.norm(x - y) <= 2.0 * (residual + ref_residual) / gap + 1e-12
+
+
+class TestMirrorFold:
+    """ground_state on the mirror-symmetric sector against the full-space solve it replaced."""
+
+    # dense side (136 states) and ARPACK side (153) of the boundary, N <= 5, and
+    # N > M/2; the 134 596 states of (24, 18) on two of the eight trap/kernel pairs
+    @pytest.mark.parametrize(
+        "m, n, trap, interacting",
+        [
+            (m, n, trap, interacting)
+            for m, n in [(17, 2), (18, 2), (40, 2), (20, 3), (14, 4), (12, 5), (14, 10)]
+            for trap in sorted(TRAPS)
+            for interacting in (False, True)
+        ]
+        + [(24, 18, "harmonic", True), (24, 18, "deep_double_well", False)],
+    )
+    def test_matches_full_space_solve(self, m, n, trap, interacting, monkeypatch):
+        w_n = scaled_interaction(PROFILE, n) if interacting else None
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n, w_n=w_n)
+        energy, x, folded = solve_counting_folds(ham, monkeypatch)
+        assert folded == (ham.dim > DENSE_FALLBACK_DIM)
+        ref_energy, y = parent_ground_state(ham)
+        assert abs(energy - ref_energy) <= 1e-10 * abs(ref_energy)
+        e0, e1 = lowest_two(ham)
+        assert_positive_ground_state(ham, x, energy, e1 - e0, ref=(ref_energy, y))
+        if folded:  # the sector's Perron vector, at any gap: symmetric by construction, one sign
+            assert np.array_equal(x, x[mirrored_rows(ham)])
+            assert (x * np.sign(x.sum())).min() >= -1e-8 * np.abs(x).max()
+        elif e1 - e0 >= 1e-8:
+            assert np.max(np.abs(x - x[mirrored_rows(ham)])) <= 1e-8 * np.abs(x).max()
+
+    @pytest.mark.parametrize("interacting", [False, True], ids=["free", "bump"])
+    @pytest.mark.parametrize("m, n", [(20, 3), (14, 4)])
+    def test_shifted_trap_solves_unfolded(self, m, n, interacting, monkeypatch):
+        w_n = scaled_interaction(PROFILE, n) if interacting else None
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), SHIFTED, n, w_n=w_n)
+        energy, x, folded = solve_counting_folds(ham, monkeypatch)
+        assert not folded
+        evals, evecs = np.linalg.eigh(ham.matrix.toarray())
+        assert abs(energy - evals[0]) <= 1e-10 * abs(evals[0])
+        assert_positive_ground_state(ham, x, energy, evals[1] - evals[0], ref=(evals[0], evecs[:, 0]))
+
+    @pytest.mark.parametrize("trap", ["harmonic", "deep_double_well"])
+    @pytest.mark.parametrize("m, n", [(18, 2), (19, 2), (11, 3), (12, 5), (9, 1), (10, 1)])
+    def test_fold_matches_sparse_product(self, trap, m, n):
+        # B^T H B by matrix products, which the row fold replaces; odd M has rows
+        # that are their own mirror, even M at N = 1 a hop onto the mirror
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n, w_n=scaled_interaction(PROFILE, n))
+        mirror = _mirror_rows(ham)
+        assert np.array_equal(mirror, mirrored_rows(ham))
+        fold, reps, weight = _mirror_fold(ham, mirror)
+        cols = np.arange(reps.size)
+        b = np.zeros((ham.dim, reps.size))
+        b[reps, cols] = b[mirror[reps], cols] = weight  # a row that is its own mirror is set once
+        assert np.allclose(b.T @ b, np.eye(reps.size), atol=1e-15)
+        ref = b.T @ (ham.matrix @ b)
+        assert np.max(np.abs(fold.toarray() - ref)) <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(fold.toarray(), fold.toarray().T)
+
+    def test_ground_state_peak_below_full_space_solve(self):
+        # the full-space solve peaked at 68.3 MiB here; the fold runs ARPACK on 97 428 rows
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, 48), POTENTIAL, 4, w_n=scaled_interaction(PROFILE, 4))
+        tracemalloc.start()
+        try:
+            ground_state(ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 << 20
 
 
 class TestNearlyFullLattices:
@@ -542,6 +711,22 @@ class TestReducedDensities:
             assert not np.any(red.rho2)
             assert np.max(np.abs(red.gamma1 - np.outer(psi, psi))) <= 1e-15
             assert red.rho1 == pytest.approx(psi**2 / GRID.spacing, abs=1e-14)
+
+    def test_single_particle_chain_holds_two_square_arrays(self):
+        # rho2 and gamma1 are the chain's only M x M arrays; three pair arrays
+        # (sum, symmetrized, scaled) made it trace 24 M^2 B here
+        m = 2000
+        tracemalloc.start()
+        try:
+            ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, 1, w_n=scaled_interaction(PROFILE, 1))
+            _, state = ground_state(ham)
+            red = reduced_densities(state)
+            apriori_diagnostics(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not red.rho2.any()
+        assert peak <= 17 * m * m
 
     @settings(max_examples=25, deadline=None)
     @given(lattice=lattices, seed=st.integers(0, 2**32 - 1))
