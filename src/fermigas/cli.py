@@ -348,19 +348,24 @@ def _cmd_oracle(args) -> int:
         grid, potential, interaction = cfg.grid, cfg.potential, cfg.interaction
         beta = cfg.beta
         n_particles = cfg.n_particles
+        raw = cfg.raw
     else:
         grid = potential = interaction = beta = n_particles = None
+        raw = {}
+    families = {key: raw.get(key, {}).get("family") for key in ("potential", "interaction")}
     if args.N is not None:
         n_particles = args.N
     if n_particles is None:
         raise ConfigError("oracle needs --N or n_particles in the config")
-    if args.M is not None or grid is None:
-        m_points = args.M if args.M is not None else 40
-        half = grid.half_width if grid is not None else args.half_width
+    if grid is None:
+        grid = SpatialGrid(1, 2.5, 40)
+    if args.M is not None or args.half_width is not None:
+        half = grid.half_width if args.half_width is None else args.half_width
+        m_points = grid.points_per_axis if args.M is None else args.M
         grid = SpatialGrid(1, half, m_points)
     if args.potential is not None or potential is None:
-        family = args.potential or "harmonic"
-        potential = potential_from_config({"family": family}, 1)
+        families["potential"] = args.potential or "harmonic"
+        potential = potential_from_config({"family": families["potential"]}, 1)
     if args.beta is not None:
         beta = args.beta
     if args.interaction is not None:
@@ -369,6 +374,7 @@ def _cmd_oracle(args) -> int:
         interaction = interaction_from_config(
             {"family": args.interaction}, 1, beta, TFConstants.bathtub_consistent(1)
         )
+        families["interaction"] = args.interaction
     w_n = scaled_interaction(interaction, n_particles) if interaction is not None else None
 
     cap = ORACLE_MEMORY_CAP if args.memory_cap is None else args.memory_cap << 20
@@ -392,7 +398,8 @@ def _cmd_oracle(args) -> int:
     writer = RunWriter(
         args.out,
         "oracle",
-        {"N": n_particles, "M": grid.points_per_axis, "beta": beta, "config": args.config},
+        {"N": n_particles, "M": grid.points_per_axis, "half_width": grid.half_width, "beta": beta,
+         "config": raw, **families},
         seed=None,
     )
     writer.write_json("oracle.json", record)
@@ -619,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--potential", default=None, help="potential family override")
     p.add_argument("--interaction", default=None, help="interaction family override")
-    p.add_argument("--half-width", dest="half_width", type=float, default=2.5)
+    p.add_argument("--half-width", dest="half_width", type=float, default=None,
+                   help="half-width of the lattice box [-L, L] (default: the config's, else 2.5)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="absolute bound on the ground-state residual ||Hx - Ex||, which also "
                         "sets where the iterative eigensolver stops; exit 3 when it is "

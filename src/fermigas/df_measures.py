@@ -491,10 +491,6 @@ class EmpiricalMeasure:
     def n_atoms(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def atom_weight(self) -> Fraction:
-        return Fraction(1, self.n_atoms)
-
     def float_weights(self) -> Array:
         return np.full(self.n_atoms, 1.0 / self.n_atoms)
 

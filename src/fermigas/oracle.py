@@ -18,8 +18,8 @@ into its CSR arrays, one pass per hop slot, so the build holds O(dim) scratch
 beside the matrix and stays below the ARPACK phase, whose 410 + 25 N B per
 state is the estimate's one per-state term. The ground state comes from dense
 ``eigh`` up to ``DENSE_FALLBACK_DIM`` states and from ARPACK ``eigsh`` above,
-started from the free-fermion Slater determinant, whose minors are expanded
-over the particles for N <= M/2 and over the holes above.
+started from a closed-form positive vector: the lowest orbital at every
+particle times the Vandermonde product of the sites.
 
 Every hop of H is -hbar^2/h^2 with Jordan-Wigner sign +1 (H is stoquastic)
 and the hops connect every pair of states, so by Perron-Frobenius the ground
@@ -27,7 +27,8 @@ state is unique and strictly positive. The reflection c -> M - 1 - c is an
 unsigned permutation P of the rows; when it also maps the diagonal of H onto
 itself to within 0.1 * tol, P commutes with H (to within 0.05 * tol in norm),
 the positive ground state is P-symmetric, and ARPACK runs on the symmetric
-sector, which has half the rows.
+sector, which has half the rows. A nonnegative, nonzero start overlaps that
+ground state, which is all the start has to do.
 """
 
 from __future__ import annotations
@@ -60,25 +61,19 @@ DENSE_FALLBACK_DIM = 150
 # reduced_densities (gamma_1 and rho_2), which peak at 16 M^2 B (measured at
 # N = 1, M = 2000). The coefficient stays at 48: a lower one would admit
 # N = 1 grids up to M ~ 4600, where the absolute residual gate of
-# ground_state fails (2.2e-9 at M = 4600). The start vector's Laplace level k
-# holds its k x C(M, k) subset table and a few C(M, k) vectors (at most
-# 8 k + 64 B per subset) beside the basis and matrix (48 + 24 N B per state);
-# its levels stop at k = min(N, M - N), so none outgrows the basis. The dense
-# path holds the matrix, its eigenvectors and the LAPACK workspace (32 B per
-# entry). 64 KiB covers the small arrays of tiny bases. The cap admits about
-# a million states at N = 4.
+# ground_state fails (2.2e-9 at M = 4600). The dense path holds the matrix,
+# its eigenvectors and the LAPACK workspace (32 B per entry). 64 KiB covers
+# the small arrays of tiny bases. The cap admits about a million states at
+# N = 4.
 ORACLE_MEMORY_CAP = 1 << 29
 
 
 def oracle_memory_bytes(m: int, n: int) -> int:
     """Estimated peak bytes of the oracle chain at M sites and N particles."""
     dim = math.comb(m, n)
-    per_state = 410 + 25 * n
+    solve = dim * (410 + 25 * n)
     if dim <= DENSE_FALLBACK_DIM:
-        solve = dim * per_state + 32 * dim * dim
-    else:
-        levels = max((8 * k + 64) * math.comb(m, k) for k in range(1, min(n, m - n) + 1))
-        solve = max(dim * per_state, (48 + 24 * n) * dim + levels)
+        solve += 32 * dim * dim
     return solve + 8 * m * math.comb(m, n - 1) + 48 * m * m + (1 << 16)
 
 
@@ -269,73 +264,34 @@ def expectation(ham: DiscreteHamiltonian, coefficients: Array) -> float:
     return float(c @ (ham.matrix @ c)) / nrm2
 
 
-def _laplace_level(minors: Array, binomials: Array, subsets: Array, column: Array) -> Array:
-    """det [U_(k-1) | column] over the rows of each k-subset, by expansion along the last column.
+def _product_start(ham: DiscreteHamiltonian, even: bool) -> Array:
+    """Lanczos start v[r] = prod_a u0(c_a) prod_(a<b) (c_b - c_a), unit norm.
 
-    ``minors[rank]`` is det U_(k-1)[S', :] over the colex-ranked (k-1)-subsets
-    S'; for S = c_0 < ... < c_(k-1) the expansion is
-    sum_a (-1)^(a + k - 1) column[c_a] minors[rank of S minus c_a].
+    u0 is the lowest one-body orbital in absolute value, summed with its
+    reflection on an ``even`` trap (which drops the rounding-level asymmetry
+    of its tails and the mix of a degenerate lowest pair). For the continuum
+    harmonic trap v is the free Slater determinant (Hermite functions give a
+    Vandermonde product times Gaussians); on any trap it is nonnegative and
+    nonzero, so it overlaps the strictly positive ground state, and on an
+    even one it is mirror-symmetric. It is summed in logs: the plain product
+    overflows on nearly full lattices. A tail of u0 below the smallest normal
+    float gives an entry 0.
     """
-    k = subsets.shape[1]
-    level = np.zeros(subsets.shape[0])
-    for a, ranks in _removal_ranks(binomials, subsets):
-        term = column[subsets[:, a]]
-        term *= minors[ranks]
-        if (a + k - 1) % 2:
-            level -= term
-        else:
-            level += term
-    return level
-
-
-def _minors(binomials: Array, m: int, columns: Array, last: Array, subsets: Array) -> Array:
-    """det [columns | last] over the rows of each subset, level by level by Laplace expansion.
-
-    Level k = 1..len(columns) holds D_k[S] = det columns[S, :k] over the
-    colex-ranked k-subsets S of range(M), O(k C(M, k)) entries; the last
-    level expands the one below it along ``last`` over the rows of
-    ``subsets``, which are one site wider.
-    """
-    minors = np.ones(1)  # D_0: the empty determinant of the one empty subset
-    for k in range(1, columns.shape[1] + 1):
-        minors = _laplace_level(minors, binomials, _colex_subsets(binomials, m, k), columns[:, k - 1])
-    return _laplace_level(minors, binomials, subsets, last)
-
-
-def _slater_start(ham: DiscreteHamiltonian) -> Array:
-    """Lanczos start vector: the free Slater determinant s0[r] = det U[c_r, :N].
-
-    U holds the N lowest one-body orbitals; s0 has unit norm (Cauchy-Binet
-    with orthonormal U). The one-body matrix is tridiagonal with negative
-    off-diagonals, so by Gantmacher-Krein all N x N minors of its N lowest
-    eigenvectors on ordered rows share one sign: s0 is single-signed, and it
-    overlaps the strictly positive (Perron-Frobenius) ground state. For an
-    even V, reflecting the rows reverses the slot order, sign
-    (-1)^(N(N-1)/2), and orbital k has parity (-1)^k, with the same product,
-    so s0 is mirror-symmetric and lies in the ground state's sector.
-
-    For N > M/2 the expansion runs over the complements instead, so no level
-    is wider than C(M, M - N). Complete U to an orthogonal Q (any
-    completion); by Jacobi's identity det Q[S, J] = (-1)^(sum S + sum J)
-    det Q det Q[S^c, J^c], and the complement of J = {0..N-1} is the
-    columns N..M - 1 of Q. Complementing reverses colex order, so S^c of row
-    r has rank C(M, N) - 1 - r.
-    """
-    m, n = ham.grid.points_per_axis, ham.n_particles
+    m, n, occ = ham.grid.points_per_axis, ham.n_particles, ham.occupations
     diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
-    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, n - 1))
-    if 2 * n <= m:
-        return _minors(ham.binomials, m, u[:, : n - 1], u[:, n - 1], ham.occupations)
-    if n == m:
-        return np.array([np.linalg.det(u)])
-    # any orthonormal completion of the N orbitals serves as Q
-    q = np.linalg.qr(u, mode="complete")[0]
-    q[:, :n] = u
-    sign = np.linalg.slogdet(q)[0] * (-1) ** (n * (n - 1) // 2)
-    start = _minors(ham.binomials, m, q[:, n:-1], q[:, -1], _colex_subsets(ham.binomials, m, m - n))
-    start = start[::-1] * sign
-    start[ham.occupations.sum(axis=1) % 2 == 1] *= -1.0
-    return start
+    u0 = np.abs(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0])
+    if even:
+        u0 += u0[::-1]
+    log_u0 = np.log(np.maximum(u0, np.finfo(float).tiny))
+    log_lag = np.log(np.arange(1, m))  # log_lag[k - 1] = log k
+    log_v = log_u0[occ[:, 0]]
+    for b in range(1, n):
+        log_v += log_u0[occ[:, b]]
+        for a in range(b):
+            log_v += log_lag[occ[:, b] - occ[:, a] - 1]
+    log_v -= log_v.max()
+    v = np.exp(log_v, out=log_v)
+    return v / np.linalg.norm(v)
 
 
 def _mirror_rows(ham: DiscreteHamiltonian) -> Array:
@@ -410,8 +366,9 @@ def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> 
     H and the P-symmetric matrix that the fold reads differ by at most that
     on the diagonal, below the residual gate. Otherwise (an asymmetric
     potential) it runs on H itself. The sector vector y comes back as
-    x = B y. ``eigsh`` starts from the free-fermion Slater determinant
-    (``_slater_start``) and stops once its Ritz bound is below 0.1 * ``tol``.
+    x = B y. ``eigsh`` starts from ``_product_start``, which is nonnegative
+    and nonzero, so it overlaps the positive ground state, and mirror-symmetric
+    when the fold runs; it stops once its Ritz bound is below 0.1 * ``tol``.
     ARPACK accepts a Ritz value theta when its bound is at most
     tol_arpack * max(eps^(2/3), |theta|), so tol_arpack = 0.1 * tol / B with
     B = max(``_ritz_bound``, eps^(2/3)) >= |theta|, clamped at machine
@@ -424,15 +381,13 @@ def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> 
         evals, evecs = np.linalg.eigh(ham.matrix.toarray())
         vec = evecs[:, 0]
     else:
-        # s0 is single-signed, so this only fixes its sign and rounding-level tails; where
-        # orbitals N - 1 and N are degenerate, |s0| still overlaps the positive ground state
-        v0 = np.abs(_slater_start(ham))
-        eps = np.finfo(float).eps
-        tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0), eps ** (2.0 / 3.0)), eps)
         mirror = _mirror_rows(ham)
         diag = ham.matrix.diagonal()
         fold = float(np.max(np.abs(diag - diag[mirror]))) <= 0.1 * tol
         del diag
+        v0 = _product_start(ham, even=fold)
+        eps = np.finfo(float).eps
+        tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0), eps ** (2.0 / 3.0)), eps)
         if fold:
             op, reps, weight = _mirror_fold(ham, mirror)
             mirror = mirror[reps]

@@ -143,6 +143,41 @@ class TestOracleCommand:
         assert max(record["occupations"]) <= 1.0 + 1e-8
 
 
+    def test_half_width_flag_overrides_config(self, tmp_path):
+        payload = {"schema_version": 1, "d": 1, "potential": {"family": "harmonic"}, "beta": 0.2,
+                   "interaction": {"family": "bump"}, "grid": {"half_width": 4.0, "points_per_axis": 30}}
+        config = write_config(tmp_path / "wide.json", payload)
+        runs = {}
+        for half in (None, "2.0", "3.0"):
+            out = tmp_path / f"run{half}"
+            argv = ["oracle", "--config", config, "--N", "2", "--M", "30", "--out", str(out)]
+            assert main(argv + (["--half-width", half] if half else [])) == 0
+            with open(out / "oracle.json") as fh:
+                energy = json.load(fh)["energy"]
+            x = np.loadtxt(out / "density1.csv", delimiter=",", skiprows=1)[:, 0]
+            with open(out / "manifest.json") as fh:
+                runs[half] = energy, x, json.load(fh)["config_hash"]
+        for half, (energy, x, _) in runs.items():
+            width = 4.0 if half is None else float(half)
+            assert x[-1] == pytest.approx(width * (1.0 - 1.0 / 30.0), abs=1e-12)  # the last cell centre
+        assert len({energy for energy, _, _ in runs.values()}) == 3
+        assert len({digest for _, _, digest in runs.values()}) == 3
+        # the flag-only run on the same lattice agrees with the config run
+        out = tmp_path / "flags"
+        assert main(["oracle", "--N", "2", "--M", "30", "--half-width", "2.0", "--beta", "0.2",
+                     "--interaction", "bump", "--out", str(out)]) == 0
+        with open(out / "oracle.json") as fh:
+            assert json.load(fh)["energy"] == runs["2.0"][0]
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["config_hash"] != runs["2.0"][2]  # the config's contents differ
+        # an edited config at the same path is a different run
+        write_config(config, {**payload, "potential": {"family": "harmonic", "params": {"stiffness": 2.0}}})
+        out = tmp_path / "stiff"
+        assert main(["oracle", "--config", config, "--N", "2", "--M", "30", "--half-width", "2.0",
+                     "--out", str(out)]) == 0
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["config_hash"] != runs["2.0"][2]
+
     def test_record_carries_nnz_and_memory_estimate(self, tmp_path):
         from fermigas.model import SpatialGrid, harmonic_potential
         from fermigas.oracle import DiscreteHamiltonian, oracle_memory_bytes

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,14 +27,12 @@ from fermigas.oracle import (
     DENSE_FALLBACK_DIM,
     ORACLE_MEMORY_CAP,
     DiscreteHamiltonian,
-    _colex_subsets,
     _gershgorin_radii,
-    _minors,
     _mirror_fold,
     _mirror_rows,
+    _product_start,
     _ritz_bound,
     _site_and_pair_occupations,
-    _slater_start,
     FermionState,
     apriori_diagnostics,
     expectation,
@@ -171,46 +169,14 @@ hard_lanczos_cases = st.tuples(
 )
 
 
-def slater_determinants(ham, picks):
-    """Sum over the column picks of det U[c_r, pick] per basis row, U the lowest one-body orbitals."""
-    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
-    # the same orbital count as the start it checks: degenerate pairs come out rotated otherwise
-    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, max(p.max() for p in picks)))
-    rows = ham.occupations[:, :, None]
-    return sum(np.linalg.det(u[rows, cols]) for cols in picks)
-
-
-def determinant_start(ham):
-    """The batched-determinant s0 that the Laplace levels replaced, kept as their oracle."""
-    return slater_determinants(ham, [np.arange(ham.n_particles)])
-
-
-def parent_start(ham):
-    """s0 + s1 by Laplace levels, complementary for N > M/2: the start of the full-space solve.
-
-    Both are single expansions, linear in the last column: orbital N - 1 plus
-    orbital N, or over the holes orbital N minus orbital N - 1 after the
-    columns N + 1..M - 1 (a cyclic shift, sign (-1)^(M - N - 1)).
-    """
-    m, n = ham.grid.points_per_axis, ham.n_particles
-    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
-    _, u = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(n, m - 1)))
-    if 2 * n <= m:
-        return _minors(ham.binomials, m, u[:, : n - 1], u[:, n - 1] + u[:, n], ham.occupations)
-    if n == m:
-        return np.array([np.linalg.det(u)])
-    q = np.linalg.qr(u, mode="complete")[0]
-    q[:, : n + 1] = u
-    sign = np.linalg.slogdet(q)[0] * (-1) ** (n * (n - 1) // 2 + m - n - 1)
-    start = _minors(ham.binomials, m, q[:, n + 1 :], u[:, n] - u[:, n - 1], _colex_subsets(ham.binomials, m, m - n))
-    start = start[::-1] * sign
-    start[ham.occupations.sum(axis=1) % 2 == 1] *= -1.0
-    return start
+def reference_start(ham):
+    """A seeded random positive vector: it overlaps the positive ground state and both mirror sectors."""
+    return np.random.default_rng(ham.dim).uniform(0.5, 1.5, ham.dim)
 
 
 def parent_ground_state(ham, tol=1e-9):
-    """The full-space solve that the mirror fold replaced, kept as its oracle: eigsh on H from s0 + s1."""
-    v0 = parent_start(ham)
+    """The full-space solve that the mirror fold replaced, kept as its oracle: eigsh on H."""
+    v0 = reference_start(ham)
     eps = np.finfo(float).eps
     tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0), eps ** (2.0 / 3.0)), eps)
     evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0, tol=tol_arpack)
@@ -335,47 +301,40 @@ class TestGroundState:
     @pytest.mark.parametrize("trap", sorted(TRAPS))
     @pytest.mark.parametrize("m, n", [(40, 2), (24, 3), (16, 4), (14, 5)])
     def test_start_vector_spans_both_reflection_sectors(self, trap, m, n):
-        # the full-space oracle's s0 + s1 start, which must reach a ground state in
-        # either sector; P maps row r to mirrored_rows[r] up to the global sign
+        # the full-space oracle's start, which must reach a ground state in either
+        # sector; P maps row r to mirrored_rows[r] up to the global sign
         # (-1)^(N(N-1)/2) of reversing the slot order, which only swaps the two sectors
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
-        v0 = parent_start(ham)
+        v0 = reference_start(ham)
         reflected = np.empty_like(v0)
         reflected[mirrored_rows(ham)] = v0
         for sign in (1.0, -1.0):
             assert np.linalg.norm(v0 + sign * reflected) >= 0.1 * np.linalg.norm(v0)
 
-    # not the deep double well: its orbitals pair up to 1e-13, so at odd N orbital
-    # N - 1 comes out as any mix of its pair (ground_state starts from |s0| for that)
-    @pytest.mark.parametrize("trap", ["harmonic", "quartic", "double_well"])
-    @pytest.mark.parametrize("m, n", [(40, 2), (24, 3), (16, 4), (14, 5), (14, 10), (24, 18)])
-    def test_start_vector_is_positive_and_mirror_symmetric(self, trap, m, n):
-        # Gantmacher-Krein: the minors of the N lowest orbitals share one sign, so s0
-        # overlaps the positive ground state; the orbital parities cancel the sign
-        # of reversing the slot order, so s0 lies in the ground state's sector
-        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
-        v0 = _slater_start(ham)
-        v0 = v0 * np.sign(v0.sum())
-        assert np.linalg.norm(v0) == pytest.approx(1.0, abs=1e-12)
-        assert v0.min() >= -1e-12
-        assert np.max(np.abs(v0 - v0[mirrored_rows(ham)])) <= 1e-12
-
-    # N = 1, N = M, N > M/2 (complementary minors, N = M - 1 included), and N < M/2;
-    # the quartic and deep double-well spectra hold exactly degenerate pairs
+    # N = 1, N = M, N > M/2 (N = M - 1 included, and (40, 37), where the plain
+    # product overflows) and N < M/2; every trap is even
+    @pytest.mark.parametrize("trap", sorted(TRAPS))
     @pytest.mark.parametrize(
         "m, n",
-        [(9, 1), (200, 1), (7, 7), (12, 12), (12, 9), (16, 12), (14, 7), (24, 3), (40, 2),
-         (13, 6), (13, 7), (14, 8), (10, 9), (20, 15)],
+        [(40, 2), (24, 3), (16, 4), (14, 5), (14, 10), (24, 18), (40, 37), (9, 1), (200, 1), (7, 7),
+         (12, 12), (12, 9), (16, 12), (14, 7), (13, 6), (13, 7), (14, 8), (10, 9), (20, 15)],
     )
-    @pytest.mark.parametrize("trap", ["harmonic", "double_well", "quartic", "deep_double_well"])
-    def test_laplace_start_matches_determinants(self, trap, m, n):
+    def test_start_vector_is_positive_and_mirror_symmetric(self, trap, m, n):
+        # nonnegative and nonzero, so it overlaps the positive ground state; the
+        # symmetrized orbital and the site lags are even, so it lies in that state's
+        # sector, also where the lowest orbital pair is degenerate (deep double well)
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
-        v0, ref = _slater_start(ham), determinant_start(ham)
-        assert v0.shape == ref.shape == (ham.dim,)
-        assert np.max(np.abs(v0 - ref)) <= 1e-12
-        # the full-space oracle's s0 + s1 start, s1 with orbital N - 1 replaced by orbital N
-        ref = slater_determinants(ham, [np.arange(n)] + ([np.r_[: n - 1, n]] if n < m else []))
-        assert np.max(np.abs(parent_start(ham) - ref)) <= 1e-12
+        v0 = _product_start(ham, even=True)
+        assert v0.shape == (ham.dim,)
+        assert np.all(np.isfinite(v0)) and v0.min() >= 0.0
+        assert np.linalg.norm(v0) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(v0 - v0[mirrored_rows(ham)])) <= 1e-12
+        if n == 1:
+            diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+            u0 = np.abs(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0])
+            assert np.max(np.abs(_product_start(ham, even=False) - u0)) <= 1e-12
+            u0 += u0[::-1]
+            assert np.max(np.abs(v0 - u0 / np.linalg.norm(u0))) <= 1e-12
 
     def test_free_fermions_on_a_fine_grid(self):
         ham = make_ham(2, grid=SpatialGrid(1, 2.5, 200))
@@ -480,7 +439,7 @@ class TestDirectBuild:
     def test_ritz_bound_copies_no_matrix(self):
         # |H| alone is the 19 MiB of the matrix's data and indices
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, 48), POTENTIAL, 4, w_n=scaled_interaction(PROFILE, 4))
-        v0 = _slater_start(ham)
+        v0 = _product_start(ham, even=True)
         assert self.traced_peak(lambda: _ritz_bound(ham, v0)) <= 8 << 20
 
 
@@ -591,8 +550,28 @@ class TestMirrorFold:
         assert peak <= 56 << 20
 
 
+class TestMatvecBudget:
+    """ARPACK's matvecs on the benchmark's model stay within the Slater determinant start's counts."""
+
+    @pytest.mark.parametrize("m, n, budget", [(48, 2, 101), (48, 3, 91), (48, 4, 91), (40, 3, 81), (40, 4, 81)])
+    def test_matvecs_within_determinant_start_counts(self, m, n, budget, monkeypatch):
+        matvecs = []
+
+        def counting_eigsh(op, *args, **kwargs):
+            def matvec(x):
+                matvecs.append(1)
+                return op @ x
+
+            return eigsh(LinearOperator(op.shape, matvec=matvec, dtype=float), *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigsh", counting_eigsh)
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
+        ground_state(ham)
+        assert 0 < len(matvecs) <= budget
+
+
 class TestNearlyFullLattices:
-    """N > M/2: the start expands complementary minors, so no Laplace level outgrows the basis."""
+    """N > M/2, where the start's plain product would overflow and the hole matrix dominates memory."""
 
     @pytest.mark.parametrize("m, n", [(24, 18), (40, 37)])
     def test_constructs_and_passes_residual_gate(self, m, n):
