@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -167,6 +168,38 @@ hard_lanczos_cases = st.tuples(
     st.floats(0.0, 2000.0),
     st.floats(0.2, 1.5),
 )
+
+
+def long_double_dets(a, chunk=2048):
+    """Determinants of a stack of square matrices by partial-pivoting elimination in long double."""
+    dets = np.empty(a.shape[0], dtype=np.longdouble)
+    for lo in range(0, a.shape[0], chunk):
+        b = a[lo : lo + chunk].astype(np.longdouble)
+        det = np.ones(b.shape[0], dtype=np.longdouble)
+        rows = np.arange(b.shape[0])
+        for k in range(b.shape[1]):
+            p = k + np.argmax(np.abs(b[:, k:, k]), axis=1)
+            b[rows, k], b[rows, p] = b[rows, p], b[rows, k].copy()
+            det *= np.where(p == k, 1, -1) * b[:, k, k]
+            b[:, k + 1 :, k:] -= b[:, k + 1 :, k, None] / b[:, k, k, None, None] * b[:, None, k, k:]
+        dets[lo : lo + chunk] = det
+    return dets
+
+
+def polynomial_determinants(ham, even):
+    """det[u0(c_a) P_k(y_a)] per basis row at unit norm, P_k the Legendre polynomials, k < N.
+
+    The Legendre matrix of N of M equispaced nodes is ill-conditioned at N ~ 15,
+    so it is formed and eliminated in long double.
+    """
+    m, n = ham.grid.points_per_axis, ham.n_particles
+    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+    u0 = np.abs(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0])
+    if even:
+        u0 += u0[::-1]
+    p = u0[:, None] * legendre.legvander(np.linspace(-1.0, 1.0, m, dtype=np.longdouble), n - 1)
+    dets = long_double_dets(p[ham.occupations])
+    return (dets / np.sqrt(np.sum(dets * dets))).astype(float)
 
 
 def reference_start(ham):
@@ -335,6 +368,24 @@ class TestGroundState:
             assert np.max(np.abs(_product_start(ham, even=False) - u0)) <= 1e-12
             u0 += u0[::-1]
             assert np.max(np.abs(v0 - u0 / np.linalg.norm(u0))) <= 1e-12
+
+    # N = 1, N = M, N > M/2 (N = M - 1 included) and N < M/2; the quartic and deep
+    # double-well spectra hold exactly degenerate pairs. The name is the Laplace
+    # expansion's that the product form replaced; the determinants it is checked
+    # against are those of u0 times polynomials of degree < N, whose minors factor
+    # into prod_a u0(c_a) and a Vandermonde product
+    @pytest.mark.parametrize(
+        "m, n",
+        [(9, 1), (200, 1), (7, 7), (12, 12), (12, 9), (16, 12), (14, 7), (24, 3), (40, 2),
+         (13, 6), (13, 7), (14, 8), (10, 9), (20, 15)],
+    )
+    @pytest.mark.parametrize("trap", ["harmonic", "double_well", "quartic", "deep_double_well"])
+    def test_laplace_start_matches_determinants(self, trap, m, n):
+        ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), TRAPS[trap], n)
+        for even in (False, True):
+            v0, ref = _product_start(ham, even=even), polynomial_determinants(ham, even)
+            assert v0.shape == ref.shape == (ham.dim,)
+            assert np.max(np.abs(v0 - ref)) <= 1e-12
 
     def test_free_fermions_on_a_fine_grid(self):
         ham = make_ham(2, grid=SpatialGrid(1, 2.5, 200))
