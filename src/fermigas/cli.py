@@ -264,7 +264,9 @@ def _cmd_husimi(args) -> int:
     for ix, x in enumerate(table.x_axis):
         for ip, p in enumerate(table.p_axis):
             rows.append([float(x), float(p), float(table.values[ix, ip])])
-    writer = RunWriter(args.out, "husimi", cfg.raw, constants=cfg.constants.source.value)
+    writer = RunWriter(
+        args.out, "husimi", {"config": cfg.raw, "hbar_x": family.hbar_x}, constants=cfg.constants.source.value
+    )
     writer.write_csv("husimi.csv", ["x", "p", "m1"], rows)
     writer.write_json(
         "husimi_summary.json",
@@ -323,7 +325,12 @@ def _cmd_semiclassics_check(args) -> int:
         "marginal_momentum_l1": marginals["momentum_l1_gap"],
         "smearing": report.smearing,
     }
-    writer = RunWriter(args.out, "semiclassics-check", cfg.raw, constants=cfg.constants.source.value)
+    writer = RunWriter(
+        args.out,
+        "semiclassics-check",
+        {"config": cfg.raw, "hbar_x": family.hbar_x, "smear_hbar_x": list(hbar_x_values)},
+        constants=cfg.constants.source.value,
+    )
     writer.write_json("semiclassics.json", record)
     writer.seal()
     print(
@@ -425,10 +432,14 @@ def _cmd_df_experiment(args) -> int:
         uniform_box_sampler,
     )
 
+    beta = args.beta
     if args.preset == "paper-scaling":
-        preset = paper_scaling(args.N, 1, args.beta, 2.0, n_boxes=args.n_boxes)
+        beta = 0.2 if beta is None else beta
+        preset = paper_scaling(args.N, 1, beta, 2.0, n_boxes=args.n_boxes)
         tiling = preset["tiling"]
         delta = preset["delta"]
+    elif beta is not None:
+        raise ConfigError(f"--beta sets the 'paper-scaling' tiling; the {args.preset!r} preset does not read it")
     else:
         # default custom box has |S_L| = 2 pi so the Pauli level sits at mass 1
         half = args.half_width if args.half_width is not None else 0.5 * math.sqrt(2.0 * math.pi)
@@ -461,13 +472,14 @@ def _cmd_df_experiment(args) -> int:
             ns.append(n)
             freqs.append(st.frequency)
     fit = decay_fit(ns, freqs, args.epsilon, delta) if len(ns) >= 2 else None
+    tiling_record = {
+        "half_width": tiling.half_width,
+        "cells_x": tiling.cells_x,
+        "cells_p": tiling.cells_p,
+        "cell_volume": tiling.cell_volume,
+    }
     record = {
-        "tiling": {
-            "half_width": tiling.half_width,
-            "cells_x": tiling.cells_x,
-            "cells_p": tiling.cells_p,
-            "cell_volume": tiling.cell_volume,
-        },
+        "tiling": tiling_record,
         "epsilon": args.epsilon,
         "n_particles": args.N,
         "trials": args.trials,
@@ -482,7 +494,8 @@ def _cmd_df_experiment(args) -> int:
     writer = RunWriter(
         args.out,
         "df-experiment",
-        {"preset": args.preset, "N": args.N, "epsilon": args.epsilon, "trials": args.trials},
+        {"preset": args.preset, "N": args.N, "epsilon": args.epsilon, "trials": args.trials, "beta": beta,
+         "tiling": tiling_record, "cell": args.cell, "sweep": args.sweep, "exact_laws": args.exact_laws},
         seed=args.seed,
     )
     writer.write_json("df_stats.json", record)
@@ -557,7 +570,9 @@ def _cmd_sweep(args) -> int:
         rows.append(row)
     header = ["value", "exit_code"] + keys
     table = [[row.get(k, "") for k in header] for row in rows]
-    writer = RunWriter(args.out, "sweep", {"subcommand": sub, "param": args.param, "values": values})
+    writer = RunWriter(
+        args.out, "sweep", {"subcommand": sub, "param": args.param, "values": values, "args": forwarded}
+    )
     writer.write_csv("sweep.csv", header, table)
     writer.seal()
     print(f"sweep over {len(values)} values written to sweep.csv")
@@ -642,7 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["paper-scaling", "custom"], default="custom")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--N", type=int, default=64)
-    p.add_argument("--beta", type=float, default=0.2)
+    p.add_argument("--beta", type=float, default=None,
+                   help="interaction exponent of the paper-scaling tiling (default 0.2); "
+                        "exit 2 with the custom preset, which does not read it")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--cells", type=int, default=2)

@@ -26,7 +26,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import bdtrc, betaincinv
 
 from .errors import CapExceededError, ValidationError
 from .model import ScaledInteraction, TrapPotential
@@ -403,10 +402,15 @@ class Tiling:
         pts = np.asarray(points, dtype=float)
         coords = np.unravel_index(flat, self._axis_cells())
         mask = np.ones(pts.shape[:-1], dtype=bool)
+        y = np.empty(mask.shape)  # scratch arrays, reused on every axis
+        hit = np.empty(mask.shape, dtype=bool)
         for axis, (t, cells, side) in enumerate(zip(coords, self._axis_cells(), self._axis_sides())):
-            y = (pts[..., axis] + self.half_width) / side
-            hit = (t <= y) & (y < t + 1)
+            np.add(pts[..., axis], self.half_width, out=y)
+            y /= side
+            mask &= np.less_equal(t, y, out=hit)
+            np.less(y, t + 1, out=hit)
             if t == cells - 1:
+                # x == L gives y = 2L / side, within rounding of cells > t, so t <= y holds there
                 hit |= pts[..., axis] == self.half_width
             mask &= hit
         return mask
@@ -661,22 +665,6 @@ def exchangeable_law_sampler(law: FiniteExchangeableLaw, tiling: Tiling):
     return draw
 
 
-def iid_cell_sampler(tiling: Tiling, cell_probs: Array):
-    """Draw particles i.i.d. from a per-cell distribution, uniform in-cell."""
-    probs = np.asarray(cell_probs, dtype=float)
-    if probs.shape != (tiling.n_cells,) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValidationError("cell probabilities must sum to 1 over the tiling")
-    lows = tiling.cell_lows()
-    sides = np.array(tiling._axis_sides())
-
-    def draw(rng, n_trials, n_particles):
-        cells = rng.choice(tiling.n_cells, size=(n_trials, n_particles), p=probs)
-        jitter = rng.uniform(0.0, 1.0, size=(n_trials, n_particles, 2 * tiling.d))
-        return lows[cells] + jitter * sides
-
-    return draw
-
-
 @dataclass
 class PauliViolationStats:
     epsilon: float
@@ -715,6 +703,8 @@ def pauli_violation_stats(
     known per-draw cell probability the exact binomial tail is attached as
     the oracle.
     """
+    from scipy.special import bdtrc, betaincinv
+
     if n_trials < 1:
         raise ValidationError(f"need at least one Monte Carlo trial, got {n_trials}")
     if not 0 <= cell < tiling.n_cells:
@@ -904,7 +894,3 @@ def restriction_energy_defect(
         tau_exceeded=tau_exceeded,
     )
 
-
-def pauli_critical_volume(d: int, n_particles: int) -> float:
-    """Cell volume below which a single atom already violates the local bound."""
-    return TWO_PI**d / n_particles

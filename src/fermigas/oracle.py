@@ -35,14 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapExceededError, ConvergenceError, ValidationError
 from .model import ScaledInteraction, SpatialGrid, TrapPotential, _one_body_diagonals, _one_body_traces
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Array = np.ndarray
 
@@ -180,6 +181,8 @@ class DiscreteHamiltonian:
         return self.hbar**2 / self.grid.spacing**2
 
     def _build_matrix(self) -> sp.csr_matrix:
+        from scipy.sparse import csr_matrix
+
         m = self.grid.points_per_axis
         n = self.n_particles
         dim = self.dim
@@ -229,7 +232,7 @@ class DiscreteHamiltonian:
         for a in range(n):
             indices[cursor[gaps[a + 1]]] = (rows + self.binomials[occ[:, a], a])[gaps[a + 1]]
             cursor += gaps[a + 1]
-        return sp.csr_matrix((data, indices, indptr), shape=(dim, dim), copy=False)
+        return csr_matrix((data, indices, indptr), shape=(dim, dim), copy=False)
 
 
 @dataclass
@@ -277,6 +280,8 @@ def _product_start(ham: DiscreteHamiltonian, even: bool) -> Array:
     overflows on nearly full lattices. A tail of u0 below the smallest normal
     float gives an entry 0.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     m, n, occ = ham.grid.points_per_axis, ham.n_particles, ham.occupations
     diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
     u0 = np.abs(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0])
@@ -317,6 +322,8 @@ def _mirror_fold(ham: DiscreteHamiltonian, mirror: Array) -> tuple[sp.csr_matrix
     w_k / w_j; the two columns of one pair add up. So the fold slices rows
     and sums duplicates, O(nnz), with no sparse product.
     """
+    from scipy.sparse import csr_matrix
+
     reps = np.flatnonzero(np.arange(ham.dim) <= mirror)
     own = (mirror[reps] == reps).view(np.int8)  # 1 on a row that is its own mirror
     pair = np.empty(ham.dim, dtype=ham.matrix.indices.dtype)
@@ -330,7 +337,7 @@ def _mirror_fold(ham: DiscreteHamiltonian, mirror: Array) -> tuple[sp.csr_matrix
     # their value exactly, and sqrt(0.5) + sqrt(0.5) rounds to sqrt(2), so the fold is symmetric
     ratio = np.array([[1.0, math.sqrt(2.0)], [math.sqrt(0.5), 1.0]])
     sub.data *= ratio[np.repeat(own, np.diff(sub.indptr)), own[cols]]
-    fold = sp.csr_matrix((sub.data, cols, sub.indptr), shape=(reps.size, reps.size), copy=False)
+    fold = csr_matrix((sub.data, cols, sub.indptr), shape=(reps.size, reps.size), copy=False)
     fold.sum_duplicates()
     return fold, reps, weight
 
@@ -377,6 +384,8 @@ def ground_state(ham: DiscreteHamiltonian, tol: float = 1e-9, seed: int = 7) -> 
     The start vector is deterministic: ``seed`` is accepted for
     compatibility and no longer changes the result.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     if ham.dim <= DENSE_FALLBACK_DIM:
         evals, evecs = np.linalg.eigh(ham.matrix.toarray())
         vec = evecs[:, 0]
@@ -608,6 +617,8 @@ def free_fermion_energy(ham: DiscreteHamiltonian) -> float:
     threshold) rather than its default width eps * ||T||, which reaches
     1e-10 on fine grids.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
     evals = eigvalsh_tridiagonal(
         diag, off, select="i", select_range=(0, ham.n_particles - 1), tol=2 * np.finfo(float).tiny

@@ -52,6 +52,11 @@ def sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def config_hash(out):
+    with open(os.path.join(out, "manifest.json")) as fh:
+        return json.load(fh)["config_hash"]
+
+
 class TestTFMinimize:
     def test_happy_path_artifacts_and_manifest(self, harmonic_2d_config, tmp_path):
         out = tmp_path / "run"
@@ -257,6 +262,24 @@ class TestHusimiCommands:
             record = json.load(fh)
         assert record["correction_gap"] <= 1e-3
 
+    @pytest.mark.parametrize(
+        "subcommand, flag, values",
+        [("husimi", "--hbar-x", ("0.2", "0.3")), ("semiclassics-check", "--hbar-x", ("0.2", "0.3")),
+         ("semiclassics-check", "--smear-hbar-x", ("1e-2", "1e-3"))],
+    )
+    def test_flags_enter_config_hash(self, subcommand, flag, values, tmp_path):
+        config = write_config(
+            tmp_path / "small.json",
+            {"d": 1, "potential": {"family": "harmonic"}, "beta": 0.2, "n_particles": 2,
+             "grid": {"half_width": 2.2, "points_per_axis": 64}},
+        )
+        hashes = set()
+        for idx, value in enumerate(values):
+            out = tmp_path / str(idx)
+            assert main([subcommand, "--config", config, flag, value, "--out", str(out)]) == 0
+            hashes.add(config_hash(out))
+        assert len(hashes) == 2
+
 
 class TestDFExperiment:
     def test_seeded_run_reproducible(self, tmp_path):
@@ -291,6 +314,36 @@ class TestDFExperiment:
         # a reused row (N = 16 first, N = 64 second) is byte for byte a fresh one
         assert decay[0] == decay[1]
 
+    @pytest.mark.parametrize(
+        "flag, values",
+        [("--cells", ("2", "4")), ("--cell", ("0", "1")), ("--half-width", ("1.0", "1.5")),
+         ("--sweep", ("16", "32"))],
+    )
+    def test_flags_enter_config_hash(self, flag, values, tmp_path):
+        hashes = set()
+        for idx, value in enumerate(values):
+            out = tmp_path / str(idx)
+            argv = ["df-experiment", "--seed", "7", "--N", "16", "--trials", "200", flag, value]
+            assert main(argv + ["--out", str(out)]) == 0
+            hashes.add(config_hash(out))
+        assert len(hashes) == 2
+
+    def test_beta_needs_paper_scaling(self, tmp_path, capsys):
+        argv = ["df-experiment", "--seed", "7", "--N", "16", "--trials", "200"]
+        assert main(argv + ["--beta", "0.3", "--out", str(tmp_path / "c")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "custom" in err["message"]
+        assert not (tmp_path / "c").exists()
+        # under paper-scaling the flag is read, and 0.2 is its default
+        runs = {}
+        for beta in (None, "0.2", "0.3"):
+            out = tmp_path / str(beta)
+            extra = [] if beta is None else ["--beta", beta]
+            assert main(argv + ["--preset", "paper-scaling", "--out", str(out)] + extra) == 0
+            runs[beta] = (out / "df_stats.json").read_bytes(), config_hash(out)
+        assert runs[None] == runs["0.2"]
+        assert runs["0.3"][0] != runs["0.2"][0] and runs["0.3"][1] != runs["0.2"][1]
+
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = main(["df-experiment", "--seed", "7", "--trials", "0", "--out", str(tmp_path / "z")])
         assert code == 2
@@ -320,6 +373,16 @@ class TestSweep:
         header = rows[0].split(",")
         assert "energy_per_particle" in header
         assert len(rows) == 3
+
+    def test_forwarded_args_enter_config_hash(self, tmp_path):
+        hashes = set()
+        for d in ("1", "2"):
+            out = tmp_path / d
+            argv = ["sweep", "--subcommand", "df-experiment", "--param", "N", "--values", "16",
+                    "--args", f"--seed 7 --trials 200 --cells {d}", "--out", str(out)]
+            assert main(argv) == 0
+            hashes.add(config_hash(out))
+        assert len(hashes) == 2
 
     def test_empty_values(self, tmp_path):
         out = tmp_path / "empty"
@@ -420,6 +483,34 @@ with open("/proc/self/status") as fh:
 print(code, threads)
 """
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+# Imports every module, then runs a 1D tf-minimize, printing the scipy modules
+# loaded after each step and the exit code.
+_SCIPY_PROBE = """
+import json, sys
+import fermigas.cli, fermigas.df_measures, fermigas.husimi, fermigas.model, fermigas.oracle
+import fermigas.tf_solver, fermigas.vlasov
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+imported = scipy_modules()
+code = fermigas.cli.main(["tf-minimize", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([imported, code, scipy_modules()]))
+"""
+
+
+def test_import_and_tf_minimize_load_no_scipy(harmonic_1d_config, tmp_path):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, harmonic_1d_config, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    imported, code, after_run = json.loads(out.stdout.splitlines()[-1])
+    assert imported == []
+    assert code == 0
+    assert after_run == []
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a thread cap needs at least two CPUs to show")

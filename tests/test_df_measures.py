@@ -27,7 +27,6 @@ from fermigas.df_measures import (
     df_decomposition,
     measure_energy,
     paper_scaling,
-    pauli_critical_volume,
     pauli_violation_stats,
     restriction_energy_defect,
     tv_bound_check,
@@ -40,6 +39,25 @@ from fermigas.df_measures import (
 # Brute-force oracles over ordered configurations (independent of the
 # multiset bookkeeping inside the module).
 # ---------------------------------------------------------------------------
+
+
+def pauli_critical_volume(d: int, n_particles: int) -> float:
+    """Cell volume below which a single atom already violates the local bound."""
+    return (2.0 * math.pi) ** d / n_particles
+
+
+def iid_cell_sampler(tiling: Tiling, cell_probs):
+    """Draw particles i.i.d. from a per-cell distribution, uniform in-cell."""
+    probs = np.asarray(cell_probs, dtype=float)
+    lows = tiling.cell_lows()
+    sides = np.array(tiling._axis_sides())
+
+    def draw(rng, n_trials, n_particles):
+        cells = rng.choice(tiling.n_cells, size=(n_trials, n_particles), p=probs)
+        jitter = rng.uniform(0.0, 1.0, size=(n_trials, n_particles, 2 * tiling.d))
+        return lows[cells] + jitter * sides
+
+    return draw
 
 
 def brute_marginal(tensor, k):
@@ -392,6 +410,30 @@ class TestTiling:
         # leading axes are kept, as for (trials, particles, coordinates) draws
         assert np.array_equal(t.in_cell(pts.reshape(4, -1, 2 * d), 1), (idx == 1).reshape(4, -1))
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        half_width=st.floats(0.1, 40.0),
+        cells_x=st.integers(1, 5),
+        cells_p=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_cell_is_cell_index_on_random_tilings(self, d, half_width, cells_x, cells_p, seed):
+        t = Tiling(d, half_width, cells_x, cells_p)
+        rng = np.random.default_rng(seed)
+        # per axis: every cell edge (both walls included) and uniform points inside and around the box
+        axis_values = [
+            np.concatenate([-half_width + np.arange(cells + 1) * side, rng.uniform(-1.1, 1.1, 8) * half_width])
+            for cells, side in zip(t._axis_cells(), t._axis_sides())
+        ]
+        pts = np.column_stack([rng.choice(values, 600) for values in axis_values])
+        corner = np.full((1, 2 * d), half_width)  # x = L on every axis lies in the last cell
+        pts = np.vstack([pts, corner])
+        idx = t.cell_index(pts)
+        assert idx[-1] == t.n_cells - 1
+        for cell in range(t.n_cells):
+            assert np.array_equal(t.in_cell(pts, cell), idx == cell)
+
     def test_outside_points_flagged(self):
         t = Tiling.square(1, 1.0, 2)
         idx = t.cell_index(np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 0.5]]))
@@ -704,8 +746,6 @@ class TestRestrictionDefects:
 
 class TestSamplers:
     def test_iid_cell_sampler_respects_distribution(self, rng):
-        from fermigas.df_measures import iid_cell_sampler
-
         t = Tiling.square(1, 1.0, 2)
         probs = np.array([0.7, 0.1, 0.1, 0.1])
         sampler = iid_cell_sampler(t, probs)
