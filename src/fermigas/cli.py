@@ -423,6 +423,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# df-experiment flags that set one preset's tiling: dest -> (flag, the preset that reads it)
+_PRESET_FLAGS = {
+    "beta": ("--beta", "paper-scaling"),
+    "n_boxes": ("--n-boxes", "paper-scaling"),
+    "cells": ("--cells", "custom"),
+    "half_width": ("--half-width", "custom"),
+}
+
+
 def _cmd_df_experiment(args) -> int:
     from .df_measures import (
         Tiling,
@@ -432,18 +441,19 @@ def _cmd_df_experiment(args) -> int:
         uniform_box_sampler,
     )
 
+    for dest, (flag, reader) in _PRESET_FLAGS.items():
+        if getattr(args, dest) is not None and args.preset != reader:
+            raise ConfigError(f"{flag} sets the {reader!r} tiling; the {args.preset!r} preset does not read it")
     beta = args.beta
     if args.preset == "paper-scaling":
         beta = 0.2 if beta is None else beta
         preset = paper_scaling(args.N, 1, beta, 2.0, n_boxes=args.n_boxes)
         tiling = preset["tiling"]
         delta = preset["delta"]
-    elif beta is not None:
-        raise ConfigError(f"--beta sets the 'paper-scaling' tiling; the {args.preset!r} preset does not read it")
     else:
         # default custom box has |S_L| = 2 pi so the Pauli level sits at mass 1
         half = args.half_width if args.half_width is not None else 0.5 * math.sqrt(2.0 * math.pi)
-        tiling = Tiling.square(1, half, args.cells)
+        tiling = Tiling.square(1, half, 2 if args.cells is None else args.cells)
         delta = 1.0 / 20.0
     exact_identities = None
     if args.exact_laws:
@@ -662,10 +672,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "exit 2 with the custom preset, which does not read it")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--cells", type=int, default=2)
+    p.add_argument("--cells", type=int, default=None,
+                   help="cells per phase-space axis of the custom tiling (default 2); "
+                        "exit 2 with the paper-scaling preset, which does not read it")
     p.add_argument("--cell", type=int, default=0)
-    p.add_argument("--half-width", dest="half_width", type=float, default=None)
-    p.add_argument("--n-boxes", dest="n_boxes", type=int, default=None)
+    p.add_argument("--half-width", dest="half_width", type=float, default=None,
+                   help="half-width of the custom tiling's box (default sqrt(2 pi) / 2, area 2 pi); "
+                        "exit 2 with the paper-scaling preset, which does not read it")
+    p.add_argument("--n-boxes", dest="n_boxes", type=int, default=None,
+                   help="box count of the paper-scaling tiling (default set by N and --beta); "
+                        "exit 2 with the custom preset, which does not read it")
     p.add_argument("--sweep", type=int, nargs="*", default=[16, 64, 256])
     p.add_argument("--exact-laws", dest="exact_laws", action="store_true",
                    help="also run the exact rational mixture-identity checks")

@@ -13,9 +13,8 @@ int64 while N^k < 2^63 and Python ints beyond, and exact sums are formed in
 Python ints, so nothing wraps.
 
 The module also provides the phase-space tiling, measure averaging,
-Wasserstein-1 distances with a dual optimality certificate, Monte Carlo
-statistics for local Pauli-bound violations, and the restriction/averaging
-energy-defect experiments.
+Wasserstein-1 distances with a dual optimality certificate, and Monte Carlo
+statistics for local Pauli-bound violations.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .model import ScaledInteraction, TrapPotential
 
 Array = np.ndarray
 
@@ -756,141 +754,3 @@ def decay_fit(n_values, frequencies, epsilon: float, delta: float) -> dict:
     slope_delta = float(np.polyfit(x, np.log(freq), 1)[0])
     slope_logn = float(np.polyfit(np.log(n_arr), np.log(freq), 1)[0])
     return {"slope_vs_ndelta": slope_delta, "slope_vs_logn": slope_logn}
-
-
-# ---------------------------------------------------------------------------
-# Energies of one-body measures, restriction and averaging defects
-# ---------------------------------------------------------------------------
-
-
-def _kernel_pair_energy(x: Array, weights: Array, w_n: ScaledInteraction) -> float:
-    """sum_(i, j) w_N(x_i - x_j) m_i m_j over the ordered pairs of atoms, the diagonal included."""
-    diffs = x[:, None, :] - x[None, :, :]
-    kernel = np.asarray(w_n.evaluate(diffs.reshape(-1, x.shape[1])), dtype=float)
-    return float(weights @ kernel.reshape(len(weights), len(weights)) @ weights)
-
-
-def measure_energy(
-    points: Array,
-    weights: Array,
-    potential: TrapPotential,
-    w_n: ScaledInteraction | None,
-) -> float:
-    """Semiclassical energy of an atomic phase-space measure.
-
-    integral (|p|^2 + V) d mu  -  double integral w_N(x - y) d mu (x) d mu;
-    the product measure includes the diagonal, faithful to mu^(x)2.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    d = pts.shape[1] // 2
-    x, p = pts[:, :d], pts[:, d:]
-    one_body = float(np.sum(w * (np.sum(p**2, axis=1) + potential.evaluate(x))))
-    if w_n is None or pts.shape[0] == 0:
-        return one_body
-    return one_body - _kernel_pair_energy(x, w, w_n)
-
-
-def averaged_measure_energy(
-    avg: AveragedMeasure,
-    potential: TrapPotential,
-    w_n: ScaledInteraction | None,
-    subsamples: int = 5,
-) -> float:
-    """Energy of a piecewise-constant measure.
-
-    |p|^2 averages over momentum sides are closed-form; V is averaged on a
-    per-cell midpoint subgrid; the interaction uses cell-center separations
-    (adequate for the diagnostic defect shapes).
-    """
-    t = avg.tiling
-    d = t.d
-    centers, masses = avg.atoms()
-    if len(masses) == 0:
-        return 0.0
-    # closed-form mean of p^2 over a centered interval of side l_p per axis
-    total_kin = 0.0
-    pot = 0.0
-    for center, mass in zip(centers, masses):
-        p_c = center[d:]
-        kin = float(np.sum(p_c**2) + d * t.l_p**2 / 12.0)
-        total_kin += mass * kin
-        x_lo = center[:d] - 0.5 * t.l_x
-        offs = (np.arange(subsamples) + 0.5) / subsamples * t.l_x
-        if d == 1:
-            xs = (x_lo[0] + offs)[:, None]
-        else:
-            g1, g2 = np.meshgrid(x_lo[0] + offs, x_lo[1] + offs, indexing="ij")
-            xs = np.column_stack([g1.ravel(), g2.ravel()])
-        pot += mass * float(np.mean(potential.evaluate(xs)))
-    one_body = total_kin + pot
-    if w_n is None:
-        return one_body
-    return one_body - _kernel_pair_energy(centers[:, :d], masses, w_n)
-
-
-@dataclass
-class DefectReport:
-    energy_full: float
-    energy_restricted: float
-    energy_averaged: float
-    restriction_defect: float
-    averaging_defect: float
-    restriction_shape: float
-    averaging_shape: float
-    fitted_restriction_constant: float
-    fitted_averaging_constant: float
-    tau_exceeded: bool
-
-
-def restriction_energy_defect(
-    mu: EmpiricalMeasure,
-    tiling: Tiling,
-    potential: TrapPotential,
-    w_n: ScaledInteraction | None,
-    tau: float,
-) -> DefectReport:
-    """Energies of a measure, its box restriction and its cell average.
-
-    The defects are reported against the bound shapes
-    ``tau^2 N^(d beta) / min(L^4, L^(2s))`` (restriction) and
-    ``(l_x + l_p) (|E| + 1)`` (averaging), with fitted constants; nothing
-    is asserted here, downstream tests own the comparisons.
-    """
-    d = tiling.d
-    pts = mu.points
-    w = mu.float_weights()
-    e_full = measure_energy(pts, w, potential, w_n)
-
-    inside = tiling.cell_index(pts) >= 0
-    e_restricted = measure_energy(pts[inside], w[inside], potential, w_n) if inside.any() else 0.0
-
-    avg = average_measure(mu, tiling)
-    e_avg = averaged_measure_energy(avg, potential, w_n)
-
-    x, p = pts[:, :d], pts[:, d:]
-    one_body = float(np.sum(w * (np.sum(p**2, axis=1) + potential.evaluate(x))))
-    tau_exceeded = one_body > tau
-
-    n_beta = 1.0
-    if w_n is not None:
-        n_beta = float(w_n.n_particles) ** (d * w_n.profile.beta)
-    s = potential.growth_exponent
-    l_box = tiling.half_width
-    restriction_shape = tau**2 * n_beta / min(l_box**4, l_box ** (2 * s))
-    averaging_shape = (tiling.l_x + tiling.l_p) * (abs(e_avg) + 1.0)
-    r_defect = e_full - e_restricted
-    a_defect = e_restricted - e_avg
-    return DefectReport(
-        energy_full=e_full,
-        energy_restricted=e_restricted,
-        energy_averaged=e_avg,
-        restriction_defect=r_defect,
-        averaging_defect=a_defect,
-        restriction_shape=restriction_shape,
-        averaging_shape=averaging_shape,
-        fitted_restriction_constant=abs(r_defect) / restriction_shape if restriction_shape > 0 else math.nan,
-        fitted_averaging_constant=abs(a_defect) / averaging_shape if averaging_shape > 0 else math.nan,
-        tau_exceeded=tau_exceeded,
-    )
-

@@ -315,8 +315,9 @@ def husimi_at_samples(source, family: CoherentFamily, samples: Array, k: int = 1
     """Husimi values at explicit phase-space samples.
 
     ``source`` is a OneBodyOperator (k = 1, or k = 2 through the Wick rule
-    for Slater-type operators) or an oracle FermionState (any k <= N, via
-    annihilation on the occupation basis). Samples have shape (n, 2) for
+    for Slater-type operators) or an oracle FermionState (any k <= N, by
+    removing one particle per sample point with ``oracle.annihilate`` on
+    the colex occupation basis). Samples have shape (n, 2) for
     k = 1 and (n, 4) for k = 2 as (x1, p1, x2, p2).
     """
     from .oracle import FermionState
@@ -363,29 +364,20 @@ def _husimi2_slater(gamma: OneBodyOperator, family: CoherentFamily, samples: Arr
 
 
 def _husimi_state(state, family: CoherentFamily, samples: Array, k: int) -> Array:
+    """||a(f_k) ... a(f_1) psi||^2 for the coherent states f_i of a sample's k points.
+
+    a(f) = sqrt(h) sum_j conj(f(y_j)) c_j removes one particle, by ``oracle.annihilate``.
+    """
+    from .oracle import annihilate
+
     grid = state.ham.grid
+    sqrt_h = math.sqrt(grid.spacing)
     out = np.zeros(samples.shape[0])
     for idx, row in enumerate(samples):
-        zs = row.reshape(k, 2)
-        current = {tuple(state.ham.occupations[r]): state.coefficients[r] for r in range(state.ham.dim)}
-        current = {s: c for s, c in current.items() if c != 0.0}
-        value_ok = True
-        for x, p in zs:
-            f = coherent_state(x, p, family, grid)
-            nxt: dict[tuple[int, ...], complex] = {}
-            sqrt_h = math.sqrt(grid.spacing)
-            for sites, c in current.items():
-                for pos, site in enumerate(sites):
-                    amp = np.conj(f[site]) * sqrt_h * ((-1) ** pos) * c
-                    if amp == 0.0:
-                        continue
-                    child = sites[:pos] + sites[pos + 1 :]
-                    nxt[child] = nxt.get(child, 0.0) + amp
-            current = nxt
-            if not current:
-                value_ok = False
-                break
-        out[idx] = sum(abs(c) ** 2 for c in current.values()) if value_ok else 0.0
+        vec = state.coefficients
+        for removed, (x, p) in enumerate(row.reshape(k, 2)):
+            vec = annihilate(state.ham, vec, removed, sqrt_h * np.conj(coherent_state(x, p, family, grid)))
+        out[idx] = float(np.vdot(vec, vec).real)
     return out
 
 

@@ -501,6 +501,32 @@ def reduced_densities(state: FermionState) -> ReducedDensities:
     )
 
 
+def annihilate(ham: DiscreteHamiltonian, vec: Array, removed: int, f: Array) -> Array:
+    """sum_j f_j c_j applied to ``vec``, a state of N - ``removed`` particles.
+
+    ``vec`` lies on the colex basis of N - ``removed`` particles on the M
+    sites of ``ham``, the result on that of one particle fewer. Removing
+    slot a lands on the hole of colex rank ``_removal_ranks``, with the
+    Jordan-Wigner sign (-1)^a that ``reduced_densities`` applies. Rows of
+    different states can land on one hole, so each slot's terms are summed
+    by ``np.bincount``.
+    """
+    m, k = ham.grid.points_per_axis, ham.n_particles - removed
+    if not 1 <= k <= ham.n_particles:
+        raise ValidationError(f"cannot remove a particle after {removed} of N={ham.n_particles}")
+    subsets = ham.occupations if removed == 0 else _colex_subsets(ham.binomials, m, k)
+    if np.shape(vec) != (subsets.shape[0],):
+        raise ValidationError(f"vector of shape {np.shape(vec)} is not on the C({m},{k}) basis")
+    out = np.zeros(math.comb(m, k - 1), dtype=np.result_type(vec, f, float))
+    for a, holes in _removal_ranks(ham.binomials, subsets):
+        amp = f[subsets[:, a]] * vec
+        sign = -1.0 if a % 2 else 1.0
+        out.real += sign * np.bincount(holes, amp.real, out.size)
+        if np.iscomplexobj(out):
+            out.imag += sign * np.bincount(holes, amp.imag, out.size)
+    return out
+
+
 def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
     """Exact lattice energy of the Slater determinant of orthonormal orbitals.
 
@@ -601,13 +627,6 @@ def apriori_diagnostics(state: FermionState) -> AprioriReport:
         kinetic_potential_scale=n ** (1.0 + beta / 2.0),
         interaction_scale=n ** (1.0 + beta / 6.0),
     )
-
-
-def fitted_exponent(n_values, quantities) -> float:
-    """Least-squares slope of log(quantity) against log(N)."""
-    x = np.log(np.asarray(n_values, dtype=float))
-    y = np.log(np.asarray(quantities, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
 
 
 def free_fermion_energy(ham: DiscreteHamiltonian) -> float:

@@ -78,52 +78,38 @@ class DensityField:
 class RelaxedLocalEnergy:
     """Pointwise local energy and its convex relaxation (1D).
 
-    For coupling ``i_w`` and cubic coefficient ``(1-eta) c_tf`` the local
-    energy ``e(t) = (1-eta) c_tf t^3 - i_w t^2 + alpha t`` with
-    ``alpha = i_w^2 / (4 (1-eta) c_tf)`` has exactly the two minimizers
-    ``t = 0`` and ``t = rho_jump = i_w / (2 (1-eta) c_tf)``, both at value 0.
-    The relaxation ``J(t) = e(t) * [t >= rho_jump]`` is convex and coincides
-    with ``e`` above the jump density. ``eta = 0`` is the plain relaxation
-    used for minimization; ``eta`` in (0, 1) reserves part of the cubic term
-    for separate kinetic bookkeeping.
+    For coupling ``i_w`` and cubic coefficient ``c_tf`` the local energy
+    ``e(t) = c_tf t^3 - i_w t^2 + alpha t`` with
+    ``alpha = i_w^2 / (4 c_tf)`` has exactly the two minimizers ``t = 0``
+    and ``t = rho_jump = i_w / (2 c_tf)``, both at value 0. The relaxation
+    ``J(t) = e(t) * [t >= rho_jump]`` is convex and coincides with ``e``
+    above the jump density.
     """
 
     c_tf: float
     i_w: float
-    eta: float = 0.0
 
     def __post_init__(self):
         if self.c_tf <= 0:
             raise ValidationError("c_tf must be positive")
         if self.i_w < 0:
             raise ValidationError("i_w must be nonnegative")
-        if not (0.0 <= self.eta < 1.0):
-            raise ValidationError("eta must lie in [0, 1)")
-
-    @classmethod
-    def eta_variant(cls, c_tf: float, i_w: float, eta: float = 0.5) -> "RelaxedLocalEnergy":
-        """The partially relaxed local energy; half the cubic term by default."""
-        return cls(c_tf, i_w, eta)
-
-    @property
-    def cubic_coefficient(self) -> float:
-        return (1.0 - self.eta) * self.c_tf
 
     @property
     def alpha(self) -> float:
-        return self.i_w**2 / (4.0 * self.cubic_coefficient)
+        return self.i_w**2 / (4.0 * self.c_tf)
 
     @property
     def rho_jump(self) -> float:
-        return self.i_w / (2.0 * self.cubic_coefficient)
+        return self.i_w / (2.0 * self.c_tf)
 
     def local_energy(self, t: Array) -> Array:
         t = np.asarray(t, dtype=float)
-        return self.cubic_coefficient * t**3 - self.i_w * t**2 + self.alpha * t
+        return self.c_tf * t**3 - self.i_w * t**2 + self.alpha * t
 
     def local_energy_derivative(self, t: Array) -> Array:
         t = np.asarray(t, dtype=float)
-        return 3.0 * self.cubic_coefficient * t**2 - 2.0 * self.i_w * t + self.alpha
+        return 3.0 * self.c_tf * t**2 - 2.0 * self.i_w * t + self.alpha
 
     def relaxed_local_energy(self, t: Array) -> Array:
         t = np.asarray(t, dtype=float)
@@ -138,12 +124,11 @@ class RelaxedLocalEnergy:
         rounding never puts an active point inside the jump gap. Written
         into ``out`` (which may be ``u``) when given.
         """
-        a = self.cubic_coefficient
-        t = np.multiply(3.0 * a, u, out=out)  # the rest in place: this runs on every mass evaluation
+        t = np.multiply(3.0 * self.c_tf, u, out=out)  # the rest in place: this runs on every mass evaluation
         t += 0.25 * self.i_w**2
         np.sqrt(t, out=t)
         t += self.i_w
-        t /= 3.0 * a
+        t /= 3.0 * self.c_tf
         return np.maximum(t, self.rho_jump, out=t)
 
 
@@ -170,7 +155,6 @@ class TFSolution:
     mass_gap: float
     c_tf: float
     i_w: float
-    eta: float = 0.0
     support_interior_min: float = math.nan
 
 
@@ -321,7 +305,6 @@ def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalE
     never pass the root: they rise monotonically until rounding stops them.
     Mass and slope are summed over slices of ``active``.
     """
-    a = rel.cubic_coefficient
     lam = lo
     for _ in range(_MAX_NEWTON_STEPS):
         mass = slope = 0.0
@@ -329,7 +312,7 @@ def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalE
             rho = np.subtract(lam, active[b])
             rel.active_density(rho, out=rho)
             mass += float(np.sum(rho))
-            rho *= 6.0 * a
+            rho *= 6.0 * rel.c_tf
             rho -= 2.0 * rel.i_w
             slope += float(np.sum(np.reciprocal(rho, out=rho)))
         nxt = min(lam + (1.0 - volume * mass) / (volume * slope), hi)
@@ -483,7 +466,6 @@ def minimize_1d_relaxed(
         mass_gap=abs(rho.mass - 1.0),
         c_tf=rel.c_tf,
         i_w=rel.i_w,
-        eta=rel.eta,
         support_interior_min=interior_min,
     )
 
@@ -517,7 +499,7 @@ def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEner
         kappa = sol.c_tf - sol.i_w
         return _el_defects(sol.rho.values, v, sol.lam, lambda t: 2.0 * kappa * t)
     if rel is None:
-        rel = RelaxedLocalEnergy(sol.c_tf, sol.i_w, sol.eta)
+        rel = RelaxedLocalEnergy(sol.c_tf, sol.i_w)
     v -= rel.alpha
     return _el_defects(sol.rho.values, v, sol.lam, rel.local_energy_derivative)
 
@@ -575,27 +557,3 @@ def relaxation_equivalence_check(
         passed=bool(diff <= tol and jump_ok),
     )
 
-
-def mass_curve(
-    potential: TrapPotential,
-    grid: SpatialGrid,
-    rel: RelaxedLocalEnergy | None = None,
-    constants: TFConstants | None = None,
-    i_w: float = 0.0,
-    lam_values: Array | None = None,
-) -> tuple[Array, Array]:
-    """Lam -> mass samples of the minimizers' mass map, for monotonicity diagnostics."""
-    v = grid.sample(potential.evaluate)
-    if grid.d == 2:
-        if constants is None:
-            raise ValidationError("2D mass curve needs constants")
-        s, profile = v, _ramp(constants.c_tf - i_w)
-    else:
-        if rel is None:
-            raise ValidationError("1D mass curve needs a RelaxedLocalEnergy")
-        s, profile = v - rel.alpha, rel.active_density
-    if lam_values is None:
-        lam_values = np.linspace(float(v.min()), float(v.min()) + 10.0, 41)
-    s = np.sort(s)
-    masses = [_mass(s, lam, profile, grid.cell_volume) for lam in lam_values]
-    return np.asarray(lam_values, dtype=float), np.asarray(masses)

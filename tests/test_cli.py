@@ -344,6 +344,17 @@ class TestDFExperiment:
         assert runs[None] == runs["0.2"]
         assert runs["0.3"][0] != runs["0.2"][0] and runs["0.3"][1] != runs["0.2"][1]
 
+    @pytest.mark.parametrize(
+        "flag, value, preset",
+        [("--cells", "8", "paper-scaling"), ("--half-width", "1.5", "paper-scaling"), ("--n-boxes", "3", "custom")],
+    )
+    def test_flag_rejected_by_preset_that_ignores_it(self, flag, value, preset, tmp_path, capsys):
+        argv = ["df-experiment", "--seed", "1", "--N", "16", "--trials", "200", "--preset", preset, flag, value]
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and flag in err["message"] and repr(preset) in err["message"]
+        assert not (tmp_path / "c").exists()
+
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = main(["df-experiment", "--seed", "7", "--trials", "0", "--out", str(tmp_path / "z")])
         assert code == 2

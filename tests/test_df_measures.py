@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fermigas import df_measures
 from fermigas.errors import CapExceededError, ValidationError
-from fermigas.model import SpatialGrid, bump_profile, harmonic_potential, scaled_interaction
+from fermigas.model import SpatialGrid, harmonic_potential
 from fermigas.df_measures import (
     ENUMERATION_CAP,
     TRANSPORT_VARIABLE_CAP,
@@ -25,10 +25,8 @@ from fermigas.df_measures import (
     average_measure,
     decay_fit,
     df_decomposition,
-    measure_energy,
     paper_scaling,
     pauli_violation_stats,
-    restriction_energy_defect,
     tv_bound_check,
     uniform_box_sampler,
     wasserstein1,
@@ -677,71 +675,6 @@ def test_import_leaves_stats_and_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == ""
-
-
-class TestRestrictionDefects:
-    def test_supported_inside_no_restriction_defect(self, rng):
-        t = Tiling.square(1, 2.0, 8)
-        mu = EmpiricalMeasure(rng.uniform(-1.5, 1.5, size=(64, 2)))
-        potential = harmonic_potential(1)
-        report = restriction_energy_defect(mu, t, potential, None, tau=20.0)
-        assert report.restriction_defect == 0.0
-        assert abs(report.averaging_defect) <= 3.0 * report.averaging_shape
-
-    def test_defects_shrink_under_refinement(self, rng):
-        # empirical configuration drawn from the oracle ground state's
-        # symmetrized Husimi weights on a coarse tiling
-        from fermigas.df_measures import exchangeable_law_sampler
-        from fermigas.husimi import CoherentFamily, husimi_at_samples
-        from fermigas.oracle import DiscreteHamiltonian, ground_state
-
-        grid = SpatialGrid(1, 2.5, 30)
-        ham = DiscreteHamiltonian(grid, harmonic_potential(1), 3)
-        _, state = ground_state(ham)
-        family = CoherentFamily(3, 0.45, (1.0 / 3.0) ** 2 / 0.45)
-        base = Tiling.square(1, 2.0, 2)
-        centers = base.cell_centers()
-        s_states = len(centers)
-        tensor = np.zeros((s_states,) * 3)
-        for config in product(range(s_states), repeat=3):
-            z = centers[list(config)].reshape(-1)
-            tensor[config] = husimi_at_samples(state, family, z[None, :], k=3)[0]
-        tensor /= tensor.sum()
-        law = FiniteExchangeableLaw.from_tensor(tensor)
-        sampler = exchangeable_law_sampler(law, base)
-        mu = EmpiricalMeasure(sampler(rng, 1, 3)[0])
-
-        potential = harmonic_potential(1)
-        w_n = scaled_interaction(bump_profile(1, beta=0.2), 16)
-        defects = []
-        for cells in (4, 8, 16):
-            t = Tiling.square(1, 2.0, cells)
-            report = restriction_energy_defect(mu, t, potential, w_n, tau=20.0)
-            assert math.isfinite(report.averaging_defect)
-            defects.append(abs(report.averaging_defect))
-        assert defects[2] < defects[0]
-
-    def test_far_point_mass_loses_everything(self):
-        t = Tiling.square(1, 1.0, 2)
-        mu = EmpiricalMeasure(np.array([[5.0, 5.0]]))
-        potential = harmonic_potential(1)
-        report = restriction_energy_defect(mu, t, potential, None, tau=100.0)
-        assert report.energy_restricted == 0.0
-        assert report.restriction_defect == pytest.approx(report.energy_full, abs=0)
-
-    def test_tau_flag(self):
-        t = Tiling.square(1, 1.0, 2)
-        mu = EmpiricalMeasure(np.array([[0.0, 10.0]]))  # kinetic energy 100
-        report = restriction_energy_defect(mu, t, harmonic_potential(1), None, tau=1.0)
-        assert report.tau_exceeded
-
-    def test_measure_energy_includes_diagonal(self):
-        # mu^(x)2 of a single atom keeps the self-pair, per the definition
-        w_n = scaled_interaction(bump_profile(1, beta=0.2, height=1.0), 4)
-        pts = np.array([[0.0, 0.0]])
-        e = measure_energy(pts, np.array([1.0]), harmonic_potential(1), w_n)
-        w0 = float(w_n.evaluate(np.array([[0.0]]))[0])
-        assert e == pytest.approx(-w0, abs=1e-12)
 
 
 class TestSamplers:

@@ -10,6 +10,7 @@ from fermigas.errors import GridResolutionError, HypothesisViolationError, Valid
 from fermigas.model import (
     SpatialGrid,
     TFConstants,
+    TrapPotential,
     _one_body_diagonals,
     bump_profile,
     double_well_potential,
@@ -689,6 +690,104 @@ class TestErrorDecomposition:
         report = semiclassical_error_decomposition(gamma, family, potential)
         assert report.potential_gap >= 0.0
         assert report.potential_gap <= 5.0 * report.potential_gap_scale * N_PARTICLES
+
+
+def dict_walk_husimi(state, family, samples, k):
+    """Husimi values of a lattice state by a walk over a dict of occupied-site tuples.
+
+    The reference that ``oracle.annihilate`` replaced: every sample rebuilds
+    the whole basis as a dict and removes one particle per point, with the
+    Jordan-Wigner sign (-1)^pos of the removed slot.
+    """
+    grid = state.ham.grid
+    out = np.zeros(samples.shape[0])
+    for idx, row in enumerate(samples):
+        zs = row.reshape(k, 2)
+        current = {tuple(state.ham.occupations[r]): state.coefficients[r] for r in range(state.ham.dim)}
+        current = {s: c for s, c in current.items() if c != 0.0}
+        value_ok = True
+        for x, p in zs:
+            f = coherent_state(x, p, family, grid)
+            nxt = {}
+            sqrt_h = math.sqrt(grid.spacing)
+            for sites, c in current.items():
+                for pos, site in enumerate(sites):
+                    amp = np.conj(f[site]) * sqrt_h * ((-1) ** pos) * c
+                    if amp == 0.0:
+                        continue
+                    child = sites[:pos] + sites[pos + 1 :]
+                    nxt[child] = nxt.get(child, 0.0) + amp
+            current = nxt
+            if not current:
+                value_ok = False
+                break
+        out[idx] = sum(abs(c) ** 2 for c in current.values()) if value_ok else 0.0
+    return out
+
+
+# V = ((x - 0.3)^2 - 1)^2: two wells, no mirror symmetry, so no state coefficient
+# is forced equal to its mirror's
+SHIFTED_DOUBLE_WELL = TrapPotential(
+    1,
+    lambda p: ((p[:, 0] - 0.3) ** 2 - 1.0) ** 2,
+    lambda p: 4.0 * ((p - 0.3) ** 2 - 1.0) * (p - 0.3),
+    4.0,
+    0.1,
+    10.0,
+    20.0,
+)
+
+
+def lattice_ground_state(trap, n):
+    from fermigas.oracle import DiscreteHamiltonian, ground_state
+
+    potential, interacting = {
+        "harmonic": (harmonic_potential(1), False),
+        "harmonic_bump": (harmonic_potential(1), True),
+        "shifted_double_well": (SHIFTED_DOUBLE_WELL, False),
+    }[trap]
+    w_n = scaled_interaction(bump_profile(1, beta=0.2, height=2.0), n) if interacting else None
+    _, state = ground_state(DiscreteHamiltonian(SpatialGrid(1, 2.5, 20), potential, n, w_n=w_n))
+    return state
+
+
+STATE_CASES = [(trap, n) for trap in ("harmonic", "harmonic_bump", "shifted_double_well") for n in (1, 2, 3, 4)]
+
+
+class TestAnnihilate:
+    @pytest.mark.parametrize("trap, n", STATE_CASES)
+    def test_husimi_matches_dict_walk(self, trap, n):
+        state = lattice_ground_state(trap, n)
+        family = CoherentFamily(n, 1.2, n**-2.0 / 1.2)  # 9.8 grid points across the envelope
+        rng = np.random.default_rng(n)
+        for k in range(1, n + 1):
+            samples = np.column_stack(
+                [rng.uniform(-1.2, 1.2, size=(4, k)), rng.uniform(-2.0, 2.0, size=(4, k))]
+            )[:, np.arange(2 * k).reshape(2, k).T.ravel()]  # rows (x1, p1, ..., xk, pk)
+            ref = dict_walk_husimi(state, family, samples, k)
+            assert ref.max() > 1e-4
+            assert np.max(np.abs(husimi_at_samples(state, family, samples, k) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("trap, n", STATE_CASES)
+    def test_hole_columns_give_gamma1(self, trap, n):
+        # with f = e_j, annihilate gives column j of the hole matrix that
+        # reduced_densities contracts, so <c_i psi, c_j psi> is gamma1[i, j]
+        from fermigas.oracle import annihilate, reduced_densities
+
+        state = lattice_ground_state(trap, n)
+        sites = np.eye(state.ham.grid.points_per_axis)
+        holes = np.column_stack([annihilate(state.ham, state.coefficients, 0, e) for e in sites])
+        assert np.max(np.abs(holes.T @ holes - reduced_densities(state).gamma1)) <= 1e-12
+
+    def test_rejects_foreign_vectors(self):
+        from fermigas.oracle import annihilate
+
+        state = lattice_ground_state("harmonic", 2)
+        f = np.ones(state.ham.grid.points_per_axis)
+        with pytest.raises(ValidationError, match="basis"):
+            annihilate(state.ham, state.coefficients[:-1], 0, f)
+        with pytest.raises(ValidationError, match="remove"):
+            annihilate(state.ham, np.ones(1), 2, f)
 
 
 @pytest.fixture(scope="module")

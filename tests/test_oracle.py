@@ -37,7 +37,6 @@ from fermigas.oracle import (
     FermionState,
     apriori_diagnostics,
     expectation,
-    fitted_exponent,
     free_fermion_energy,
     ground_state,
     oracle_memory_bytes,
@@ -891,7 +890,6 @@ class TestAprioriDiagnostics:
             kinpots.append(rep.kinetic_potential)
         assert kinpots == sorted(kinpots)
         assert values == sorted(values)
-        assert fitted_exponent([2, 3, 4], kinpots) > 0
 
 
 def parent_slater_energy(ham, orbitals):

@@ -26,7 +26,6 @@ from fermigas.tf_solver import (
     _ramp,
     _solve_unit_mass,
     el_residual,
-    mass_curve,
     minimize_1d_relaxed,
     minimize_2d,
     relaxation_equivalence_check,
@@ -112,7 +111,7 @@ def ref_mass(s, lam, profile, volume):
 
 
 def ref_newton_segment_root(active, lo, hi, rel, volume):
-    a = rel.cubic_coefficient
+    a = rel.c_tf
     lam = lo
     for _ in range(100):
         rho = rel.active_density(lam - active)
@@ -193,21 +192,17 @@ class TestLocalEnergy:
         assert np.all(mid <= 0.5 * (j[:-2] + j[2:]) + 1e-12)
 
     def test_eta_variant_structure(self):
-        rel = RelaxedLocalEnergy(c_tf=math.pi**2 / 3, i_w=2.0, eta=0.5)
-        assert rel.cubic_coefficient == pytest.approx(0.5 * math.pi**2 / 3, rel=1e-15)
+        # the two-minimizer structure holds for a partial cubic coefficient (1 - eta) c_tf
+        rel = RelaxedLocalEnergy((1.0 - 0.5) * math.pi**2 / 3, 2.0)
         assert abs(rel.local_energy(rel.rho_jump)) < 1e-14
         assert abs(rel.local_energy_derivative(rel.rho_jump)) < 1e-14
 
     def test_active_density_never_below_jump(self):
         # as u -> 0 the root formula rounds to either side of rho_jump (here below)
-        rel = RelaxedLocalEnergy(3.0, 0.7, eta=0.3)
+        rel = RelaxedLocalEnergy((1.0 - 0.3) * 3.0, 0.7)
         u = np.array([0.0, 5e-324, 1e-300, 1e-16])
         assert np.all(rel.active_density(u) >= rel.rho_jump)
         assert rel.active_density(np.array([1.0]))[0] > rel.rho_jump
-
-    def test_rejects_eta_one(self):
-        with pytest.raises(ValidationError):
-            RelaxedLocalEnergy(1.0, 1.0, eta=1.0)
 
 
 class TestTFEnergy:
@@ -444,7 +439,7 @@ class TestExactMassSolve:
         tol = 10.0**log_tol
         v = potential.evaluate(grid.points())
         if d == 1:
-            rel = RelaxedLocalEnergy(constants.c_tf, i_w, eta)
+            rel = RelaxedLocalEnergy((1.0 - eta) * constants.c_tf, i_w)
             s, profile = v - rel.alpha, rel.active_density
         else:
             s, profile = v, _ramp(constants.c_tf - i_w)
@@ -598,7 +593,6 @@ def _solution_shell(grid, values, lam, rel):
         mass_gap=math.nan,
         c_tf=rel.c_tf,
         i_w=rel.i_w,
-        eta=rel.eta,
     )
 
 
@@ -662,20 +656,17 @@ class TestRelaxationEquivalence:
 class TestVariationalStructure:
     def test_mass_map_monotone_1d(self, harmonic_1d):
         rel = RelaxedLocalEnergy(math.pi**2 / 3, 2.0)
-        lams, masses = mass_curve(
-            harmonic_1d, SpatialGrid(1, 3.0, 1024), rel=rel, lam_values=np.linspace(-1.0, 6.0, 60)
-        )
+        grid = SpatialGrid(1, 3.0, 1024)
+        s = np.sort(grid.sample(harmonic_1d.evaluate) - rel.alpha)
+        masses = [_mass(s, lam, rel.active_density, grid.cell_volume) for lam in np.linspace(-1.0, 6.0, 60)]
         assert np.all(np.diff(masses) >= -1e-12)
 
     def test_mass_map_monotone_2d(self, harmonic_2d):
         constants = TFConstants.paper_literal(2)
-        lams, masses = mass_curve(
-            harmonic_2d,
-            SpatialGrid(2, 2.5, 64),
-            constants=constants,
-            i_w=4.0,
-            lam_values=np.linspace(0.0, 6.0, 40),
-        )
+        grid = SpatialGrid(2, 2.5, 64)
+        s = np.sort(grid.sample(harmonic_2d.evaluate))
+        ramp = _ramp(constants.c_tf - 4.0)
+        masses = [_mass(s, lam, ramp, grid.cell_volume) for lam in np.linspace(0.0, 6.0, 40)]
         assert np.all(np.diff(masses) >= -1e-12)
 
     @staticmethod
@@ -725,15 +716,8 @@ class TestVariationalStructure:
 
 
 class TestEtaVariantConstructor:
-    def test_default_half(self):
-        rel = RelaxedLocalEnergy.eta_variant(math.pi**2 / 3, 2.0)
-        assert rel.eta == 0.5
-        # two-minimizer structure carries over to the partial relaxation
-        assert abs(rel.local_energy(rel.rho_jump)) < 1e-14
-        assert abs(rel.local_energy_derivative(rel.rho_jump)) < 1e-14
-
     def test_minimization_with_partial_relaxation(self, harmonic_1d):
-        rel = RelaxedLocalEnergy.eta_variant(math.pi**2 / 3, 1.0)
+        rel = RelaxedLocalEnergy((1.0 - 0.5) * math.pi**2 / 3, 1.0)
         sol = minimize_1d_relaxed(harmonic_1d, rel, SpatialGrid(1, 3.0, 4096), tol=1e-4)
         assert sol.support_interior_min >= rel.rho_jump - 1e-6
         supp, comp = el_residual(sol, harmonic_1d, rel)
