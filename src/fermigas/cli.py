@@ -31,15 +31,16 @@ import numpy as np
 from . import __version__
 from .errors import CapExceededError, ConfigError, FermigasError, NumericError, ValidationError
 from .model import (
+    BetaRange,
     ConstantsSource,
     ModelConfig,
     SpatialGrid,
-    TFConstants,
     audit_constants,
-    interaction_from_config,
+    config_from_dict,
     load_config,
-    potential_from_config,
+    read_config,
     scaled_interaction,
+    theorem_beta_limit,
 )
 
 SCHEMA_VERSION = 1
@@ -118,11 +119,21 @@ class RunWriter:
 def _load_model(args) -> ModelConfig:
     if getattr(args, "config", None) is None:
         raise ConfigError("this subcommand requires --config")
-    cfg = load_config(args.config)
+    return _warned(load_config(args.config))
+
+
+def _warned(cfg: ModelConfig) -> ModelConfig:
+    """Print a stderr line for paper-literal constants and for beta outside the theorem range."""
     if cfg.constants.source is ConstantsSource.PAPER_LITERAL:
         print(
             "warning: paper-literal kinetic constants selected; phase-space/density "
             "cross-identities will disagree by the audited factor",
+            file=sys.stderr,
+        )
+    if cfg.interaction is not None and cfg.interaction.beta_range is BetaRange.UPPER_BOUND_ONLY:
+        print(
+            f"warning: beta = {cfg.beta:g} is at or above 2/(d(2d+1)) = {theorem_beta_limit(cfg.d):.6g} "
+            f"in d = {cfg.d}, outside the two-sided energy theorem's range; only the upper bound applies",
             file=sys.stderr,
         )
     return cfg
@@ -350,42 +361,28 @@ def _cmd_oracle(args) -> int:
         reduced_densities,
     )
 
-    if args.config is not None:
-        cfg = _load_model(args)
-        grid, potential, interaction = cfg.grid, cfg.potential, cfg.interaction
-        beta = cfg.beta
-        n_particles = cfg.n_particles
-        raw = cfg.raw
-    else:
-        grid = potential = interaction = beta = n_particles = None
-        raw = {}
-    families = {key: raw.get(key, {}).get("family") for key in ("potential", "interaction")}
+    # the config's dict, or a 1D harmonic default, with each flag given replacing its key
+    raw = read_config(args.config) if args.config is not None else {
+        "d": 1, "potential": {"family": "harmonic"}, "grid": {"half_width": 2.5, "points_per_axis": 40}
+    }
     if args.N is not None:
-        n_particles = args.N
+        raw["n_particles"] = args.N
+    grid_flags = {"points_per_axis": args.M, "half_width": args.half_width}
+    raw["grid"] = {**raw.get("grid", {}), **{k: v for k, v in grid_flags.items() if v is not None}}
+    if args.potential is not None:
+        raw["potential"] = {"family": args.potential}
+    if args.beta is not None:
+        raw["beta"] = args.beta
+    if args.interaction is not None:
+        raw["interaction"] = {"family": args.interaction}
+    cfg = _warned(config_from_dict(raw))
+    grid, n_particles = cfg.grid, cfg.n_particles
     if n_particles is None:
         raise ConfigError("oracle needs --N or n_particles in the config")
-    if grid is None:
-        grid = SpatialGrid(1, 2.5, 40)
-    if args.M is not None or args.half_width is not None:
-        half = grid.half_width if args.half_width is None else args.half_width
-        m_points = grid.points_per_axis if args.M is None else args.M
-        grid = SpatialGrid(1, half, m_points)
-    if args.potential is not None or potential is None:
-        families["potential"] = args.potential or "harmonic"
-        potential = potential_from_config({"family": families["potential"]}, 1)
-    if args.beta is not None:
-        beta = args.beta
-    if args.interaction is not None:
-        if beta is None:
-            raise ConfigError("--interaction needs --beta")
-        interaction = interaction_from_config(
-            {"family": args.interaction}, 1, beta, TFConstants.bathtub_consistent(1)
-        )
-        families["interaction"] = args.interaction
-    w_n = scaled_interaction(interaction, n_particles) if interaction is not None else None
+    w_n = scaled_interaction(cfg.interaction, n_particles) if cfg.interaction is not None else None
 
     cap = ORACLE_MEMORY_CAP if args.memory_cap is None else args.memory_cap << 20
-    ham = DiscreteHamiltonian(grid, potential, n_particles, w_n=w_n, memory_cap=cap)
+    ham = DiscreteHamiltonian(grid, cfg.potential, n_particles, w_n=w_n, memory_cap=cap)
     energy, state = ground_state(ham, tol=args.tol)
     red = reduced_densities(state)
     apriori = apriori_diagnostics(state)
@@ -402,13 +399,7 @@ def _cmd_oracle(args) -> int:
         "kinetic_potential": apriori.kinetic_potential,
         "interaction_integral": apriori.interaction_integral,
     }
-    writer = RunWriter(
-        args.out,
-        "oracle",
-        {"N": n_particles, "M": grid.points_per_axis, "half_width": grid.half_width, "beta": beta,
-         "config": raw, **families},
-        seed=None,
-    )
+    writer = RunWriter(args.out, "oracle", raw)
     writer.write_json("oracle.json", record)
     header, rows = _grid_rows(grid, red.rho1)
     writer.write_csv("density1.csv", header, rows)

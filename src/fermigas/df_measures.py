@@ -12,9 +12,10 @@ operations in place of S^k ordered prefixes per multiset. The tables are
 int64 while N^k < 2^63 and Python ints beyond, and exact sums are formed in
 Python ints, so nothing wraps.
 
-The module also provides the phase-space tiling, measure averaging,
-Wasserstein-1 distances with a dual optimality certificate, and Monte Carlo
-statistics for local Pauli-bound violations.
+The module also provides the phase-space tiling, Wasserstein-1 distances
+between discrete measures given as (points, weights) pairs, with a dual
+optimality certificate, and Monte Carlo statistics for local Pauli-bound
+violations.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def tv_bound_check(law: FiniteExchangeableLaw, k: int) -> TVReport:
 
 
 # ---------------------------------------------------------------------------
-# Tiling, empirical measures, averaging
+# Phase-space tilings
 # ---------------------------------------------------------------------------
 
 
@@ -359,10 +360,6 @@ class Tiling:
         return self.cells_x**self.d * self.cells_p**self.d
 
     @property
-    def cell_diameter(self) -> float:
-        return math.sqrt(self.d * self.l_x**2 + self.d * self.l_p**2)
-
-    @property
     def box_volume(self) -> float:
         return (2.0 * self.half_width) ** (2 * self.d)
 
@@ -372,30 +369,14 @@ class Tiling:
     def _axis_sides(self) -> tuple[float, ...]:
         return (self.l_x,) * self.d + (self.l_p,) * self.d
 
-    def cell_index(self, points: Array) -> Array:
-        """Flat cell index per point; -1 for points outside the box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != 2 * self.d:
-            raise ValidationError(f"points must have {2 * self.d} phase-space coordinates")
-        idx = np.zeros(pts.shape[0], dtype=np.int64)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for axis, (cells, side) in enumerate(zip(self._axis_cells(), self._axis_sides())):
-            co = np.floor((pts[:, axis] + self.half_width) / side).astype(np.int64)
-            at_edge = pts[:, axis] == self.half_width
-            co[at_edge] = cells - 1
-            inside &= (co >= 0) & (co < cells)
-            idx = idx * cells + np.clip(co, 0, cells - 1)
-        idx[~inside] = -1
-        return idx
-
     def in_cell(self, points: Array, flat: int) -> Array:
-        """Mask of the points that ``cell_index`` puts in cell ``flat``.
+        """Mask of the points in cell ``flat`` (row-major over the 2d axes).
 
-        Tests each axis with cell_index's arithmetic, y = (x + L) / side and
-        t <= y < t + 1 (that is, floor(y) == t), or x == L on the last cell
-        of the axis, without forming flat indices. ``points`` has the
-        phase-space coordinates on its last axis; the mask has the leading
-        shape.
+        A point lies in the cell when, on each axis with the cell's index t,
+        y = (x + L) / side has t <= y < t + 1 (that is, floor(y) == t), or
+        x == L on the last cell of the axis; points outside the box lie in
+        no cell. ``points`` has the phase-space coordinates on its last axis;
+        the mask has the leading shape.
         """
         pts = np.asarray(points, dtype=float)
         coords = np.unravel_index(flat, self._axis_cells())
@@ -413,25 +394,8 @@ class Tiling:
             mask &= hit
         return mask
 
-    def cell_bounds(self, flat: int) -> tuple[Array, Array]:
-        cells = self._axis_cells()
-        sides = self._axis_sides()
-        coords = []
-        rest = flat
-        for c in reversed(cells):
-            coords.append(rest % c)
-            rest //= c
-        coords = coords[::-1]
-        lo = np.array([-self.half_width + co * s for co, s in zip(coords, sides)])
-        hi = lo + np.array(sides)
-        return lo, hi
-
-    def cell_center(self, flat: int) -> Array:
-        lo, hi = self.cell_bounds(flat)
-        return 0.5 * (lo + hi)
-
     def cell_lows(self) -> Array:
-        """Lower corner of every cell, row j for flat index j (cell_bounds' arithmetic)."""
+        """Lower corner of every cell, row j for flat index j: -L plus index times side per axis."""
         coords = np.indices(self._axis_cells()).reshape(2 * self.d, -1).T
         return -self.half_width + coords * np.array(self._axis_sides())
 
@@ -478,60 +442,6 @@ def paper_scaling(n_particles: int, d: int, beta: float, growth_exponent: float,
     }
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Uniform atoms at phase-space points; weights are exactly 1/N."""
-
-    points: Array
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.points.shape[0] < 1:
-            raise ValidationError("empirical measure needs at least one atom")
-
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
-
-    def float_weights(self) -> Array:
-        return np.full(self.n_atoms, 1.0 / self.n_atoms)
-
-
-@dataclass
-class AveragedMeasure:
-    """Piecewise-constant measure with exact per-cell masses."""
-
-    tiling: Tiling
-    cell_masses: Array  # object (Fraction) or float per cell
-    source: str = ""
-
-    def mass(self):
-        return sum(self.cell_masses)
-
-    def densities(self) -> Array:
-        vol = self.tiling.cell_volume
-        return np.array([float(m) / vol for m in self.cell_masses])
-
-    def atoms(self) -> tuple[Array, Array]:
-        """Cell-center atomization for transport computations."""
-        masses = np.asarray(self.cell_masses, dtype=float)
-        keep = masses > 0
-        return self.tiling.cell_centers()[keep], masses[keep]
-
-
-def average_measure(mu: EmpiricalMeasure, tiling: Tiling) -> AveragedMeasure:
-    """Project a measure onto per-cell uniform densities, preserving cell masses.
-
-    Atoms outside the tiling's box are dropped (the averaged measure covers
-    the restriction to the box); for an empirical measure the cell masses
-    are exact rationals count/N.
-    """
-    idx = tiling.cell_index(mu.points)
-    counts = np.bincount(idx[idx >= 0], minlength=tiling.n_cells)
-    masses = np.array([Fraction(int(c), mu.n_atoms) for c in counts], dtype=object)
-    return AveragedMeasure(tiling, masses, source=f"empirical({mu.n_atoms})")
-
-
 # ---------------------------------------------------------------------------
 # Wasserstein-1
 # ---------------------------------------------------------------------------
@@ -548,28 +458,17 @@ class TransportResult:
         return self.dual_feasibility_gap <= 1e-8 and self.duality_gap <= 1e-8
 
 
-def _as_atoms(measure) -> tuple[Array, Array]:
-    if isinstance(measure, EmpiricalMeasure):
-        return measure.points, measure.float_weights()
-    if isinstance(measure, AveragedMeasure):
-        return measure.atoms()
-    if isinstance(measure, tuple) and len(measure) == 2:
-        pts = np.atleast_2d(np.asarray(measure[0], dtype=float))
-        wts = np.asarray(measure[1], dtype=float)
-        return pts, wts
-    raise ValidationError(f"unsupported measure type {type(measure).__name__}")
-
-
-def wasserstein1(mu, nu) -> TransportResult:
+def wasserstein1(mu: tuple[Array, Array], nu: tuple[Array, Array]) -> TransportResult:
     """Wasserstein-1 distance with the Euclidean ground metric.
 
-    One-dimensional supports use the exact CDF formula. Otherwise the
-    transport linear program is solved and certified by its dual: the
-    reported potentials must be feasible (u_i + v_j <= cost_ij) and close
-    the duality gap within 1e-8.
+    Each measure is a ``(points, weights)`` pair: n atoms as an (n, D) array
+    of points and their n masses. One-dimensional supports use the exact
+    CDF formula. Otherwise the transport linear program is solved and
+    certified by its dual: the reported potentials must be feasible
+    (u_i + v_j <= cost_ij) and close the duality gap within 1e-8.
     """
-    a_pts, a_w = _as_atoms(mu)
-    b_pts, b_w = _as_atoms(nu)
+    a_pts, a_w = np.atleast_2d(np.asarray(mu[0], dtype=float)), np.asarray(mu[1], dtype=float)
+    b_pts, b_w = np.atleast_2d(np.asarray(nu[0], dtype=float)), np.asarray(nu[1], dtype=float)
     if abs(a_w.sum() - b_w.sum()) > 1e-9 * max(1.0, a_w.sum()):
         raise ValidationError("transport requires equal total masses")
     n, m = a_pts.shape[0], b_pts.shape[0]
@@ -666,7 +565,6 @@ def exchangeable_law_sampler(law: FiniteExchangeableLaw, tiling: Tiling):
 @dataclass
 class PauliViolationStats:
     epsilon: float
-    threshold_mass: float
     threshold_count: int
     frequency: float
     ci_low: float
@@ -734,7 +632,6 @@ def pauli_violation_stats(
         exact = float(bdtrc(min(threshold_count - 1, n_particles), n_particles, exact_cell_prob))
     return PauliViolationStats(
         epsilon=epsilon,
-        threshold_mass=threshold_mass,
         threshold_count=threshold_count,
         frequency=freq,
         ci_low=ci_low,

@@ -173,10 +173,6 @@ class OneBodyOperator:
     def occupations(self) -> Array:
         return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T.conj()))
 
-    def density(self) -> Array:
-        """Spatial density rho_gamma; integrates to the trace."""
-        return np.real(np.diag(self.matrix)) / self.grid.spacing
-
 
 def slater_operator(orbitals: Array, grid: SpatialGrid) -> OneBodyOperator:
     """gamma = sum_a |u_a><u_a| for plainly orthonormal orbital columns."""
@@ -603,7 +599,6 @@ class SemiclassicalErrorReport:
     kinetic_spectral: float
     measured_correction: float
     expected_correction: float
-    potential_husimi: float
     potential_operator: float
     potential_gap: float
     potential_gap_scale: float
@@ -655,7 +650,6 @@ def semiclassical_error_decomposition(
         kinetic_spectral=kin_spectral,
         measured_correction=measured,
         expected_correction=expected,
-        potential_husimi=pot_husimi,
         potential_operator=pot_operator,
         potential_gap=gap,
         potential_gap_scale=gap_scale,

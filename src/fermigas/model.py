@@ -335,11 +335,11 @@ def theorem_beta_limit(d: int) -> float:
 class InteractionProfile:
     """Nonnegative, compactly supported interaction profile w.
 
-    ``i_w`` is the integral of w, ``sup_norm`` its max, and the two
-    gradient norms are carried as diagnostics for the scaling estimates.
-    ``beta`` is the short-range exponent; it must lie in (0, 1/d), and
-    values at or above 2/(d(2d+1)) are flagged as outside the range of the
-    two-sided energy theorem (the upper bound alone still applies).
+    ``i_w`` is the integral of w. ``beta`` is the short-range exponent; it
+    must lie in (0, 1/d), and values at or above 2/(d(2d+1)) have
+    ``beta_range`` UPPER_BOUND_ONLY: they lie outside the range of the
+    two-sided energy theorem (the upper bound alone still applies), and the
+    CLI warns about them.
     """
 
     d: int
@@ -347,9 +347,6 @@ class InteractionProfile:
     support_radius: float
     beta: float
     i_w: float
-    sup_norm: float
-    grad_l1: float
-    grad_l_onepd2: float
     name: str = "custom"
 
     def __post_init__(self):
@@ -412,21 +409,6 @@ class ScaledInteraction:
     def i_w(self) -> float:
         return self.profile.i_w
 
-    @property
-    def sup_norm(self) -> float:
-        return self.amplitude * self.profile.sup_norm
-
-    @property
-    def grad_l1(self) -> float:
-        return self.length_factor * self.profile.grad_l1
-
-    @property
-    def grad_l_onepd2(self) -> float:
-        # |grad w_N|_p = N^(d beta + beta - d beta / p) |grad w|_p, p = 1 + d/2
-        d, beta = self.profile.d, self.profile.beta
-        p = 1.0 + d / 2.0
-        return float(self.n_particles) ** ((d + 1) * beta - d * beta / p) * self.profile.grad_l_onepd2
-
     def evaluate(self, points: Array) -> Array:
         return self.amplitude * self.profile.evaluate(np.asarray(points) * self.length_factor)
 
@@ -468,10 +450,6 @@ class ScaledInteraction:
             total += w * float(np.vdot(a[low], a[high]))
         return total
 
-    def integral_quadrature(self, points_per_axis: int = 4096) -> float:
-        """Integral of the scaled kernel on a support-adapted grid."""
-        return _support_quadrature(self.evaluate, self.profile.d, self.support_radius, points_per_axis)
-
 
 def scaled_interaction(profile: InteractionProfile, n_particles: int) -> ScaledInteraction:
     """Attach the mass-preserving short-range scaling to a profile."""
@@ -490,58 +468,25 @@ def _support_quadrature(evaluate, d: int, radius: float, points_per_axis: int) -
     return float(np.sum(evaluate(pts)) * h * h)
 
 
-def _gradient_norms(evaluate, d: int, radius: float, points_per_axis: int = 8192) -> tuple[float, float]:
-    """Finite-difference ``(|grad w|_1, |grad w|_(1+d/2))`` on a fine grid.
-
-    The L1 value telescopes to the total variation, so it stays meaningful
-    for kernels with jumps; the L^(1+d/2) value of a jump diverges under
-    refinement and is reported as computed.
-    """
-    p = 1.0 + d / 2.0
-    if d == 1:
-        h = 2.0 * radius / points_per_axis
-        ax = -radius + h * (np.arange(points_per_axis) + 0.5)
-        vals = evaluate(ax[:, None])
-        dv = np.diff(vals) / h
-        l1 = float(np.sum(np.abs(dv)) * h)
-        lp = float((np.sum(np.abs(dv) ** p) * h) ** (1.0 / p))
-        return l1, lp
-    n = min(points_per_axis, 512)
-    h = 2.0 * radius / n
-    ax = -radius + h * (np.arange(n) + 0.5)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    vals = evaluate(pts).reshape(n, n)
-    gx = np.diff(vals, axis=0) / h
-    gy = np.diff(vals, axis=1) / h
-    gnorm = np.sqrt(gx[:, :-1] ** 2 + gy[:-1, :] ** 2)
-    l1 = float(np.sum(gnorm) * h * h)
-    lp = float((np.sum(gnorm**p) * h * h) ** (1.0 / p))
-    return l1, lp
-
-
 def box_profile(d: int, beta: float, radius: float = 1.0, height: float = 1.0) -> InteractionProfile:
-    """w = height on the ball |x| <= radius. Integral and sup are analytic."""
+    """w = height on the ball |x| <= radius, with its analytic integral."""
     r, c = float(radius), float(height)
 
     def ev(pts):
         return np.where(np.linalg.norm(pts, axis=1) <= r, c, 0.0)
 
     i_w = 2.0 * r * c if d == 1 else math.pi * r**2 * c
-    grad_l1 = 2.0 * c if d == 1 else 2.0 * math.pi * r * c  # total variation of the jump
-    return InteractionProfile(d, ev, r, beta, i_w, c, grad_l1, math.inf, name="box")
+    return InteractionProfile(d, ev, r, beta, i_w, name="box")
 
 
 def hat_profile(beta: float, radius: float = 1.0, height: float = 1.0) -> InteractionProfile:
-    """1D tent w(x) = height * (1 - |x|/radius)_+ with analytic norms."""
+    """1D tent w(x) = height * (1 - |x|/radius)_+ with its analytic integral."""
     r, c = float(radius), float(height)
 
     def ev(pts):
         return c * np.clip(1.0 - np.abs(pts[:, 0]) / r, 0.0, None)
 
-    slope = c / r
-    grad_lp = (2.0 * r * slope**1.5) ** (2.0 / 3.0)
-    return InteractionProfile(1, ev, r, beta, r * c, c, 2.0 * c, grad_lp, name="hat")
+    return InteractionProfile(1, ev, r, beta, r * c, name="hat")
 
 
 def _mollifier(u: Array) -> Array:
@@ -559,9 +504,7 @@ def bump_profile(d: int, beta: float, radius: float = 1.0, height: float = 1.0) 
     def ev(pts):
         return c * _mollifier(np.linalg.norm(pts, axis=1) / r)
 
-    i_w = _support_quadrature(ev, d, r, 8192)
-    l1, lp = _gradient_norms(ev, d, r)
-    return InteractionProfile(d, ev, r, beta, i_w, c, l1, lp, name="bump")
+    return InteractionProfile(d, ev, r, beta, _support_quadrature(ev, d, r, 8192), name="bump")
 
 
 def _smoothstep(u: Array) -> Array:
@@ -586,10 +529,7 @@ def plateau_profile(
         return c * _smoothstep((r - x) / eps)
 
     i_w = 2.0 * c * (r - eps / 2.0)  # each ramp integrates to c*eps/2
-    grad_l1 = 2.0 * c
-    # integral of |3u^2(1-u)... | closed form is overkill; quadrature on the ramps
-    l1, lp = _gradient_norms(ev, 1, r + eps, 1 << 16)
-    return InteractionProfile(1, ev, r, beta, i_w, c, grad_l1, lp, name="plateau")
+    return InteractionProfile(1, ev, r, beta, i_w, name="plateau")
 
 
 def audit_constants(d: int, probe_density=None, grid: SpatialGrid | None = None) -> dict:
@@ -704,7 +644,8 @@ class ModelConfig:
     raw: dict = field(default_factory=dict)
 
 
-def load_config(path) -> ModelConfig:
+def read_config(path) -> dict:
+    """The JSON object of a config file, not yet validated."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -712,7 +653,13 @@ def load_config(path) -> ModelConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file must hold a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def load_config(path) -> ModelConfig:
+    return config_from_dict(read_config(path))
 
 
 def config_from_dict(raw: dict) -> ModelConfig:

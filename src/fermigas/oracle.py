@@ -555,9 +555,7 @@ def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
 class TrialEnergyReport:
     trial_energy: float
     ground_energy: float
-    gap: float
     satisfied: bool
-    occupations_used: Array
 
 
 def slater_upper_bound(
@@ -574,8 +572,7 @@ def slater_upper_bound(
     """
     n = ham.n_particles
     evals, evecs = np.linalg.eigh(gamma_hermitize(gamma_matrix))
-    occupations_used = evals[::-1][:n]  # eigh sorts ascending
-    if occupations_used[-1] <= 1e-12:
+    if evals[::-1][:n][-1] <= 1e-12:  # the N-th largest occupation; eigh sorts ascending
         raise ValidationError(
             f"one-body matrix has rank below N={n}; cannot form a Slater trial"
         )
@@ -583,13 +580,10 @@ def slater_upper_bound(
     trial = slater_energy(ham, orbitals)
     if ground_energy is None:
         ground_energy, _ = ground_state(ham)
-    gap = trial - ground_energy
     return TrialEnergyReport(
         trial_energy=trial,
         ground_energy=ground_energy,
-        gap=gap,
         satisfied=bool(ground_energy <= trial + tol),
-        occupations_used=occupations_used,
     )
 
 
@@ -598,8 +592,6 @@ class AprioriReport:
     n_particles: int
     kinetic_potential: float
     interaction_integral: float
-    kinetic_potential_scale: float
-    interaction_scale: float
 
 
 def apriori_diagnostics(state: FermionState) -> AprioriReport:
@@ -607,25 +599,17 @@ def apriori_diagnostics(state: FermionState) -> AprioriReport:
 
     The interaction integral is N^-1 <sum_{j<k} w_N(x_j - x_k)>, summed
     state by state over ``_pair_terms``; the kinetic+potential part
-    tr(T gamma_1) is <H> plus it.
-    Reported next to the reference growth scales N^(1+beta*d/2) and
-    N^(1+beta*d^2/(2(d+2))); purely diagnostic, nothing is asserted.
+    tr(T gamma_1) is <H> plus it. Purely diagnostic, nothing is asserted.
     """
     ham = state.ham
-    n = ham.n_particles
-    if ham.w_n is None:
-        inter = 0.0
-        beta = 0.0
-    else:
+    inter = 0.0
+    if ham.w_n is not None:
         w2 = state.coefficients**2
         inter = sum((float(w2 @ term) for term in _pair_terms(ham)), 0.0)
-        beta = ham.w_n.profile.beta
     return AprioriReport(
-        n_particles=n,
+        n_particles=ham.n_particles,
         kinetic_potential=state.energy() + inter,
         interaction_integral=inter,
-        kinetic_potential_scale=n ** (1.0 + beta / 2.0),
-        interaction_scale=n ** (1.0 + beta / 6.0),
     )
 
 

@@ -55,23 +55,12 @@ class DensityField:
         if self.values.min() < 0:
             raise ValidationError("density values must be nonnegative")
 
-    @classmethod
-    def from_callable(cls, grid: SpatialGrid, fn) -> "DensityField":
-        """Density of a pointwise ``fn``, sampled by ``grid.sample``."""
-        return cls(grid, grid.sample(fn))
-
     @property
     def mass(self) -> float:
         return self.grid.integrate(self.values)
 
     def power_integral(self, p: float) -> float:
         return self.grid.integrate(self.values**p)
-
-    def normalized(self) -> "DensityField":
-        m = self.mass
-        if m <= 0:
-            raise ValidationError("cannot normalize a zero-mass density")
-        return DensityField(self.grid, self.values / m)
 
 
 @dataclass(frozen=True)
@@ -507,7 +496,6 @@ def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEner
 @dataclass
 class EquivalenceReport:
     relaxed_minimum: float
-    tf_energy_at_minimizer: float
     difference: float
     jump_certificate_min: float
     rho_jump: float
@@ -544,13 +532,11 @@ def relaxation_equivalence_check(
     """
     sol = minimize_1d_relaxed(potential, rel, grid, tol=min(tol, 1e-6))
     e_relaxed = relaxed_energy(sol.rho, potential, rel)
-    e_tf = sol.energy.total
     interior_min = sol.support_interior_min
     jump_ok = (not math.isfinite(interior_min)) or interior_min >= rel.rho_jump - tol
-    diff = abs(e_tf - e_relaxed)
+    diff = abs(sol.energy.total - e_relaxed)
     return EquivalenceReport(
         relaxed_minimum=e_relaxed,
-        tf_energy_at_minimizer=e_tf,
         difference=diff,
         jump_certificate_min=interior_min,
         rho_jump=rel.rho_jump,

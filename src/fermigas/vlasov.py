@@ -6,8 +6,8 @@ Phase-space quantities use the measure ``dx dp / (2 pi)^d``. For indicator
 lifts, momentum integrals are evaluated with the closed-form ball formulas
 per spatial point (no momentum quadrature and hence no staircase error). A
 lift stores only its Fermi radius; the gridded 0/1 table, which only
-operator constructions and the staircase normalization read, is built on
-first read and capped by ``LIFT_TABLE_CAP``.
+operator constructions read, is built on first read and capped by
+``LIFT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -108,11 +108,6 @@ class PhaseSpaceDensity:
     def normalization(self) -> float:
         """(2 pi)^-d * double integral of m."""
         return float(self.grid.integrate(self.spatial_density()))
-
-    def gridded_normalization(self) -> float:
-        """Same integral from the tabulated values only (staircase for lifts)."""
-        dens = self.values.sum(axis=1) * self.momentum.cell_volume / TWO_PI**self.d
-        return float(self.grid.integrate(dens))
 
     def kinetic_density(self) -> Array:
         """(2 pi)^-d * integral of |p|^2 m over p, per spatial point."""

@@ -183,6 +183,29 @@ class TestOracleCommand:
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["config_hash"] != runs["2.0"][2]
 
+    def test_beta_flag_overrides_config(self, tmp_path):
+        payload = {"d": 1, "potential": {"family": "harmonic"}, "beta": 0.2, "n_particles": 2,
+                   "interaction": {"family": "bump", "params": {"height": 2.0}},
+                   "grid": {"half_width": 2.5, "points_per_axis": 24}}
+        config = write_config(tmp_path / "bump.json", payload)
+        runs = {}
+        for beta in ("0.1", "0.4"):
+            out = tmp_path / beta
+            assert main(["oracle", "--config", config, "--beta", beta, "--out", str(out)]) == 0
+            with open(out / "oracle.json") as fh:
+                runs[beta] = json.load(fh)["energy"], config_hash(out)
+        assert runs["0.1"][0] != runs["0.4"][0]
+        assert runs["0.1"][1] != runs["0.4"][1]
+        # an interaction with no beta in the config or the flags is still refused
+        bare = write_config(tmp_path / "bare.json", {"d": 1, "potential": {"family": "harmonic"}})
+        assert main(["oracle", "--config", bare, "--N", "2", "--M", "24", "--interaction", "bump",
+                     "--out", str(tmp_path / "bare")]) == 2
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path):
+        # the oracle sets its flags as keys of the config's JSON object
+        config = write_config(tmp_path / "list.json", [{"d": 1}])
+        assert main(["oracle", "--config", config, "--N", "2", "--out", str(tmp_path / "o")]) == 2
+
     def test_record_carries_nnz_and_memory_estimate(self, tmp_path):
         from fermigas.model import SpatialGrid, harmonic_potential
         from fermigas.oracle import DiscreteHamiltonian, oracle_memory_bytes
@@ -201,6 +224,19 @@ class TestOracleCommand:
         fields = dict(zip(header.split(","), row.split(",")))
         assert float(fields["nnz"]) == ham.matrix.nnz
         assert float(fields["memory_estimate_mib"]) == record["memory_estimate_mib"]
+
+
+@pytest.mark.parametrize("beta, warns", [(0.2, False), (0.7, True)])
+def test_beta_outside_theorem_range_warns(beta, warns, tmp_path, capsys):
+    # 2/(d(2d+1)) = 2/3 in 1D: beta = 0.7 is in (0, 1/d) but outside the two-sided theorem's range
+    config = write_config(tmp_path / "c.json", {"d": 1, "potential": {"family": "harmonic"}, "beta": beta,
+                                                "interaction": {"family": "bump"},
+                                                "grid": {"half_width": 3.0, "points_per_axis": 64}})
+    assert main(["tf-minimize", "--config", config, "--tol", "1e-2", "--out", str(tmp_path / "tf")]) == 0
+    assert main(["oracle", "--N", "2", "--M", "16", "--beta", str(beta), "--interaction", "bump",
+                 "--out", str(tmp_path / "oracle")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "two-sided" in line]
+    assert len(warnings) == (2 if warns else 0)
 
 
 class TestVlasovLift:

@@ -19,10 +19,8 @@ from fermigas.df_measures import (
     ENUMERATION_CAP,
     TRANSPORT_VARIABLE_CAP,
     DFDecomposition,
-    EmpiricalMeasure,
     FiniteExchangeableLaw,
     Tiling,
-    average_measure,
     decay_fit,
     df_decomposition,
     paper_scaling,
@@ -37,6 +35,35 @@ from fermigas.df_measures import (
 # Brute-force oracles over ordered configurations (independent of the
 # multiset bookkeeping inside the module).
 # ---------------------------------------------------------------------------
+
+
+def cell_index(tiling: Tiling, points) -> np.ndarray:
+    """Flat cell index per point by floor division per axis; -1 outside the box.
+
+    The reference rule that ``Tiling.in_cell`` is compared with: x == L
+    belongs to the last cell of its axis.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    idx = np.zeros(pts.shape[0], dtype=np.int64)
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for axis, (cells, side) in enumerate(zip(tiling._axis_cells(), tiling._axis_sides())):
+        co = np.floor((pts[:, axis] + tiling.half_width) / side).astype(np.int64)
+        co[pts[:, axis] == tiling.half_width] = cells - 1
+        inside &= (co >= 0) & (co < cells)
+        idx = idx * cells + np.clip(co, 0, cells - 1)
+    idx[~inside] = -1
+    return idx
+
+
+def cell_bounds(tiling: Tiling, flat: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corner of one cell, its flat index unravelled by hand."""
+    coords = []
+    for cells in reversed(tiling._axis_cells()):
+        coords.append(flat % cells)
+        flat //= cells
+    sides = np.array(tiling._axis_sides())
+    lo = -tiling.half_width + np.array(coords[::-1]) * sides
+    return lo, lo + sides
 
 
 def pauli_critical_volume(d: int, n_particles: int) -> float:
@@ -379,17 +406,17 @@ class TestTiling:
     def test_cell_indexing_round_trip(self, rng):
         t = Tiling(1, 1.5, 3, 5)
         pts = rng.uniform(-1.5, 1.5, size=(200, 2))
-        idx = t.cell_index(pts)
+        idx = cell_index(t, pts)
         assert np.all(idx >= 0)
         for j in range(t.n_cells):
-            lo, hi = t.cell_bounds(j)
+            lo, hi = cell_bounds(t, j)
             inside = np.all((pts >= lo) & (pts < hi), axis=1)
             assert np.all(idx[inside] == j)
 
     @pytest.mark.parametrize("d, cells_x, cells_p", [(1, 3, 5), (2, 2, 3)])
     def test_cell_lows_and_centers_match_cell_bounds(self, d, cells_x, cells_p):
         t = Tiling(d, 1.3, cells_x, cells_p)
-        bounds = [t.cell_bounds(j) for j in range(t.n_cells)]
+        bounds = [cell_bounds(t, j) for j in range(t.n_cells)]
         assert np.array_equal(t.cell_lows(), np.array([lo for lo, _ in bounds]))
         assert np.array_equal(t.cell_centers(), np.array([0.5 * (lo + hi) for lo, hi in bounds]))
 
@@ -402,7 +429,7 @@ class TestTiling:
             axis_values.append(np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]))
         edge_pts = np.column_stack([rng.choice(values, 4000) for values in axis_values])
         pts = np.vstack([edge_pts, rng.uniform(-1.6, 1.6, size=(4000, 2 * d))])
-        idx = t.cell_index(pts)
+        idx = cell_index(t, pts)
         for cell in range(t.n_cells):
             assert np.array_equal(t.in_cell(pts, cell), idx == cell)
         # leading axes are kept, as for (trials, particles, coordinates) draws
@@ -427,14 +454,14 @@ class TestTiling:
         pts = np.column_stack([rng.choice(values, 600) for values in axis_values])
         corner = np.full((1, 2 * d), half_width)  # x = L on every axis lies in the last cell
         pts = np.vstack([pts, corner])
-        idx = t.cell_index(pts)
+        idx = cell_index(t, pts)
         assert idx[-1] == t.n_cells - 1
         for cell in range(t.n_cells):
             assert np.array_equal(t.in_cell(pts, cell), idx == cell)
 
     def test_outside_points_flagged(self):
         t = Tiling.square(1, 1.0, 2)
-        idx = t.cell_index(np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 0.5]]))
+        idx = cell_index(t, np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 0.5]]))
         assert idx[0] == -1 and idx[1] == -1 and idx[2] >= 0
 
     def test_paper_scaling_preset(self):
@@ -448,57 +475,14 @@ class TestTiling:
         assert preset["n_boxes"] == math.ceil(64 ** (5 * 0.2 / 4 + 1))
 
 
-class TestAveraging:
-    def test_single_atom_occupies_one_cell(self):
-        t = Tiling.square(1, 2.0, 4)
-        center = t.cell_center(5)
-        avg = average_measure(EmpiricalMeasure(center[None, :]), t)
-        assert avg.cell_masses[5] == 1
-        assert sum(avg.cell_masses) == 1
-
-    def test_uniform_cell_center_atoms_fixed_point(self):
-        t = Tiling.square(1, 2.0, 4)
-        mu = EmpiricalMeasure(t.cell_centers())
-        avg = average_measure(mu, t)
-        assert all(m == Fraction(1, t.n_cells) for m in avg.cell_masses)
-
-    def test_random_empirical_counts_exact(self, rng):
-        t = Tiling.square(1, 2.0, 4)
-        pts = rng.uniform(-2.0, 2.0, size=(100, 2))
-        mu = EmpiricalMeasure(pts)
-        avg = average_measure(mu, t)
-        idx = t.cell_index(pts)
-        for j in range(t.n_cells):
-            assert avg.cell_masses[j] == Fraction(int((idx == j).sum()), 100)
-
-    def test_atoms_and_masses_match_per_cell_loops(self, rng):
-        t = Tiling.square(2, 1.0, 3)
-        pts = rng.uniform(-1.2, 1.2, size=(40, 4))
-        avg = average_measure(EmpiricalMeasure(pts), t)
-        idx = t.cell_index(pts)
-        assert all(avg.cell_masses[j] == Fraction(int((idx == j).sum()), 40) for j in range(t.n_cells))
-        keep = [j for j in range(t.n_cells) if float(avg.cell_masses[j]) > 0]
-        centers, masses = avg.atoms()
-        assert np.array_equal(centers, np.array([t.cell_center(j) for j in keep]))
-        assert np.array_equal(masses, np.array([float(avg.cell_masses[j]) for j in keep]))
-
-    def test_mass_restriction(self, rng):
-        t = Tiling.square(1, 1.0, 2)
-        pts = rng.uniform(-2.0, 2.0, size=(50, 2))
-        mu = EmpiricalMeasure(pts)
-        avg = average_measure(mu, t)
-        inside = (t.cell_index(pts) >= 0).sum()
-        assert avg.mass() == Fraction(int(inside), 50)
-
-
 class TestWasserstein:
     def test_identical_measures(self, rng):
-        mu = EmpiricalMeasure(rng.uniform(-1, 1, size=(40, 2)))
+        mu = (rng.uniform(-1, 1, size=(40, 2)), np.full(40, 1 / 40))
         assert wasserstein1(mu, mu).distance == pytest.approx(0.0, abs=1e-12)
 
     def test_point_masses_euclidean(self):
-        mu = EmpiricalMeasure(np.array([[0.0, 0.0]]))
-        nu = EmpiricalMeasure(np.array([[3.0, 4.0]]))
+        mu = (np.array([[0.0, 0.0]]), np.array([1.0]))
+        nu = (np.array([[3.0, 4.0]]), np.array([1.0]))
         assert wasserstein1(mu, nu).distance == pytest.approx(5.0, abs=1e-12)
 
     def test_line_case_matches_lp(self, rng):
@@ -515,18 +499,9 @@ class TestWasserstein:
         lp = wasserstein1(mu, nudged).distance
         assert line == pytest.approx(lp, abs=1e-6)
 
-    def test_averaged_measure_within_cell_diameter(self, rng):
-        t = Tiling.square(1, 2.0, 4)
-        for _ in range(20):
-            mu = EmpiricalMeasure(rng.uniform(-2, 2, size=(30, 2)))
-            avg = average_measure(mu, t)
-            res = wasserstein1(avg, mu)
-            assert res.distance <= t.cell_diameter + 1e-9
-            assert res.certified
-
     def test_dual_certificate(self, rng):
-        mu = EmpiricalMeasure(rng.uniform(-1, 1, size=(25, 2)))
-        nu = EmpiricalMeasure(rng.uniform(-1, 1, size=(35, 2)))
+        mu = (rng.uniform(-1, 1, size=(25, 2)), np.full(25, 1 / 25))
+        nu = (rng.uniform(-1, 1, size=(35, 2)), np.full(35, 1 / 35))
         res = wasserstein1(mu, nu)
         assert res.dual_feasibility_gap <= 1e-8
         assert res.duality_gap <= 1e-8
@@ -683,7 +658,7 @@ class TestSamplers:
         probs = np.array([0.7, 0.1, 0.1, 0.1])
         sampler = iid_cell_sampler(t, probs)
         pts = sampler(rng, 4000, 2).reshape(-1, 2)
-        idx = t.cell_index(pts)
+        idx = cell_index(t, pts)
         freq = np.bincount(idx, minlength=4) / len(idx)
         assert freq == pytest.approx(probs, abs=0.02)
 
@@ -695,7 +670,7 @@ class TestSamplers:
         law = FiniteExchangeableLaw(4, 2, {(0, 3): Fraction(1)})
         sampler = exchangeable_law_sampler(law, t)
         pts = sampler(rng, 50, 2)
-        idx = t.cell_index(pts.reshape(-1, 2)).reshape(50, 2)
+        idx = cell_index(t, pts.reshape(-1, 2)).reshape(50, 2)
         assert np.all(np.sort(idx, axis=1) == [0, 3])
 
     def test_law_sampler_state_count_mismatch(self):

@@ -221,7 +221,7 @@ class TestTFEnergy:
     def test_1d_analytic_profile(self, harmonic_1d):
         lam = 2.0 * SQRT3
         grid = SpatialGrid(1, 3.0, 8192)
-        rho = DensityField.from_callable(grid, lambda pts: free_1d_profile(lam)(pts[:, 0]))
+        rho = DensityField(grid, grid.sample(lambda pts: free_1d_profile(lam)(pts[:, 0])))
         assert rho.mass == pytest.approx(1.0, abs=2e-6)  # normalization lam/(2 sqrt 3) = 1
         breakdown = tf_energy(rho, harmonic_1d, TFConstants.paper_literal(1), i_w=0.0)
         assert breakdown.total == pytest.approx(SQRT3, abs=1e-4)
@@ -235,9 +235,8 @@ class TestTFEnergy:
         assert lam == pytest.approx(4.0, abs=0)
         assert total == pytest.approx(8.0 / 3.0, rel=1e-14)
         grid = SpatialGrid(2, 2.5, 256)
-        rho = DensityField.from_callable(
-            grid, lambda pts: np.clip(lam - np.sum(pts**2, axis=1), 0.0, None) / (2 * kappa)
-        )
+        cap = grid.sample(lambda pts: np.clip(lam - np.sum(pts**2, axis=1), 0.0, None) / (2 * kappa))
+        rho = DensityField(grid, cap)
         breakdown = tf_energy(rho, harmonic_2d, constants, i_w)
         assert breakdown.total == pytest.approx(total, abs=1e-4)
 
