@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .errors import CapExceededError, ConfigError, FermigasError, NumericError, ValidationError
 from .model import (
-    BetaRange,
     ConstantsSource,
     ModelConfig,
     SpatialGrid,
@@ -130,7 +129,7 @@ def _warned(cfg: ModelConfig) -> ModelConfig:
             "cross-identities will disagree by the audited factor",
             file=sys.stderr,
         )
-    if cfg.interaction is not None and cfg.interaction.beta_range is BetaRange.UPPER_BOUND_ONLY:
+    if cfg.interaction is not None and cfg.beta >= theorem_beta_limit(cfg.d):
         print(
             f"warning: beta = {cfg.beta:g} is at or above 2/(d(2d+1)) = {theorem_beta_limit(cfg.d):.6g} "
             f"in d = {cfg.d}, outside the two-sided energy theorem's range; only the upper bound applies",
@@ -226,8 +225,10 @@ def _cmd_vlasov_lift(args) -> int:
 
     cfg = _load_model(args)
     rho = _read_density_csv(args.density, cfg.grid)
+    # the lift's energies are closed-form ball integrals, so of the momentum
+    # grid only its half-width is read, to check that it covers the Fermi radius
     p_max = 1.1 * cfg.constants.c_d * float(rho.values.max()) ** (1.0 / cfg.d) + 1e-9
-    momentum = SpatialGrid(cfg.d, p_max, args.momentum_points)
+    momentum = SpatialGrid(cfg.d, p_max, 128)
     lift = bathtub_lift(rho, cfg.constants, momentum)
     i_w = cfg.interaction.i_w if cfg.interaction is not None else 0.0
     report = vlasov_energy(lift, cfg.potential, i_w)
@@ -252,24 +253,25 @@ def _cmd_vlasov_lift(args) -> int:
     return 0
 
 
-def _family_from_config(cfg: ModelConfig, hbar_x: float | None):
-    from .husimi import CoherentFamily
-
-    if cfg.n_particles is None:
-        raise ConfigError("this subcommand needs 'n_particles' in the config")
-    beta = cfg.beta if cfg.beta is not None else 0.0
-    return CoherentFamily.default(cfg.n_particles, beta, hbar_x=hbar_x)
-
-
-def _cmd_husimi(args) -> int:
-    from .husimi import husimi_grid_table, lowest_orbitals, slater_operator
+def _slater_model(args, what: str):
+    """The config, its coherent family and the Slater operator of its N lowest orbitals (1D only)."""
+    from .husimi import CoherentFamily, lowest_orbitals, slater_operator
 
     cfg = _load_model(args)
     if cfg.d != 1:
-        raise ConfigError("husimi tables are desk-scale 1D only")
-    family = _family_from_config(cfg, args.hbar_x)
+        raise ConfigError(f"{what} are desk-scale 1D only")
+    if cfg.n_particles is None:
+        raise ConfigError("this subcommand needs 'n_particles' in the config")
+    beta = cfg.beta if cfg.beta is not None else 0.0
+    family = CoherentFamily.default(cfg.n_particles, beta, hbar_x=args.hbar_x)
     orbitals = lowest_orbitals(cfg.grid, cfg.potential, cfg.n_particles, family.hbar)
-    gamma = slater_operator(orbitals, cfg.grid)
+    return cfg, family, slater_operator(orbitals, cfg.grid)
+
+
+def _cmd_husimi(args) -> int:
+    from .husimi import husimi_grid_table
+
+    cfg, family, gamma = _slater_model(args, "husimi tables")
     table = husimi_grid_table(gamma, family)
     rows = []
     for ix, x in enumerate(table.x_axis):
@@ -295,19 +297,9 @@ def _cmd_husimi(args) -> int:
 
 
 def _cmd_semiclassics_check(args) -> int:
-    from .husimi import (
-        lowest_orbitals,
-        marginal_identity_report,
-        semiclassical_error_decomposition,
-        slater_operator,
-    )
+    from .husimi import marginal_identity_report, semiclassical_error_decomposition
 
-    cfg = _load_model(args)
-    if cfg.d != 1:
-        raise ConfigError("semiclassics checks are desk-scale 1D only")
-    family = _family_from_config(cfg, args.hbar_x)
-    orbitals = lowest_orbitals(cfg.grid, cfg.potential, cfg.n_particles, family.hbar)
-    gamma = slater_operator(orbitals, cfg.grid)
+    cfg, family, gamma = _slater_model(args, "semiclassics checks")
     w_n = None
     if cfg.interaction is not None:
         w_n = scaled_interaction(cfg.interaction, cfg.n_particles)
@@ -511,15 +503,12 @@ def _cmd_df_experiment(args) -> int:
 
 def _exact_law_checks() -> dict:
     """Exact rational identity table over small exchangeable laws."""
-    from fractions import Fraction
-
-    from .df_measures import FiniteExchangeableLaw, df_decomposition, tv_bound_check
+    from .df_measures import FiniteExchangeableLaw, tv_bound_check
 
     results = []
     for s_states, n in ((2, 2), (3, 3), (4, 4), (6, 5)):
         law = FiniteExchangeableLaw.uniform(s_states, n)
-        dec = df_decomposition(law)
-        first_exact = all(a == b for a, b in zip(law.marginal(1), dec.mixture_marginal(1)))
+        first_exact = all(a == b for a, b in zip(law.marginal(1), law.mixture_marginal(1)))
         check = tv_bound_check(law, 2)
         results.append(
             {
@@ -527,7 +516,7 @@ def _exact_law_checks() -> dict:
                 "n_particles": n,
                 "first_marginal_exact": bool(first_exact),
                 "tv": float(check.tv),
-                "bound": float(Fraction(4, n)),
+                "bound": float(check.bound),
                 "passed": bool(check.passed and first_exact),
             }
         )
@@ -616,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vlasov-lift", help="bath-tub lift of a density profile")
     p.add_argument("--config", required=True)
     p.add_argument("--density", required=True, help="density CSV (from tf-minimize)")
-    p.add_argument("--momentum-points", type=int, default=128)
     common(p)
     p.set_defaults(handler=_cmd_vlasov_lift)
 

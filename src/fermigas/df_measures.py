@@ -246,40 +246,24 @@ class FiniteExchangeableLaw:
         types, falling, _ = self._type_sums(k)
         return _scatter(types, self._scaled(falling, math.perm(self.n_particles, k)), self.n_states)
 
-
-@dataclass
-class DFDecomposition:
-    """The mixture over empirical measures and its product-law marginals.
-
-    Each multiset with count vector c contributes its empirical measure
-    c / N with its probability w_c.
-    """
-
-    law: FiniteExchangeableLaw
-
     def mixture_marginal(self, k: int) -> Array:
-        """m-tilde^(k) = sum_c w_c (c / N)^(x)k, equal to sum_c w_c P[c, u] / N^k per prefix type."""
+        """k-point marginal of the Diaconis-Freedman mixture, shape (S,)*k.
+
+        The law is rewritten as a mixture of empirical product laws: each
+        multiset with count vector c contributes its empirical measure c / N
+        with its probability w_c, so m-tilde^(k) = sum_c w_c (c / N)^(x)k,
+        equal to sum_c w_c P[c, u] / N^k per prefix type. The first mixture
+        marginal equals ``marginal(1)`` identically, and the second obeys
+        m-tilde2 = (N-1)/N * m2 + (1/N) * m1 on the diagonal.
+        """
         if k < 1:
             raise ValidationError(f"need k >= 1, got k={k}")
-        law = self.law
-        types, _, power = law._type_sums(k)
-        return _scatter(types, law._scaled(power, law.n_particles**k), law.n_states)
-
-
-def df_decomposition(law: FiniteExchangeableLaw) -> DFDecomposition:
-    """Rewrite a symmetric law as a mixture of empirical product laws.
-
-    Each multiset contributes its empirical measure (counts / N) with its
-    total probability; the first mixture marginal equals the law's first
-    marginal identically, and the second obeys
-    m-tilde2 = (N-1)/N * m2 + (1/N) * m1 on the diagonal.
-    """
-    return DFDecomposition(law)
+        types, _, power = self._type_sums(k)
+        return _scatter(types, self._scaled(power, self.n_particles**k), self.n_states)
 
 
 @dataclass
 class TVReport:
-    k: int
     tv: Fraction | float
     bound: Fraction | float
     passed: bool
@@ -313,7 +297,7 @@ def tv_bound_check(law: FiniteExchangeableLaw, k: int) -> TVReport:
         tv = float(np.sum(mult.astype(float) * np.abs(falling / n_perm - power / n_pow)))
         bound = 2.0 * k * (k - 1) / n
         passed = tv <= bound + 1e-12
-    return TVReport(k=k, tv=tv, bound=bound, passed=bool(passed))
+    return TVReport(tv=tv, bound=bound, passed=bool(passed))
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +549,9 @@ def exchangeable_law_sampler(law: FiniteExchangeableLaw, tiling: Tiling):
 @dataclass
 class PauliViolationStats:
     epsilon: float
-    threshold_count: int
     frequency: float
     ci_low: float
     ci_high: float
-    n_trials: int
     exact_tail: float | None = None
 
     @property
@@ -632,11 +614,9 @@ def pauli_violation_stats(
         exact = float(bdtrc(min(threshold_count - 1, n_particles), n_particles, exact_cell_prob))
     return PauliViolationStats(
         epsilon=epsilon,
-        threshold_count=threshold_count,
         frequency=freq,
         ci_low=ci_low,
         ci_high=ci_high,
-        n_trials=n_trials,
         exact_tail=exact,
     )
 

@@ -32,6 +32,9 @@ Array = np.ndarray
 
 # Slack used when checking nonnegativity / bounds on sampled probe points.
 _PROBE_SLACK = 1e-9
+# The probe grid of TrapPotential: points per axis on [-radius, radius]^d.
+_PROBE_RADIUS = 8.0
+_PROBE_POINTS = 41
 # Points per block of SpatialGrid.sample and of the Thomas-Fermi solver's
 # blocked passes: 128 KiB per float64 temporary.
 SAMPLE_BLOCK_POINTS = 1 << 14
@@ -196,8 +199,7 @@ class TrapPotential:
     ``SpatialGrid.sample``), so the assumptions
     ``V >= 0``, ``V(x) >= growth_constant*|x|^s - growth_offset`` and
     ``|grad V(x)| <= gradient_constant*(|x|^(s-1)+1)`` are checked on a
-    probe grid at construction rather than symbolically. ``flat_spots_null``
-    asserts that level sets of V carry no volume, required by the 1D solver.
+    probe grid at construction rather than symbolically.
     """
 
     d: int
@@ -207,10 +209,7 @@ class TrapPotential:
     growth_constant: float
     growth_offset: float
     gradient_constant: float
-    flat_spots_null: bool = True
     name: str = "custom"
-    probe_radius: float = 8.0
-    probe_points: int = 41
 
     def __post_init__(self):
         Dimension(self.d)
@@ -219,7 +218,7 @@ class TrapPotential:
         self._probe_check()
 
     def _probe_check(self):
-        pts = _probe_grid(self.d, self.probe_radius, self.probe_points)
+        pts = _probe_grid(self.d, _PROBE_RADIUS, _PROBE_POINTS)
         v = np.asarray(self.evaluate(pts), dtype=float)
         if v.shape != (pts.shape[0],):
             raise ValidationError("potential evaluator must map (n, d) to (n,)")
@@ -321,11 +320,6 @@ def _one_body_traces(grid: SpatialGrid, potential: TrapPotential, hbar: float, g
     return float(kinetic), float(grid.sample(potential.evaluate) @ diag)
 
 
-class BetaRange(str, Enum):
-    THEOREM = "theorem"
-    UPPER_BOUND_ONLY = "upper_bound_only"
-
-
 def theorem_beta_limit(d: int) -> float:
     """Largest scaling exponent covered by the two-sided energy asymptotics."""
     return 2.0 / (d * (2 * d + 1))
@@ -336,10 +330,9 @@ class InteractionProfile:
     """Nonnegative, compactly supported interaction profile w.
 
     ``i_w`` is the integral of w. ``beta`` is the short-range exponent; it
-    must lie in (0, 1/d), and values at or above 2/(d(2d+1)) have
-    ``beta_range`` UPPER_BOUND_ONLY: they lie outside the range of the
-    two-sided energy theorem (the upper bound alone still applies), and the
-    CLI warns about them.
+    must lie in (0, 1/d). Values at or above ``theorem_beta_limit(d)`` lie
+    outside the range of the two-sided energy theorem (the upper bound alone
+    still applies), and the CLI warns about them.
     """
 
     d: int
@@ -360,12 +353,6 @@ class InteractionProfile:
             raise ValidationError("interaction profile must have finite support radius")
         if self.i_w < 0:
             raise ValidationError("interaction integral must be nonnegative")
-
-    @property
-    def beta_range(self) -> BetaRange:
-        if self.beta < theorem_beta_limit(self.d):
-            return BetaRange.THEOREM
-        return BetaRange.UPPER_BOUND_ONLY
 
     def check_subcritical(self, constants: TFConstants):
         """In 2D the attractive coupling must stay below c_tf."""
@@ -456,18 +443,6 @@ def scaled_interaction(profile: InteractionProfile, n_particles: int) -> ScaledI
     return ScaledInteraction(profile, n_particles)
 
 
-def _support_quadrature(evaluate, d: int, radius: float, points_per_axis: int) -> float:
-    if d == 2:
-        points_per_axis = min(points_per_axis, 1024)
-    h = 2.0 * radius / points_per_axis
-    ax = -radius + h * (np.arange(points_per_axis) + 0.5)
-    if d == 1:
-        return float(np.sum(evaluate(ax[:, None])) * h)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return float(np.sum(evaluate(pts)) * h * h)
-
-
 def box_profile(d: int, beta: float, radius: float = 1.0, height: float = 1.0) -> InteractionProfile:
     """w = height on the ball |x| <= radius, with its analytic integral."""
     r, c = float(radius), float(height)
@@ -504,7 +479,9 @@ def bump_profile(d: int, beta: float, radius: float = 1.0, height: float = 1.0) 
     def ev(pts):
         return c * _mollifier(np.linalg.norm(pts, axis=1) / r)
 
-    return InteractionProfile(d, ev, r, beta, _support_quadrature(ev, d, r, 8192), name="bump")
+    # midpoint rule on the support's bounding box: 8192 points in 1D, 1024^2 in 2D
+    grid = SpatialGrid(d, r, 8192 if d == 1 else 1024)
+    return InteractionProfile(d, ev, r, beta, grid.integrate(grid.sample(ev)), name="bump")
 
 
 def _smoothstep(u: Array) -> Array:
@@ -532,25 +509,20 @@ def plateau_profile(
     return InteractionProfile(1, ev, r, beta, i_w, name="plateau")
 
 
-def audit_constants(d: int, probe_density=None, grid: SpatialGrid | None = None) -> dict:
+def audit_constants(d: int) -> dict:
     """Compare the two c_tf conventions on a probe density.
 
     Reports, for each convention, c_tf and the value of
     ``c_tf * integral(rho^(1+2/d))``, next to the kinetic energy of the
     phase-space bath-tub lift of the same density (computed with the
     closed-form ball integrals). The report exposes the mismatch without
-    deciding which convention is intended.
+    deciding which convention is intended. The probe density is a
+    mollifier bump of unit mass on a fixed grid.
     """
-    Dimension(d)
-    if grid is None:
-        grid = SpatialGrid(d, 4.0, 256 if d == 1 else 96)
-    if probe_density is None:
-        pts = grid.points()
-        raw = _mollifier(np.linalg.norm(pts, axis=1) / (0.75 * grid.half_width))
-        total = grid.integrate(raw)
-        rho = raw / total if total > 0 else raw
-    else:
-        rho = np.asarray(probe_density, dtype=float)
+    grid = SpatialGrid(d, 4.0, 256 if d == 1 else 96)
+    pts = grid.points()
+    raw = _mollifier(np.linalg.norm(pts, axis=1) / (0.75 * grid.half_width))
+    rho = raw / grid.integrate(raw)
 
     paper = TFConstants.paper_literal(d)
     bathtub = TFConstants.bathtub_consistent(d)
@@ -575,7 +547,7 @@ def audit_constants(d: int, probe_density=None, grid: SpatialGrid | None = None)
         report["conventions"][constants.source.value] = {
             "c_tf": constants.c_tf,
             "kinetic_term": term,
-            "ratio_to_lift": term / lift_kinetic if lift_kinetic > 0 else math.nan,
+            "ratio_to_lift": term / lift_kinetic,
         }
     return report
 

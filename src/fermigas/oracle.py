@@ -554,21 +554,21 @@ def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
 @dataclass
 class TrialEnergyReport:
     trial_energy: float
-    ground_energy: float
     satisfied: bool
 
 
 def slater_upper_bound(
     ham: DiscreteHamiltonian,
     gamma_matrix: Array,
-    ground_energy: float | None = None,
+    ground_energy: float,
     tol: float = 1e-10,
 ) -> TrialEnergyReport:
     """Variational bound from the N dominant natural orbitals of a one-body matrix.
 
     Diagonalizes ``gamma_matrix`` (occupancy form on the oracle grid), takes
     its top-N eigenvectors as Slater orbitals, evaluates the exact lattice
-    energy of that determinant, and checks E(N) <= trial + tol.
+    energy of that determinant, and checks ``ground_energy <= trial + tol``
+    for the caller's ground energy E(N).
     """
     n = ham.n_particles
     evals, evecs = np.linalg.eigh(gamma_hermitize(gamma_matrix))
@@ -578,11 +578,8 @@ def slater_upper_bound(
         )
     orbitals = evecs[:, ::-1][:, :n]
     trial = slater_energy(ham, orbitals)
-    if ground_energy is None:
-        ground_energy, _ = ground_state(ham)
     return TrialEnergyReport(
         trial_energy=trial,
-        ground_energy=ground_energy,
         satisfied=bool(ground_energy <= trial + tol),
     )
 

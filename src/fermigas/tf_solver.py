@@ -431,11 +431,6 @@ def minimize_1d_relaxed(
     """
     if grid.d != 1:
         raise ValidationError("minimize_1d_relaxed requires a 1D grid")
-    if not potential.flat_spots_null:
-        raise ValidationError(
-            "the 1D minimizer requires a potential whose level sets are null "
-            "(flat_spots_null flag)"
-        )
     s = grid.sample(potential.evaluate)
     s -= rel.alpha
     h = grid.cell_volume
@@ -474,7 +469,7 @@ def sample_minimizer(
     return DensityField(grid, _pointwise_density(s, lam, rel.active_density, out=s))
 
 
-def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEnergy | None = None):
+def el_residual(sol: TFSolution, potential: TrapPotential):
     """Euler-Lagrange defect of a solution (or of any density in a TFSolution).
 
     Returns ``(sup-norm of the stationarity defect on supp(rho),
@@ -487,15 +482,13 @@ def el_residual(sol: TFSolution, potential: TrapPotential, rel: RelaxedLocalEner
     if grid.d == 2:
         kappa = sol.c_tf - sol.i_w
         return _el_defects(sol.rho.values, v, sol.lam, lambda t: 2.0 * kappa * t)
-    if rel is None:
-        rel = RelaxedLocalEnergy(sol.c_tf, sol.i_w)
+    rel = RelaxedLocalEnergy(sol.c_tf, sol.i_w)
     v -= rel.alpha
     return _el_defects(sol.rho.values, v, sol.lam, rel.local_energy_derivative)
 
 
 @dataclass
 class EquivalenceReport:
-    relaxed_minimum: float
     difference: float
     jump_certificate_min: float
     rho_jump: float
@@ -536,7 +529,6 @@ def relaxation_equivalence_check(
     jump_ok = (not math.isfinite(interior_min)) or interior_min >= rel.rho_jump - tol
     diff = abs(sol.energy.total - e_relaxed)
     return EquivalenceReport(
-        relaxed_minimum=e_relaxed,
         difference=diff,
         jump_certificate_min=interior_min,
         rho_jump=rel.rho_jump,

@@ -213,10 +213,8 @@ class EqualityReport:
     tf_solution: TFSolution
     tf_total: float
     vlasov_total: float
-    difference: float
     relative_difference: float
     passed: bool
-    warning: str | None = None
 
 
 def tf_vlasov_equality_check(
@@ -225,18 +223,16 @@ def tf_vlasov_equality_check(
     i_w: float,
     grid: SpatialGrid,
     tol: float = 1e-3,
-    momentum: SpatialGrid | None = None,
 ) -> EqualityReport:
     """Minimize the density functional, lift, and compare the two energies.
 
     With bath-tub-consistent constants the lift's kinetic energy reproduces
     the density kinetic term exactly, so the phase-space energy of the lift
     equals the density-functional minimum up to quadrature. With the literal
-    constants the kinetic terms differ by the audited factor; the report
-    then carries a warning and ``passed`` refers to the equality as stated.
+    constants the kinetic terms differ by the audited factor, and ``passed``
+    refers to the equality as stated. The lift's momentum grid has 64 points
+    per axis and covers the largest Fermi radius with 10% margin.
     """
-    from .model import ConstantsSource
-
     d = grid.d
     if d == 2:
         sol = minimize_2d(potential, constants, i_w, grid, tol=min(tol, 1e-6))
@@ -246,26 +242,17 @@ def tf_vlasov_equality_check(
         # mass tolerance only needs to clear the activation-jump size
         mass_tol = max(min(tol, 1e-6), 2.5 * rel.rho_jump * grid.spacing)
         sol = minimize_1d_relaxed(potential, rel, grid, tol=mass_tol)
-    if momentum is None:
-        p_max = 1.1 * constants.c_d * float(sol.rho.values.max()) ** (1.0 / d) + 1e-9
-        momentum = SpatialGrid(d, p_max, 64)
+    p_max = 1.1 * constants.c_d * float(sol.rho.values.max()) ** (1.0 / d) + 1e-9
+    momentum = SpatialGrid(d, p_max, 64)
     lift = bathtub_lift(sol.rho, constants, momentum)
     report = vlasov_energy(lift, potential, i_w)
     tf_total = sol.energy.total
     diff = abs(report.total - tf_total)
     rel = diff / max(abs(tf_total), 1e-30)
-    warning = None
-    if constants.source is ConstantsSource.PAPER_LITERAL:
-        warning = (
-            "paper-literal constants: the lift kinetic energy differs from the "
-            "density kinetic term by the audited factor, so equality is not expected"
-        )
     return EqualityReport(
         tf_solution=sol,
         tf_total=tf_total,
         vlasov_total=report.total,
-        difference=diff,
         relative_difference=rel,
         passed=bool(rel <= tol),
-        warning=warning,
     )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fermigas.cli import main
+from fermigas.model import theorem_beta_limit
 
 
 def write_config(path, payload):
@@ -226,9 +227,10 @@ class TestOracleCommand:
         assert float(fields["memory_estimate_mib"]) == record["memory_estimate_mib"]
 
 
-@pytest.mark.parametrize("beta, warns", [(0.2, False), (0.7, True)])
+@pytest.mark.parametrize("beta, warns", [(0.2, False), (0.66, False), (0.7, True)])
 def test_beta_outside_theorem_range_warns(beta, warns, tmp_path, capsys):
     # 2/(d(2d+1)) = 2/3 in 1D: beta = 0.7 is in (0, 1/d) but outside the two-sided theorem's range
+    assert theorem_beta_limit(1) == 2.0 / 3.0
     config = write_config(tmp_path / "c.json", {"d": 1, "potential": {"family": "harmonic"}, "beta": beta,
                                                 "interaction": {"family": "bump"},
                                                 "grid": {"half_width": 3.0, "points_per_axis": 64}})

@@ -18,11 +18,9 @@ from fermigas.model import SpatialGrid, harmonic_potential
 from fermigas.df_measures import (
     ENUMERATION_CAP,
     TRANSPORT_VARIABLE_CAP,
-    DFDecomposition,
     FiniteExchangeableLaw,
     Tiling,
     decay_fit,
-    df_decomposition,
     paper_scaling,
     pauli_violation_stats,
     tv_bound_check,
@@ -215,21 +213,18 @@ class TestFromTensor:
 class TestDFDecomposition:
     def test_single_particle_identity(self):
         law = FiniteExchangeableLaw.uniform(4, 1)
-        dec = df_decomposition(law)
-        assert all(a == b for a, b in zip(law.marginal(1), dec.mixture_marginal(1)))
+        assert all(a == b for a, b in zip(law.marginal(1), law.mixture_marginal(1)))
 
     def test_first_marginals_exact_uniform(self):
         law = FiniteExchangeableLaw.uniform(3, 3)
-        dec = df_decomposition(law)
-        m1, mt1 = law.marginal(1), dec.mixture_marginal(1)
+        m1, mt1 = law.marginal(1), law.mixture_marginal(1)
         assert all(a == b for a, b in zip(m1, mt1))
 
     def test_second_marginal_against_brute_force(self):
         # 27-configuration enumeration is the oracle
         tensor = uniform_tensor(3, 3)
         law = FiniteExchangeableLaw.from_tensor(tensor)
-        dec = df_decomposition(law)
-        mt2 = dec.mixture_marginal(2)
+        mt2 = law.mixture_marginal(2)
         brute = brute_mixture_marginal(tensor, 2)
         assert all(mt2[a, b] == brute[a, b] for a in range(3) for b in range(3))
 
@@ -237,7 +232,7 @@ class TestDFDecomposition:
         law = FiniteExchangeableLaw.uniform(3, 3)
         n = 3
         m1, m2 = law.marginal(1), law.marginal(2)
-        mt2 = df_decomposition(law).mixture_marginal(2)
+        mt2 = law.mixture_marginal(2)
         for a in range(3):
             for b in range(3):
                 expected = Fraction(n - 1, n) * m2[a, b]
@@ -322,9 +317,8 @@ class TestTVBound:
             if w
         }
         law = FiniteExchangeableLaw(s, n, weights)
-        dec = df_decomposition(law)
         m1 = law.marginal(1)
-        mt1 = dec.mixture_marginal(1)
+        mt1 = law.mixture_marginal(1)
         assert all(a == b for a, b in zip(m1, mt1))
         report = tv_bound_check(law, 2)
         assert report.passed
@@ -346,7 +340,7 @@ class TestPrefixTypes:
         assert law.weights == weights
         ours, brute = law.marginal(k), brute_marginal(tensor, k)
         assert ours.shape == brute.shape and all(a == b for a, b in zip(ours.ravel(), brute.ravel()))
-        ours, brute = df_decomposition(law).mixture_marginal(k), brute_mixture_marginal(tensor, k)
+        ours, brute = law.mixture_marginal(k), brute_mixture_marginal(tensor, k)
         assert ours.shape == brute.shape and all(a == b for a, b in zip(ours.ravel(), brute.ravel()))
         report = tv_bound_check(law, k)
         assert isinstance(report.tv, Fraction)
@@ -382,7 +376,7 @@ class TestPrefixTypes:
             raise AssertionError("an S^k marginal tensor was built")
 
         monkeypatch.setattr(FiniteExchangeableLaw, "marginal", refuse)
-        monkeypatch.setattr(DFDecomposition, "mixture_marginal", refuse)
+        monkeypatch.setattr(FiniteExchangeableLaw, "mixture_marginal", refuse)
         report = tv_bound_check(law, 3)
         assert report.tv == per_type_tv(law, 3)
         assert report.passed
@@ -393,7 +387,7 @@ class TestPrefixTypes:
             with pytest.raises(ValidationError, match="k"):
                 tv_bound_check(law, k)
         with pytest.raises(ValidationError, match="k"):
-            df_decomposition(law).mixture_marginal(0)
+            law.mixture_marginal(0)
 
 
 class TestTiling:
@@ -572,7 +566,7 @@ class TestPauliViolation:
             sampler, critical_tiling, 0, epsilon=0.75, n_particles=64, n_trials=1000, seed=1, exact_cell_prob=q
         )
         assert stats.frequency == 0.0
-        assert stats.exact_tail > 0.5 / stats.n_trials
+        assert stats.exact_tail > 0.5 / 1000
         assert stats.ci_low == 0.0
         assert stats.ci_high == pytest.approx(1.0 - 0.025 ** (1.0 / 1000), rel=1e-12)
         assert stats.matches_exact
@@ -603,8 +597,10 @@ class TestPauliViolation:
         t = Tiling.square(1, 0.4 * math.sqrt(vol), 2)  # cell volume < critical
         assert t.cell_volume < vol
         sampler = uniform_box_sampler(t)
-        stats = pauli_violation_stats(sampler, t, 0, epsilon=0.0, n_particles=n, n_trials=10, seed=1)
-        assert stats.threshold_count == 1
+        q = t.cell_volume / t.box_volume
+        stats = pauli_violation_stats(sampler, t, 0, epsilon=0.0, n_particles=n, n_trials=10, seed=1, exact_cell_prob=q)
+        # the threshold count is 1: the event is "at least one atom in the cell"
+        assert stats.exact_tail == pytest.approx(1.0 - (1.0 - q) ** n, rel=1e-12)
 
     def test_zero_width_cells_rejected(self):
         t = Tiling.square(1, 1.0, 4)
@@ -638,7 +634,8 @@ class TestPauliViolation:
         high = beta.ppf(0.975, hits + 1, trials - hits) if hits < trials else 1.0
         assert stats.ci_low == pytest.approx(low, rel=1e-12, abs=0.0)
         assert stats.ci_high == pytest.approx(high, rel=1e-12, abs=0.0)
-        assert stats.exact_tail == pytest.approx(binom.sf(stats.threshold_count - 1, n, q), rel=1e-12, abs=0.0)
+        threshold_count = math.ceil((1.0 + epsilon) * critical_tiling.cell_volume / (2.0 * math.pi) * n)
+        assert stats.exact_tail == pytest.approx(binom.sf(threshold_count - 1, n, q), rel=1e-12, abs=0.0)
 
 
 def test_import_leaves_stats_and_optimize_unloaded():

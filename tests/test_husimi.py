@@ -22,6 +22,7 @@ from fermigas.model import (
 from fermigas.husimi import (
     CoherentFamily,
     OneBodyOperator,
+    _envelope_constants,
     coherent_state,
     envelope,
     envelope_gradient_norm_sq,
@@ -68,6 +69,10 @@ class TestEnvelope:
         grad = np.gradient(f, u)
         fd = float(np.trapezoid(grad**2, u))
         assert envelope_gradient_norm_sq() == pytest.approx(fd, rel=1e-5)
+
+    def test_constants_pinned(self):
+        # the floats of the hand-built midpoint mesh that SpatialGrid(1, 1.0, 2^17) replaced
+        assert _envelope_constants() == (1.0084146231669044, 3.0776091312317764)
 
 
 class TestCoherentFamily:

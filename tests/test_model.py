@@ -9,7 +9,6 @@ from fermigas import model
 
 from fermigas.errors import ConfigError, ValidationError
 from fermigas.model import (
-    BetaRange,
     ConstantsSource,
     Dimension,
     SpatialGrid,
@@ -24,7 +23,6 @@ from fermigas.model import (
     hat_profile,
     quartic_potential,
     scaled_interaction,
-    theorem_beta_limit,
 )
 
 
@@ -79,12 +77,6 @@ class TestAuditConstants:
         conv = report["conventions"]
         assert conv["paper_literal"]["ratio_to_lift"] == pytest.approx(4.0, rel=1e-10)
         assert conv["bathtub_consistent"]["c_tf"] == pytest.approx(2 * math.pi, rel=1e-14)
-
-    def test_zero_probe_density(self):
-        grid = SpatialGrid(1, 2.0, 64)
-        report = audit_constants(1, probe_density=np.zeros(grid.size), grid=grid)
-        assert report["bathtub_lift_kinetic"] == 0.0
-        assert report["conventions"]["paper_literal"]["kinetic_term"] == 0.0
 
 
 class TestSpatialGrid:
@@ -207,12 +199,14 @@ class TestInteractionProfile:
         with pytest.raises(ValidationError, match="beta"):
             box_profile(2, beta=0.5)  # 1/d = 0.5 excluded
 
-    def test_beta_range_marker(self):
-        assert theorem_beta_limit(1) == pytest.approx(2.0 / 3.0, abs=0)
-        assert box_profile(1, beta=0.5).beta_range is BetaRange.THEOREM
-        assert box_profile(1, beta=0.66).beta_range is BetaRange.THEOREM
-        assert box_profile(1, beta=0.7).beta_range is BetaRange.UPPER_BOUND_ONLY
-        assert bump_profile(2, beta=0.3).beta_range is BetaRange.UPPER_BOUND_ONLY
+    # the floats of the meshgrid midpoint rule that SpatialGrid.sample and integrate replaced
+    @pytest.mark.parametrize(
+        "d, radius, i_w",
+        [(1, 1.0, 1.206900322437876), (1, 0.7, 0.8448302257065133),
+         (2, 1.0, 1.2681121611275958), (2, 0.7, 0.621374958952522)],
+    )
+    def test_bump_integral_pinned(self, d, radius, i_w):
+        assert bump_profile(d, beta=0.1, radius=radius).i_w == i_w
 
     def test_2d_subcriticality(self):
         constants = TFConstants.paper_literal(2)  # c_tf = 8 pi ~ 25.13

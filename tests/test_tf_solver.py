@@ -348,20 +348,6 @@ class TestMinimize1D:
         assert sol_right.energy.total == pytest.approx(sol_left.energy.total, abs=5e-6)
         assert sol_full.energy.total <= sol_right.energy.total + 1e-9
 
-    def test_flat_spot_flag_required(self, harmonic_1d):
-        flat_free = TrapPotential(
-            1,
-            harmonic_1d.evaluate,
-            harmonic_1d.gradient,
-            2.0,
-            1.0,
-            0.0,
-            2.0,
-            flat_spots_null=False,
-        )
-        with pytest.raises(ValidationError, match="flat"):
-            minimize_1d_relaxed(flat_free, RelaxedLocalEnergy(1.0, 0.0), SpatialGrid(1, 2.0, 64))
-
     def test_mass_jump_reported(self, harmonic_1d):
         # huge jump density: a single point activation overshoots unit mass
         rel = RelaxedLocalEnergy(c_tf=0.05, i_w=10.0)  # rho_jump = 100
@@ -406,7 +392,7 @@ class TestMinimize1D:
                 v = potential.evaluate(pts)
                 return np.where(np.abs(pts[:, 0]) > 2.5, bad, v)
 
-            return TrapPotential(potential.d, ev, potential.gradient, 2.0, 1.0, 0.0, 2.0, probe_radius=2.0)
+            return TrapPotential(potential.d, ev, potential.gradient, 2.0, 1.0, 0.0, 2.0)
 
         with pytest.raises(ValidationError, match="finite"):
             minimize_1d_relaxed(spoiled(harmonic_1d), RelaxedLocalEnergy(1.0, 0.0), SpatialGrid(1, 3.0, 64))
@@ -573,11 +559,14 @@ class TestFootprint:
         peak = self.traced_peak(lambda: reports.append(relaxation_equivalence_check(harmonic_1d, rel, grid)))
         assert peak <= 2.5 * 8 * grid.size
         # the grid-sized evaluation that the sliced sums replaced
-        rho = minimize_1d_relaxed(harmonic_1d, rel, grid, tol=1e-6).rho
+        sol = minimize_1d_relaxed(harmonic_1d, rel, grid, tol=1e-6)
+        rho = sol.rho
         v = grid.sample(harmonic_1d.evaluate)
         ref = grid.integrate(rel.relaxed_local_energy(rho.values)) + grid.integrate(v * rho.values) - rel.alpha * rho.mass
+        relaxed = relaxed_energy(rho, harmonic_1d, rel)
+        assert relaxed == pytest.approx(ref, rel=1e-12)
         assert reports[0].passed
-        assert reports[0].relaxed_minimum == pytest.approx(ref, rel=1e-12)
+        assert reports[0].difference == abs(sol.energy.total - relaxed)
 
 
 def _solution_shell(grid, values, lam, rel):
@@ -599,7 +588,7 @@ class TestELResidual:
     def test_solver_output_certified(self, harmonic_1d):
         rel = RelaxedLocalEnergy(math.pi**2 / 3, 2.0)
         sol = minimize_1d_relaxed(harmonic_1d, rel, SpatialGrid(1, 3.0, 4096), tol=1e-6)
-        supp, comp = el_residual(sol, harmonic_1d, rel)
+        supp, comp = el_residual(sol, harmonic_1d)
         assert supp <= 1e-6
         assert comp >= -1e-6
 
@@ -609,14 +598,14 @@ class TestELResidual:
         grid = SpatialGrid(1, 3.0, 512)
         values = np.where(np.abs(grid.axis()) <= 1.0, 0.5, 0.0)
         sol = _solution_shell(grid, values, 1.0, rel)
-        supp, _ = el_residual(sol, harmonic_1d, rel)
+        supp, _ = el_residual(sol, harmonic_1d)
         assert supp > 0.1
 
     def test_zero_density(self, harmonic_1d):
         rel = RelaxedLocalEnergy(math.pi**2 / 3, 2.0)
         grid = SpatialGrid(1, 3.0, 256)
         sol = _solution_shell(grid, np.zeros(grid.size), -10.0, rel)
-        supp, comp = el_residual(sol, harmonic_1d, rel)
+        supp, comp = el_residual(sol, harmonic_1d)
         assert supp == 0.0
         assert math.isfinite(comp)
 
@@ -719,6 +708,6 @@ class TestEtaVariantConstructor:
         rel = RelaxedLocalEnergy((1.0 - 0.5) * math.pi**2 / 3, 1.0)
         sol = minimize_1d_relaxed(harmonic_1d, rel, SpatialGrid(1, 3.0, 4096), tol=1e-4)
         assert sol.support_interior_min >= rel.rho_jump - 1e-6
-        supp, comp = el_residual(sol, harmonic_1d, rel)
+        supp, comp = el_residual(sol, harmonic_1d)
         assert supp <= 1e-8
         assert comp >= -1e-8
