@@ -34,8 +34,6 @@ Array = np.ndarray
 TWO_PI = 2.0 * math.pi
 
 ENUMERATION_CAP = 10_000_000
-# Flat ranks per chunk of FiniteExchangeableLaw.from_tensor.
-TENSOR_CHUNK = 1 << 16
 # The transport LP has one variable per plan entry (n * m of them). Peak
 # memory of the sparse HiGHS solve was measured at 1.0-1.3 KiB per variable
 # for n * m from 1e4 to 3.6e5 (scipy 1.17); the estimate adds margin.
@@ -160,42 +158,6 @@ class FiniteExchangeableLaw:
                     w = w * sigma[s]
             weights[ms] = w
         return cls(len(sigma), n_particles, weights)
-
-    @classmethod
-    def from_tensor(cls, tensor: Array) -> "FiniteExchangeableLaw":
-        """Symmetric tensor over ordered configurations (S, ..., S), N axes.
-
-        Nonzero entries are grouped, in chunks of ``TENSOR_CHUNK`` flat ranks,
-        by the base-S key of their sorted digits, and ``np.add.at`` adds each
-        group onto its running total in rank order: the sums of one
-        configuration at a time, exact for object arrays of ``Fraction``.
-        Multisets are listed in ascending key order, the order of their first
-        configurations.
-        """
-        tensor = np.asarray(tensor)
-        n_particles = tensor.ndim
-        n_states = tensor.shape[0]
-        if tensor.shape != (n_states,) * n_particles:
-            raise ValidationError("tensor must be a hypercube over the state space")
-        if tensor.size > ENUMERATION_CAP:
-            raise CapExceededError(f"tensor with {tensor.size} entries exceeds the cap")
-        flat = tensor.reshape(-1)
-        kind = flat.dtype.kind
-        dtype = object if kind == "O" else np.int64 if kind in "biu" else np.result_type(flat.dtype, float)
-        radix = n_states ** np.arange(n_particles - 1, -1, -1, dtype=np.int64)
-        sums: dict[int, Fraction | float] = {}
-        for start in range(0, flat.size, TENSOR_CHUNK):
-            w = flat[start : start + TENSOR_CHUNK]
-            ranks = start + np.flatnonzero(w != 0)
-            keys = np.sort(ranks[:, None] // radix % n_states, axis=1) @ radix
-            groups, inverse = np.unique(keys, return_inverse=True)
-            totals = np.array([sums.get(key, 0) for key in groups.tolist()], dtype=dtype)
-            np.add.at(totals, inverse, w[ranks - start].astype(dtype))
-            sums.update(zip(groups.tolist(), totals.tolist()))
-        keys = np.array(sorted(sums), dtype=np.int64)
-        digits = keys[:, None] // radix % n_states
-        weights = {tuple(row): sums[key] for row, key in zip(digits.tolist(), keys.tolist())}
-        return cls(n_states, n_particles, weights)
 
     def _type_sums(self, k: int) -> tuple[Array, Array, Array]:
         """Prefix types of length k and the weighted falling and power sums.
@@ -378,15 +340,6 @@ class Tiling:
             mask &= hit
         return mask
 
-    def cell_lows(self) -> Array:
-        """Lower corner of every cell, row j for flat index j: -L plus index times side per axis."""
-        coords = np.indices(self._axis_cells()).reshape(2 * self.d, -1).T
-        return -self.half_width + coords * np.array(self._axis_sides())
-
-    def cell_centers(self) -> Array:
-        lo = self.cell_lows()
-        return 0.5 * (lo + (lo + np.array(self._axis_sides())))
-
     @classmethod
     def square(cls, d: int, half_width: float, cells_per_axis: int) -> "Tiling":
         return cls(d, half_width, cells_per_axis, cells_per_axis)
@@ -402,6 +355,8 @@ def paper_scaling(n_particles: int, d: int, beta: float, growth_exponent: float,
     N^(5 beta d/4 + 1) otherwise. Side lengths are rounded to an integer
     cell count; actual values are reported alongside the targets.
     """
+    if n_particles < 1:
+        raise ValidationError(f"need at least one particle, got N={n_particles}")
     n = float(n_particles)
     gamma = 4.0 / (4 * d + 1)
     delta = 1.0 / 20.0
@@ -518,37 +473,8 @@ def uniform_box_sampler(tiling: Tiling):
     return draw
 
 
-def exchangeable_law_sampler(law: FiniteExchangeableLaw, tiling: Tiling):
-    """Draw N-point configurations from a finite exchangeable law.
-
-    Law states are identified with tiling cells (state count must match);
-    each drawn particle is placed uniformly inside its cell. Supports the
-    tiny-law regime, e.g. symmetrized Husimi weights at N <= 3.
-    """
-    if law.n_states != tiling.n_cells:
-        raise ValidationError(
-            f"law has {law.n_states} states but the tiling has {tiling.n_cells} cells"
-        )
-    keys = list(law.weights.keys())
-    probs = np.array([float(law.weights[k]) for k in keys])
-    probs = probs / probs.sum()
-    lows = tiling.cell_lows()
-    sides = np.array(tiling._axis_sides())
-
-    def draw(rng, n_trials, n_particles):
-        if n_particles != law.n_particles:
-            raise ValidationError("sampler is bound to the law's particle number")
-        choice = rng.choice(len(keys), size=n_trials, p=probs)
-        cells = np.array([keys[c] for c in choice])
-        jitter = rng.uniform(0.0, 1.0, size=(n_trials, n_particles, 2 * tiling.d))
-        return lows[cells] + jitter * sides
-
-    return draw
-
-
 @dataclass
 class PauliViolationStats:
-    epsilon: float
     frequency: float
     ci_low: float
     ci_high: float
@@ -585,6 +511,8 @@ def pauli_violation_stats(
 
     if n_trials < 1:
         raise ValidationError(f"need at least one Monte Carlo trial, got {n_trials}")
+    if n_particles < 1:
+        raise ValidationError(f"need at least one particle, got N={n_particles}")
     if not 0 <= cell < tiling.n_cells:
         raise ValidationError(f"cell {cell} is not in the tiling's {tiling.n_cells} cells")
     d = tiling.d
@@ -613,7 +541,6 @@ def pauli_violation_stats(
     if exact_cell_prob is not None:
         exact = float(bdtrc(min(threshold_count - 1, n_particles), n_particles, exact_cell_prob))
     return PauliViolationStats(
-        epsilon=epsilon,
         frequency=freq,
         ci_low=ci_low,
         ci_high=ci_high,

@@ -303,73 +303,26 @@ def husimi_grid_table(
     return HusimiTable(x_axis=grid.axis(), p_axis=momentum.axis(), values=table)
 
 
-def husimi_at_samples(source, family: CoherentFamily, samples: Array, k: int = 1) -> Array:
-    """Husimi values at explicit phase-space samples.
+def husimi_at_samples(gamma: OneBodyOperator, family: CoherentFamily, samples: Array, k: int = 1) -> Array:
+    """Husimi values of a one-body operator at explicit phase-space samples.
 
-    ``source`` is a OneBodyOperator (k = 1, or k = 2 through the Wick rule
-    for Slater-type operators) or an oracle FermionState (any k <= N, by
-    removing one particle per sample point with ``oracle.annihilate`` on
-    the colex occupation basis). Samples have shape (n, 2) for
-    k = 1 and (n, 4) for k = 2 as (x1, p1, x2, p2).
+    Samples have shape (n, 2) as (x, p) for k = 1 and (n, 4) as (x1, p1, x2, p2)
+    for k = 2. Each sample builds its k coherent states and applies the matrix
+    B of ``gamma`` to each once: m1(z) = h <f_z| B |f_z>, and for k = 2 the
+    Wick rule of a Slater-type gamma^(2) = gamma (x) gamma (1 - Ex) gives
+    m2(z1, z2) = m1(z1) m1(z2) - |h <f_z1| B |f_z2>|^2.
     """
-    from .oracle import FermionState
-
+    if k not in (1, 2):
+        raise ValidationError(f"Husimi values of an operator need k in {{1, 2}}, got k={k}")
     samples = np.asarray(samples, dtype=float)
-    if isinstance(source, OneBodyOperator):
-        if k == 1:
-            return _husimi1_operator(source, family, samples)
-        if k == 2:
-            return _husimi2_slater(source, family, samples)
-        raise ValidationError("operator sources support k in {1, 2}")
-    if isinstance(source, FermionState):
-        if k > source.n_particles:
-            raise ValidationError(f"k={k} exceeds N={source.n_particles}")
-        return _husimi_state(source, family, samples, k)
-    raise ValidationError(f"unsupported Husimi source {type(source).__name__}")
-
-
-def _husimi1_operator(gamma: OneBodyOperator, family: CoherentFamily, samples: Array) -> Array:
-    grid = gamma.grid
-    family.check_resolution(grid)
-    h = grid.spacing
-    out = np.zeros(samples.shape[0])
-    for idx, (x, p) in enumerate(samples):
-        f = coherent_state(x, p, family, grid)
-        out[idx] = float(np.real(h * (f.conj() @ (gamma.matrix @ f))))
-    return out
-
-
-def _husimi2_slater(gamma: OneBodyOperator, family: CoherentFamily, samples: Array) -> Array:
-    # Wick rule for gamma^(2) = gamma (x) gamma (1 - Ex):
-    #   m2(z1, z2) = m1(z1) m1(z2) - |<f_z1| gamma |f_z2>|^2
     grid = gamma.grid
     h = grid.spacing
-    out = np.zeros(samples.shape[0])
-    for idx, (x1, p1, x2, p2) in enumerate(samples):
-        f1 = coherent_state(x1, p1, family, grid)
-        f2 = coherent_state(x2, p2, family, grid)
-        m1a = np.real(h * (f1.conj() @ (gamma.matrix @ f1)))
-        m1b = np.real(h * (f2.conj() @ (gamma.matrix @ f2)))
-        cross = h * (f1.conj() @ (gamma.matrix @ f2))
-        out[idx] = float(m1a * m1b - np.abs(cross) ** 2)
-    return out
-
-
-def _husimi_state(state, family: CoherentFamily, samples: Array, k: int) -> Array:
-    """||a(f_k) ... a(f_1) psi||^2 for the coherent states f_i of a sample's k points.
-
-    a(f) = sqrt(h) sum_j conj(f(y_j)) c_j removes one particle, by ``oracle.annihilate``.
-    """
-    from .oracle import annihilate
-
-    grid = state.ham.grid
-    sqrt_h = math.sqrt(grid.spacing)
     out = np.zeros(samples.shape[0])
     for idx, row in enumerate(samples):
-        vec = state.coefficients
-        for removed, (x, p) in enumerate(row.reshape(k, 2)):
-            vec = annihilate(state.ham, vec, removed, sqrt_h * np.conj(coherent_state(x, p, family, grid)))
-        out[idx] = float(np.vdot(vec, vec).real)
+        fs = [coherent_state(x, p, family, grid) for x, p in row.reshape(k, 2)]
+        applied = [gamma.matrix @ f for f in fs]
+        m1 = [np.real(h * (f.conj() @ g)) for f, g in zip(fs, applied)]
+        out[idx] = m1[0] if k == 1 else m1[0] * m1[1] - np.abs(h * (fs[0].conj() @ applied[1])) ** 2
     return out
 
 
@@ -552,10 +505,13 @@ def smearing_errors(w_eval, support_radius: float, hbar_x_values) -> list[dict]:
     reported together with the ratios err / (sqrt(hbar_x) * ||w'||_L1). The
     gradient norm is the fine-grid total variation, so kernels with steep
     edges are handled verbatim. Each hbar_x gets its own mesh of
-    ``SMEARING_POINTS`` points; ``w_eval`` must be pointwise.
+    ``SMEARING_POINTS`` points; ``w_eval`` must be pointwise. Every hbar_x
+    must be positive (ValidationError otherwise).
     """
     records = []
     for hbar_x in hbar_x_values:
+        if not hbar_x > 0:
+            raise ValidationError(f"smearing scales must be positive, got hbar_x={hbar_x}")
         s = math.sqrt(float(hbar_x))
         mesh = SpatialGrid(1, support_radius + 3.0 * s + 0.1 * support_radius, SMEARING_POINTS)
         h = mesh.spacing

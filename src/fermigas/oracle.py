@@ -250,10 +250,6 @@ class FermionState:
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-10")
 
-    @property
-    def n_particles(self) -> int:
-        return self.ham.n_particles
-
     def energy(self) -> float:
         return float(self.coefficients @ (self.ham.matrix @ self.coefficients))
 
@@ -432,8 +428,6 @@ class ReducedDensities:
     rho1: Array
     rho2: Array
     gamma1: Array
-    grid: SpatialGrid
-    n_particles: int
 
     def occupations(self) -> Array:
         return np.linalg.eigvalsh(gamma_hermitize(self.gamma1))
@@ -492,39 +486,7 @@ def reduced_densities(state: FermionState) -> ReducedDensities:
     gamma = amplitudes.T @ amplitudes
     pair /= 2.0 * h * h
 
-    return ReducedDensities(
-        rho1=site_occ / h,
-        rho2=pair,
-        gamma1=gamma,
-        grid=ham.grid,
-        n_particles=n,
-    )
-
-
-def annihilate(ham: DiscreteHamiltonian, vec: Array, removed: int, f: Array) -> Array:
-    """sum_j f_j c_j applied to ``vec``, a state of N - ``removed`` particles.
-
-    ``vec`` lies on the colex basis of N - ``removed`` particles on the M
-    sites of ``ham``, the result on that of one particle fewer. Removing
-    slot a lands on the hole of colex rank ``_removal_ranks``, with the
-    Jordan-Wigner sign (-1)^a that ``reduced_densities`` applies. Rows of
-    different states can land on one hole, so each slot's terms are summed
-    by ``np.bincount``.
-    """
-    m, k = ham.grid.points_per_axis, ham.n_particles - removed
-    if not 1 <= k <= ham.n_particles:
-        raise ValidationError(f"cannot remove a particle after {removed} of N={ham.n_particles}")
-    subsets = ham.occupations if removed == 0 else _colex_subsets(ham.binomials, m, k)
-    if np.shape(vec) != (subsets.shape[0],):
-        raise ValidationError(f"vector of shape {np.shape(vec)} is not on the C({m},{k}) basis")
-    out = np.zeros(math.comb(m, k - 1), dtype=np.result_type(vec, f, float))
-    for a, holes in _removal_ranks(ham.binomials, subsets):
-        amp = f[subsets[:, a]] * vec
-        sign = -1.0 if a % 2 else 1.0
-        out.real += sign * np.bincount(holes, amp.real, out.size)
-        if np.iscomplexobj(out):
-            out.imag += sign * np.bincount(holes, amp.imag, out.size)
-    return out
+    return ReducedDensities(rho1=site_occ / h, rho2=pair, gamma1=gamma)
 
 
 def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
@@ -586,7 +548,6 @@ def slater_upper_bound(
 
 @dataclass
 class AprioriReport:
-    n_particles: int
     kinetic_potential: float
     interaction_integral: float
 
@@ -604,7 +565,6 @@ def apriori_diagnostics(state: FermionState) -> AprioriReport:
         w2 = state.coefficients**2
         inter = sum((float(w2 @ term) for term in _pair_terms(ham)), 0.0)
     return AprioriReport(
-        n_particles=ham.n_particles,
         kinetic_potential=state.energy() + inter,
         interaction_integral=inter,
     )

@@ -74,19 +74,14 @@ def test_hartree_energy_returns_its_four_terms():
 UNCALLED_PUBLIC_NAMES = {
     # the TF functional itself, which the tests compare every minimizer against
     ("tf_solver", "tf_energy"),
-    # the pointwise Husimi reference; ROADMAP item 7 tabulates the exact N-body law with it
+    # ROADMAP item 7's two-particle Wick check evaluates the k = 2 Husimi function with it
     ("husimi", "husimi_at_samples"),
-    # ROADMAP item 7 samples the oracle's N <= 3 Husimi law with it
-    ("df_measures", "exchangeable_law_sampler"),
 }
 
 # Public methods and properties that nothing in src/ or bench/ calls, each kept for a reason.
 UNCALLED_PUBLIC_MEMBERS = {
     # acceptance 06 builds its law with it
     ("df_measures", "FiniteExchangeableLaw.from_product"),
-    # ROADMAP item 7 tabulates the oracle's Husimi weights at cell centres with these two
-    ("df_measures", "FiniteExchangeableLaw.from_tensor"),
-    ("df_measures", "Tiling.cell_centers"),
     # the definition of J that the tests check relaxed_energy's masked sum against
     ("tf_solver", "RelaxedLocalEnergy.relaxed_local_energy"),
 }

@@ -318,6 +318,20 @@ class TestHusimiCommands:
             hashes.add(config_hash(out))
         assert len(hashes) == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1e-3"])
+    def test_nonpositive_smearing_scale_exits_2(self, value, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "sc.json",
+            {"d": 1, "constants": "bathtub_consistent", "potential": {"family": "harmonic"}, "beta": 0.25,
+             "interaction": {"family": "plateau", "params": {"radius": 0.5, "edge_width": 1e-3, "height": 1.0}},
+             "n_particles": 2, "grid": {"half_width": 2.2, "points_per_axis": 64}},
+        )
+        out = tmp_path / "s"
+        assert main(["semiclassics-check", "--config", config, f"--smear-hbar-x={value}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "ValidationError"
+        assert not out.exists()
+
 
 class TestDFExperiment:
     def test_seeded_run_reproducible(self, tmp_path):
@@ -392,6 +406,18 @@ class TestDFExperiment:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and flag in err["message"] and repr(preset) in err["message"]
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--N", "0", "--sweep", "16"], ["--N", "-3"], ["--N", "16", "--sweep", "16", "0"],
+         ["--preset", "paper-scaling", "--N", "0"]],
+    )
+    def test_nonpositive_particle_count_exits_2(self, args, tmp_path, capsys):
+        out = tmp_path / "n"
+        assert main(["df-experiment", "--seed", "1", "--trials", "10", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "particle" in json.loads(err[0])["message"]
+        assert not out.exists()
 
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = main(["df-experiment", "--seed", "7", "--trials", "0", "--out", str(tmp_path / "z")])

@@ -5,16 +5,13 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigas import df_measures
 from fermigas.errors import CapExceededError, ValidationError
-from fermigas.model import SpatialGrid, harmonic_potential
 from fermigas.df_measures import (
     ENUMERATION_CAP,
     TRANSPORT_VARIABLE_CAP,
@@ -72,7 +69,7 @@ def pauli_critical_volume(d: int, n_particles: int) -> float:
 def iid_cell_sampler(tiling: Tiling, cell_probs):
     """Draw particles i.i.d. from a per-cell distribution, uniform in-cell."""
     probs = np.asarray(cell_probs, dtype=float)
-    lows = tiling.cell_lows()
+    lows = np.array([cell_bounds(tiling, j)[0] for j in range(tiling.n_cells)])
     sides = np.array(tiling._axis_sides())
 
     def draw(rng, n_trials, n_particles):
@@ -149,7 +146,7 @@ def uniform_tensor(s, n):
 
 
 def loop_from_tensor(tensor):
-    """Multiset weights read one ordered configuration at a time, as from_tensor once did."""
+    """Multiset weights of a symmetric tensor, read one ordered configuration at a time."""
     tensor = np.asarray(tensor)
     weights = {}
     for config in product(range(tensor.shape[0]), repeat=tensor.ndim):
@@ -163,41 +160,7 @@ def loop_from_tensor(tensor):
     return weights
 
 
-def symmetric_tensor(rng, s, n, zero_frac=0.3):
-    """Exact symmetric tensor: random rational multiset weights (some zero) spread over orderings."""
-    multisets = list(combinations_with_replacement(range(s), n))
-    raw = [0 if rng.random() < zero_frac else int(rng.integers(1, 50)) for _ in multisets]
-    raw[0] = raw[0] or 1
-    total = sum(raw)
-    tensor = np.empty((s,) * n, dtype=object)
-    for config in product(range(s), repeat=n):
-        ms = tuple(sorted(config))
-        counts = [ms.count(v) for v in range(s)]
-        orderings = math.factorial(n) // math.prod(math.factorial(c) for c in counts)
-        tensor[config] = Fraction(raw[multisets.index(ms)], total * orderings)
-    return tensor
-
-
 class TestFromTensor:
-    @pytest.mark.parametrize("s, n", [(2, 1), (3, 4), (4, 5), (6, 3)])
-    @pytest.mark.parametrize("chunk", [5, 64, 1 << 16])
-    def test_matches_configuration_loop(self, rng, s, n, chunk):
-        exact = symmetric_tensor(rng, s, n)
-        floats = exact.astype(float)
-        ref_exact, ref_float = loop_from_tensor(exact), loop_from_tensor(floats)
-        with patch.object(df_measures, "TENSOR_CHUNK", chunk):
-            law_exact = FiniteExchangeableLaw.from_tensor(exact)
-            law_float = FiniteExchangeableLaw.from_tensor(floats)
-        assert law_exact.weights == ref_exact
-        assert list(law_exact.weights) == list(ref_exact)
-        assert all(isinstance(w, Fraction) for w in law_exact.weights.values())
-        assert law_float.weights.keys() == ref_float.keys()
-        for key, w in ref_float.items():
-            assert abs(law_float.weights[key] - w) <= 1e-15 * w
-        # some multisets drew weight 0 (all but the single-particle case) and none is a key
-        assert all(w != 0 for w in law_exact.weights.values())
-        assert len(law_exact.weights) < math.comb(s + n - 1, n) or n == 1
-
     def test_uniform_builds_only_multisets(self):
         # S^N = 16 777 216 is above the enumeration cap; the law has 6 435 multisets
         assert 8**8 > ENUMERATION_CAP
@@ -223,7 +186,7 @@ class TestDFDecomposition:
     def test_second_marginal_against_brute_force(self):
         # 27-configuration enumeration is the oracle
         tensor = uniform_tensor(3, 3)
-        law = FiniteExchangeableLaw.from_tensor(tensor)
+        law = FiniteExchangeableLaw(3, 3, loop_from_tensor(tensor))
         mt2 = law.mixture_marginal(2)
         brute = brute_mixture_marginal(tensor, 2)
         assert all(mt2[a, b] == brute[a, b] for a in range(3) for b in range(3))
@@ -273,28 +236,6 @@ class TestTVBound:
         assert report.tv <= 1
         assert report.passed
 
-    def test_husimi_weights_law(self):
-        # symmetric 3-body Husimi weights over a small tiling, float path
-        from fermigas.husimi import CoherentFamily, husimi_at_samples
-        from fermigas.oracle import DiscreteHamiltonian, ground_state
-
-        grid = SpatialGrid(1, 2.5, 30)
-        ham = DiscreteHamiltonian(grid, harmonic_potential(1), 3)
-        _, state = ground_state(ham)
-        family = CoherentFamily(3, 0.45, (1.0 / 3.0) ** 2 / 0.45)
-        tiling = Tiling.square(1, 2.0, 2)  # 4 phase-space cells
-        centers = tiling.cell_centers()
-        s = len(centers)
-        tensor = np.zeros((s,) * 3)
-        for config in product(range(s), repeat=3):
-            z = np.concatenate([centers[list(config)]], axis=0)[:, [0, 1]].reshape(-1)
-            samples = z[None, :]
-            tensor[config] = husimi_at_samples(state, family, samples, k=3)[0]
-        tensor /= tensor.sum()
-        law = FiniteExchangeableLaw.from_tensor(tensor)
-        report = tv_bound_check(law, 2)
-        assert report.passed
-
     @settings(max_examples=20, deadline=None)
     @given(
         s=st.integers(2, 4),
@@ -336,7 +277,7 @@ class TestPrefixTypes:
             st.lists(st.integers(0, 8), min_size=n_multisets, max_size=n_multisets).filter(lambda xs: sum(xs) > 0)
         )
         weights, tensor = random_rational_law(s, n, raw)
-        law = FiniteExchangeableLaw.from_tensor(tensor)
+        law = FiniteExchangeableLaw(s, n, loop_from_tensor(tensor))
         assert law.weights == weights
         ours, brute = law.marginal(k), brute_marginal(tensor, k)
         assert ours.shape == brute.shape and all(a == b for a, b in zip(ours.ravel(), brute.ravel()))
@@ -406,13 +347,6 @@ class TestTiling:
             lo, hi = cell_bounds(t, j)
             inside = np.all((pts >= lo) & (pts < hi), axis=1)
             assert np.all(idx[inside] == j)
-
-    @pytest.mark.parametrize("d, cells_x, cells_p", [(1, 3, 5), (2, 2, 3)])
-    def test_cell_lows_and_centers_match_cell_bounds(self, d, cells_x, cells_p):
-        t = Tiling(d, 1.3, cells_x, cells_p)
-        bounds = [cell_bounds(t, j) for j in range(t.n_cells)]
-        assert np.array_equal(t.cell_lows(), np.array([lo for lo, _ in bounds]))
-        assert np.array_equal(t.cell_centers(), np.array([0.5 * (lo + hi) for lo, hi in bounds]))
 
     @pytest.mark.parametrize("d, cells_x, cells_p", [(1, 3, 5), (2, 2, 3)])
     def test_in_cell_matches_cell_index(self, rng, d, cells_x, cells_p):
@@ -658,21 +592,3 @@ class TestSamplers:
         idx = cell_index(t, pts)
         freq = np.bincount(idx, minlength=4) / len(idx)
         assert freq == pytest.approx(probs, abs=0.02)
-
-    def test_exchangeable_law_sampler(self, rng):
-        from fermigas.df_measures import exchangeable_law_sampler
-
-        t = Tiling.square(1, 1.0, 2)  # 4 cells
-        # law concentrated on the multiset (0, 3): every draw fills those cells
-        law = FiniteExchangeableLaw(4, 2, {(0, 3): Fraction(1)})
-        sampler = exchangeable_law_sampler(law, t)
-        pts = sampler(rng, 50, 2)
-        idx = cell_index(t, pts.reshape(-1, 2)).reshape(50, 2)
-        assert np.all(np.sort(idx, axis=1) == [0, 3])
-
-    def test_law_sampler_state_count_mismatch(self):
-        from fermigas.df_measures import exchangeable_law_sampler
-
-        law = FiniteExchangeableLaw(3, 2, {(0, 1): Fraction(1)})
-        with pytest.raises(ValidationError, match="cells"):
-            exchangeable_law_sampler(law, Tiling.square(1, 1.0, 2))

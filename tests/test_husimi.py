@@ -697,36 +697,38 @@ class TestErrorDecomposition:
         assert report.potential_gap <= 5.0 * report.potential_gap_scale * N_PARTICLES
 
 
-def dict_walk_husimi(state, family, samples, k):
-    """Husimi values of a lattice state by a walk over a dict of occupied-site tuples.
+def dict_state(state) -> dict:
+    """A lattice state as {occupied-site tuple: coefficient}, its zero coefficients dropped."""
+    occupations = state.ham.occupations
+    return {tuple(occupations[r]): c for r, c in enumerate(state.coefficients) if c != 0.0}
 
-    The reference that ``oracle.annihilate`` replaced: every sample rebuilds
-    the whole basis as a dict and removes one particle per point, with the
-    Jordan-Wigner sign (-1)^pos of the removed slot.
+
+def dict_remove(current: dict, f) -> dict:
+    """sum_j conj(f_j) c_j on a dict state, with the Jordan-Wigner sign (-1)^pos of the removed slot."""
+    out = {}
+    for sites, c in current.items():
+        for pos, site in enumerate(sites):
+            amp = np.conj(f[site]) * ((-1) ** pos) * c
+            if amp != 0.0:
+                child = sites[:pos] + sites[pos + 1 :]
+                out[child] = out.get(child, 0.0) + amp
+    return out
+
+
+def dict_walk_husimi(state, family, samples, k):
+    """Husimi values of a lattice state by removing one particle per point from its dict.
+
+    ||a(f_k) ... a(f_1) psi||^2 with a(f) = sqrt(h) sum_j conj(f(y_j)) c_j: the
+    N-body definition, independent of the one-body matrix and of the Wick rule.
     """
     grid = state.ham.grid
+    sqrt_h = math.sqrt(grid.spacing)
     out = np.zeros(samples.shape[0])
     for idx, row in enumerate(samples):
-        zs = row.reshape(k, 2)
-        current = {tuple(state.ham.occupations[r]): state.coefficients[r] for r in range(state.ham.dim)}
-        current = {s: c for s, c in current.items() if c != 0.0}
-        value_ok = True
-        for x, p in zs:
-            f = coherent_state(x, p, family, grid)
-            nxt = {}
-            sqrt_h = math.sqrt(grid.spacing)
-            for sites, c in current.items():
-                for pos, site in enumerate(sites):
-                    amp = np.conj(f[site]) * sqrt_h * ((-1) ** pos) * c
-                    if amp == 0.0:
-                        continue
-                    child = sites[:pos] + sites[pos + 1 :]
-                    nxt[child] = nxt.get(child, 0.0) + amp
-            current = nxt
-            if not current:
-                value_ok = False
-                break
-        out[idx] = sum(abs(c) ** 2 for c in current.values()) if value_ok else 0.0
+        current = dict_state(state)
+        for x, p in row.reshape(k, 2):
+            current = dict_remove(current, sqrt_h * coherent_state(x, p, family, grid))
+        out[idx] = sum(abs(c) ** 2 for c in current.values())
     return out
 
 
@@ -762,37 +764,33 @@ STATE_CASES = [(trap, n) for trap in ("harmonic", "harmonic_bump", "shifted_doub
 class TestAnnihilate:
     @pytest.mark.parametrize("trap, n", STATE_CASES)
     def test_husimi_matches_dict_walk(self, trap, n):
+        # the one-body route from gamma1 against removing k particles from the state: exact
+        # at k = 1 for every state, and at k = 2 by Wick for the free ground states, which
+        # are Slater determinants
+        from fermigas.oracle import reduced_densities
+
         state = lattice_ground_state(trap, n)
+        gamma = OneBodyOperator(state.ham.grid, reduced_densities(state).gamma1)
         family = CoherentFamily(n, 1.2, n**-2.0 / 1.2)  # 9.8 grid points across the envelope
         rng = np.random.default_rng(n)
-        for k in range(1, n + 1):
+        for k in range(1, min(n, 1 if trap == "harmonic_bump" else 2) + 1):
             samples = np.column_stack(
                 [rng.uniform(-1.2, 1.2, size=(4, k)), rng.uniform(-2.0, 2.0, size=(4, k))]
             )[:, np.arange(2 * k).reshape(2, k).T.ravel()]  # rows (x1, p1, ..., xk, pk)
             ref = dict_walk_husimi(state, family, samples, k)
             assert ref.max() > 1e-4
-            assert np.max(np.abs(husimi_at_samples(state, family, samples, k) - ref)) <= 1e-12
+            assert np.max(np.abs(husimi_at_samples(gamma, family, samples, k) - ref)) <= 1e-12
 
     @pytest.mark.parametrize("trap, n", STATE_CASES)
     def test_hole_columns_give_gamma1(self, trap, n):
-        # with f = e_j, annihilate gives column j of the hole matrix that
-        # reduced_densities contracts, so <c_i psi, c_j psi> is gamma1[i, j]
-        from fermigas.oracle import annihilate, reduced_densities
+        # with f = e_j the removal gives c_j psi, so <c_i psi, c_j psi> is gamma1[i, j]
+        from fermigas.oracle import reduced_densities
 
         state = lattice_ground_state(trap, n)
-        sites = np.eye(state.ham.grid.points_per_axis)
-        holes = np.column_stack([annihilate(state.ham, state.coefficients, 0, e) for e in sites])
-        assert np.max(np.abs(holes.T @ holes - reduced_densities(state).gamma1)) <= 1e-12
-
-    def test_rejects_foreign_vectors(self):
-        from fermigas.oracle import annihilate
-
-        state = lattice_ground_state("harmonic", 2)
-        f = np.ones(state.ham.grid.points_per_axis)
-        with pytest.raises(ValidationError, match="basis"):
-            annihilate(state.ham, state.coefficients[:-1], 0, f)
-        with pytest.raises(ValidationError, match="remove"):
-            annihilate(state.ham, np.ones(1), 2, f)
+        psi = dict_state(state)
+        holes = [dict_remove(psi, e) for e in np.eye(state.ham.grid.points_per_axis)]
+        gamma1 = np.array([[sum(c * a.get(key, 0.0) for key, c in b.items()) for b in holes] for a in holes])
+        assert np.max(np.abs(gamma1 - reduced_densities(state).gamma1)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -808,24 +806,32 @@ def tiny_state():
 
 class TestStateHusimi:
 
-    def test_free_ground_state_matches_wick_route(self, tiny_state):
-        # a free-fermion ground state is a Slater determinant: the
-        # annihilation route and the Wick rule must agree for k = 2
+    def test_free_ground_state_matches_wick_route(self):
+        # the free 3-particle ground state is the Slater determinant of the three lowest
+        # orbitals u_c; by Cauchy-Binet its k = 2 Husimi function is h^2 sum_{a<b} |det M_ab|^2,
+        # M_ab the 2 x 2 matrix of plain lattice products f_{z_i}^H u_c for c in {a, b}
+        grid = SpatialGrid(1, 2.5, 120)
+        family = CoherentFamily(3, 0.3, (1.0 / 3.0) ** 2 / 0.3)
+        orbitals = lowest_orbitals(grid, harmonic_potential(1), 3, family.hbar)
+        samples = np.array(
+            [[-0.5, 0.4, 0.6, -0.3], [0.0, 1.0, 0.2, -1.0], [0.3, 0.0, -0.3, 0.0], [0.4, -0.8, 0.4, 0.8]]
+        )
+        ref = np.zeros(len(samples))
+        for idx, row in enumerate(samples):
+            products = np.array([coherent_state(x, p, family, grid).conj() @ orbitals for x, p in row.reshape(2, 2)])
+            ref[idx] = grid.spacing**2 * sum(
+                abs(np.linalg.det(products[:, [a, b]])) ** 2 for a, b in ((0, 1), (0, 2), (1, 2))
+            )
+        assert ref.min() > 1e-3
+        wick = husimi_at_samples(slater_operator(orbitals, grid), family, samples, k=2)
+        assert np.max(np.abs(wick - ref)) <= 1e-12
+
+    def test_k_exceeding_n_rejected(self, tiny_state):
+        # k = 3 exceeds the state's two particles; one-body operators carry k in {1, 2}
         from fermigas.oracle import reduced_densities
 
         grid, state = tiny_state
+        gamma = OneBodyOperator(grid, reduced_densities(state).gamma1)
         family = CoherentFamily(2, 0.3, 0.25 / 0.3)
-        red = reduced_densities(state)
-        gamma = OneBodyOperator(grid, red.gamma1)
-        samples = np.array(
-            [[-0.5, 0.4, 0.6, -0.3], [0.0, 1.0, 0.2, -1.0], [0.3, 0.0, -0.3, 0.0]]
-        )
-        direct = husimi_at_samples(state, family, samples, k=2)
-        wick = husimi_at_samples(gamma, family, samples, k=2)
-        assert direct == pytest.approx(wick, rel=1e-8, abs=1e-12)
-
-    def test_k_exceeding_n_rejected(self, tiny_state):
-        _, state = tiny_state
-        family = CoherentFamily(2, 0.3, 0.25 / 0.3)
-        with pytest.raises(ValidationError, match="exceeds"):
-            husimi_at_samples(state, family, np.zeros((1, 6)), k=3)
+        with pytest.raises(ValidationError, match="k in"):
+            husimi_at_samples(gamma, family, np.zeros((1, 6)), k=3)
