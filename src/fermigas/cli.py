@@ -253,11 +253,10 @@ def _cmd_vlasov_lift(args) -> int:
     return 0
 
 
-def _slater_model(args, what: str):
-    """The config, its coherent family and the Slater operator of its N lowest orbitals (1D only)."""
+def _slater_model(cfg: ModelConfig, args, what: str):
+    """The coherent family of a config and the Slater operator of its N lowest orbitals (1D only)."""
     from .husimi import CoherentFamily, lowest_orbitals, slater_operator
 
-    cfg = _load_model(args)
     if cfg.d != 1:
         raise ConfigError(f"{what} are desk-scale 1D only")
     if cfg.n_particles is None:
@@ -265,13 +264,14 @@ def _slater_model(args, what: str):
     beta = cfg.beta if cfg.beta is not None else 0.0
     family = CoherentFamily.default(cfg.n_particles, beta, hbar_x=args.hbar_x)
     orbitals = lowest_orbitals(cfg.grid, cfg.potential, cfg.n_particles, family.hbar)
-    return cfg, family, slater_operator(orbitals, cfg.grid)
+    return family, slater_operator(orbitals, cfg.grid)
 
 
 def _cmd_husimi(args) -> int:
     from .husimi import husimi_grid_table
 
-    cfg, family, gamma = _slater_model(args, "husimi tables")
+    cfg = _load_model(args)
+    family, gamma = _slater_model(cfg, args, "husimi tables")
     table = husimi_grid_table(gamma, family)
     rows = []
     for ix, x in enumerate(table.x_axis):
@@ -299,7 +299,10 @@ def _cmd_husimi(args) -> int:
 def _cmd_semiclassics_check(args) -> int:
     from .husimi import marginal_identity_report, semiclassical_error_decomposition
 
-    cfg, family, gamma = _slater_model(args, "semiclassics checks")
+    cfg = _load_model(args)
+    if args.smear_hbar_x is not None and cfg.interaction is None:
+        raise ConfigError("--smear-hbar-x sets the scale of the kernel blur and needs an interaction in the config")
+    family, gamma = _slater_model(cfg, args, "semiclassics checks")
     w_n = None
     if cfg.interaction is not None:
         w_n = scaled_interaction(cfg.interaction, cfg.n_particles)
@@ -619,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hbar-x", dest="hbar_x", type=float, default=None,
                    help="squeezing scale of the coherent frame")
     p.add_argument("--smear-hbar-x", dest="smear_hbar_x", type=float, default=None,
-                   help="single smearing scale for the kernel-blur table")
+                   help="single smearing scale for the kernel-blur table (needs an interaction)")
     common(p)
     p.set_defaults(handler=_cmd_semiclassics_check)
 

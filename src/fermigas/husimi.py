@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridResolutionError, HypothesisViolationError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TrapPotential, _mollifier, _one_body_diagonals, _one_body_traces
+from .model import LatticeModel, ScaledInteraction, SpatialGrid, TrapPotential, _mollifier
 from .vlasov import PhaseSpaceDensity, brillouin_momentum_grid
 
 Array = np.ndarray
@@ -180,19 +180,17 @@ def slater_operator(orbitals: Array, grid: SpatialGrid) -> OneBodyOperator:
 
 
 def lowest_orbitals(grid: SpatialGrid, potential: TrapPotential, n: int, hbar: float) -> Array:
-    """Columns = N lowest eigenvectors of the lattice one-body Hamiltonian.
+    """Columns = N lowest eigenvectors of the lattice one-body Hamiltonian (``LatticeModel.orbitals``).
 
-    The Hamiltonian (3-point -hbar^2 Laplacian plus diagonal V) is
-    tridiagonal, so only the N wanted eigenpairs are computed, by bisection
-    and inverse iteration on its two diagonals.
+    ``hbar`` must be the model's 1/n within 1e-12 relative (``float(n) ** -1.0``
+    misses it by an ulp at n = 1923, 3846, ...), or ``ValidationError`` is raised.
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    diag, off = _one_body_diagonals(grid, potential, hbar)
     if not 1 <= n <= grid.size:
         raise ValidationError(f"need 1 <= n <= {grid.size} orbitals, got {n}")
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n - 1))
-    return vecs
+    model = LatticeModel(grid, potential, n)
+    if not abs(hbar - model.hbar) <= 1e-12 * model.hbar:
+        raise ValidationError(f"hbar={hbar!r} is not the lattice model's 1/n = {model.hbar!r} at n={n}")
+    return model.orbitals(n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +465,11 @@ def hartree_energy(
 ) -> dict:
     """hbar^2 tr(-Lap gamma) + tr(V gamma) - N^-1 * double integral (w_N * rho) rho.
 
-    The Laplacian is the fixed 3-point lattice stencil; the interaction is
-    the mean-field pair sum of the scaled kernel (``density_pair_sum``) over
-    the operator's site occupations.
+    The one-body traces are those of the ``LatticeModel`` on the operator's
+    grid; the interaction is the mean-field pair sum of the scaled kernel
+    (``density_pair_sum``) over the operator's site occupations.
     """
-    kinetic, pot = _one_body_traces(gamma.grid, potential, float(n_particles) ** -1.0, gamma.matrix)
+    kinetic, pot = LatticeModel(gamma.grid, potential, n_particles, w_n).one_body_traces(gamma.matrix)
     inter = 0.0
     if w_n is not None:
         inter = -w_n.density_pair_sum(gamma.grid, np.real(np.diag(gamma.matrix))) / n_particles

@@ -2,8 +2,9 @@
 
 Contains the dimension guard, the two kinetic-coefficient conventions,
 trapping potentials with sampled assumption checks, compactly supported
-interaction profiles with their short-range scaling, and uniform spatial
-grids with the fixed quadrature rule.
+interaction profiles with their short-range scaling, uniform spatial
+grids with the fixed quadrature rule, and the 1D ``LatticeModel`` (one-body
+stencil and pair kernel) over which the oracle builds its Hamiltonian H.
 
 Conventions
 -----------
@@ -294,32 +295,6 @@ def double_well_potential(d: int, well_radius: float = 1.0, stiffness: float = 1
     )
 
 
-def _one_body_diagonals(grid: SpatialGrid, potential: TrapPotential, hbar: float) -> tuple[Array, Array]:
-    """Main and off diagonal of the lattice one-body matrix on a 1D grid.
-
-    The matrix is the 3-point -hbar^2 Laplacian with Dirichlet walls plus
-    diagonal V, shared by the many-body oracle and the Husimi orbitals.
-    """
-    if grid.d != 1:
-        raise ValidationError("the lattice oracle is 1D only")
-    t = hbar**2 / grid.spacing**2
-    diag = 2.0 * t + grid.sample(potential.evaluate)
-    return diag, np.full(grid.points_per_axis - 1, -t)
-
-
-def _one_body_traces(grid: SpatialGrid, potential: TrapPotential, hbar: float, gamma: Array) -> tuple[float, float]:
-    """(tr(T gamma), tr(V gamma)) for the 3-point -hbar^2 Laplacian T and diagonal V.
-
-    Both are tridiagonal, so only gamma's diagonal and first off-diagonal are
-    read; gamma is taken Hermitian, its upper off-diagonal standing for both.
-    """
-    hop = hbar**2 / grid.spacing**2
-    diag = np.real(np.diag(gamma))
-    off = np.real(np.diag(gamma, 1))
-    kinetic = hop * (2.0 * diag.sum() - 2.0 * off.sum())
-    return float(kinetic), float(grid.sample(potential.evaluate) @ diag)
-
-
 def theorem_beta_limit(d: int) -> float:
     """Largest scaling exponent covered by the two-sided energy asymptotics."""
     return 2.0 / (d * (2 * d + 1))
@@ -399,28 +374,14 @@ class ScaledInteraction:
     def evaluate(self, points: Array) -> Array:
         return self.amplitude * self.profile.evaluate(np.asarray(points) * self.length_factor)
 
-    def lag_table(self, grid: SpatialGrid) -> Array:
-        """w_N(d h) for the lags d = 0..M-1 of a 1D grid."""
-        return np.asarray(self.evaluate((np.arange(grid.points_per_axis) * grid.spacing)[:, None]), dtype=float)
-
-    def matrix_pair_sum(self, grid: SpatialGrid, pairs: Array) -> float:
-        """sum_(i, j) w_N(x_i - x_j) P_ij of an M x M array P on a 1D grid.
-
-        Read off the diagonals of P: lag d contributes w_N(|d| h) times the
-        trace of P's d-th diagonal, for the lags where w_N is nonzero.
-        """
-        table = self.lag_table(grid)
-        m = table.size
-        return float(sum(table[abs(d)] * np.trace(pairs, d) for d in range(1 - m, m) if table[abs(d)]))
-
     def density_pair_sum(self, grid: SpatialGrid, values: Array) -> float:
         """sum_(x, y) w_N(x - y) a(x) a(y) over the sites of a 1D or 2D grid.
 
         The mean-field pair energy -double integral w_N rho rho is minus this
         sum over the cell masses a = rho h^d; in the local limit it tends to
         -I_w integral rho^2, twice the lattice side's -N^-1 sum_(j<k) w_N.
-        The sum runs over the site offsets o with |o h| within the support
-        and w_N(o h) nonzero, one shifted product of ``values`` per offset.
+        It weights by w_N(o h) the autocorrelation sum_y a(y) a(y + o) at the offsets
+        o with |o h| within the support, from one real FFT padded to M + reach per axis.
         """
         h, shape = grid.spacing, grid.shape
         reach = min(int(math.floor(self.support_radius / h)) + 1, grid.points_per_axis - 1)
@@ -428,19 +389,75 @@ class ScaledInteraction:
         offsets = np.stack(np.meshgrid(*[axis] * grid.d, indexing="ij"), axis=-1).reshape(-1, grid.d)
         offsets = offsets[np.linalg.norm(offsets * h, axis=1) <= self.support_radius]
         weights = np.asarray(self.evaluate(offsets * h), dtype=float)
-        a = np.asarray(values, dtype=float).reshape(shape)
-        total = 0.0
-        for o, w in zip(offsets[weights != 0.0], weights[weights != 0.0]):
-            # y over `low`, x = y + o over `high`
-            low = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(o, shape))
-            high = tuple(slice(max(0, k), n + min(0, k)) for k, n in zip(o, shape))
-            total += w * float(np.vdot(a[low], a[high]))
-        return total
+        size, axes = [1 << (n + reach - 1).bit_length() for n in shape], tuple(range(grid.d))
+        spectrum = np.fft.rfftn(np.asarray(values, dtype=float).reshape(shape), size, axes)
+        correlation = np.fft.irfftn(spectrum.real**2 + spectrum.imag**2, size, axes)
+        return float(weights @ correlation[tuple((offsets % size).T)])
 
 
 def scaled_interaction(profile: InteractionProfile, n_particles: int) -> ScaledInteraction:
     """Attach the mass-preserving short-range scaling to a profile."""
     return ScaledInteraction(profile, n_particles)
+
+
+@dataclass
+class LatticeModel:
+    """N spinless fermions on a 1D grid: the one-body stencil and the pair kernel.
+
+    The 3-point -hbar^2 Laplacian with Dirichlet walls plus diagonal V, hbar = 1/N, and the
+    pair energy -N^-1 sum_(j<k) w_N(x_j - x_k); no energy read from them needs the C(M, N) basis.
+    """
+
+    grid: SpatialGrid
+    potential: TrapPotential
+    n_particles: int
+    w_n: ScaledInteraction | None = None
+
+    def __post_init__(self):
+        if self.grid.d != 1:
+            raise ValidationError("the many-body oracle supports d=1 only")
+        m, n = self.grid.points_per_axis, self.n_particles
+        if not (1 <= n <= m):
+            raise ValidationError(f"need 1 <= N <= M, got N={n}, M={m}")
+
+    @property
+    def hbar(self) -> float:
+        return 1.0 / self.n_particles
+
+    @property
+    def hop(self) -> float:
+        """hbar^2 / h^2, the magnitude of every off-diagonal entry of the stencil (each one is -hop)."""
+        return self.hbar**2 / self.grid.spacing**2
+
+    def one_body_diagonals(self) -> tuple[Array, Array]:
+        """Main and off diagonal of the tridiagonal one-body matrix."""
+        diag = 2.0 * self.hop + self.grid.sample(self.potential.evaluate)
+        return diag, np.full(self.grid.points_per_axis - 1, -self.hop)
+
+    def orbitals(self, k: int) -> tuple[Array, Array]:
+        """The k lowest one-body eigenvalues and eigenvector columns, by bisection and inverse iteration."""
+        from scipy.linalg import eigh_tridiagonal
+
+        return eigh_tridiagonal(*self.one_body_diagonals(), select="i", select_range=(0, k - 1))
+
+    def one_body_traces(self, gamma: Array) -> tuple[float, float]:
+        """(tr(T gamma), tr(V gamma)) from gamma's diagonal and upper off-diagonal (gamma Hermitian)."""
+        diag = np.real(np.diag(gamma))
+        off = np.real(np.diag(gamma, 1))
+        kinetic = self.hop * (2.0 * diag.sum() - 2.0 * off.sum())
+        return float(kinetic), float(self.grid.sample(self.potential.evaluate) @ diag)
+
+    def lag_table(self) -> Array:
+        """w_N(d h) for the lags d = 0..M-1."""
+        lags = np.arange(self.grid.points_per_axis) * self.grid.spacing
+        return np.asarray(self.w_n.evaluate(lags[:, None]), dtype=float)
+
+    def exchange_sum(self, gamma: Array) -> float:
+        """sum_(i, j) w_N(x_i - x_j) |gamma_ij|^2: w_N(|d| h) times the squared norm
+        of gamma's d-th diagonal, summed over the lags d where w_N is nonzero."""
+        table = self.lag_table()
+        lags = [d for d in range(1 - table.size, table.size) if table[abs(d)]]
+        return float(sum(table[abs(d)] * np.linalg.norm(np.diagonal(gamma, d)) ** 2 for d in lags))
 
 
 def box_profile(d: int, beta: float, radius: float = 1.0, height: float = 1.0) -> InteractionProfile:
@@ -479,9 +496,14 @@ def bump_profile(d: int, beta: float, radius: float = 1.0, height: float = 1.0) 
     def ev(pts):
         return c * _mollifier(np.linalg.norm(pts, axis=1) / r)
 
-    # midpoint rule on the support's bounding box: 8192 points in 1D, 1024^2 in 2D
-    grid = SpatialGrid(d, r, 8192 if d == 1 else 1024)
-    return InteractionProfile(d, ev, r, beta, grid.integrate(grid.sample(ev)), name="bump")
+    if d == 1:  # midpoint rule on the support, 8192 points
+        grid = SpatialGrid(1, r, 8192)
+        i_w = grid.integrate(grid.sample(ev))
+    else:  # radial: 2 pi * integral_0^r s w(s) ds, 200-node Gauss-Legendre on [0, r]
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        s = 0.5 * r * (nodes + 1.0)
+        i_w = math.pi * r * float(weights @ (s * ev(np.column_stack([s, np.zeros_like(s)]))))
+    return InteractionProfile(d, ev, r, beta, i_w, name="bump")
 
 
 def _smoothstep(u: Array) -> Array:

@@ -5,7 +5,8 @@ occupation basis enforces antisymmetry structurally. The Hamiltonian is
 
     H = sum_j (-hbar^2 Lap_j) + sum_j V(x_j) - N^-1 sum_{j<k} w_N(x_j - x_k)
 
-with hbar = 1/N, a 3-point Laplacian stencil and Dirichlet walls. All
+over a ``model.LatticeModel`` (hbar = 1/N, a 3-point Laplacian stencil and
+Dirichlet walls), whose Slater and free energies need no basis. All
 assertions downstream are made against this discrete model itself; the
 continuum is approached only under grid refinement.
 
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapExceededError, ConvergenceError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TrapPotential, _one_body_diagonals, _one_body_traces
+from .model import LatticeModel
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -128,45 +129,35 @@ def _pair_terms(ham: DiscreteHamiltonian):
     so the lag is c_b - c_a, read from the 1D lag table.
     """
     n, occ = ham.n_particles, ham.occupations
-    table = ham.w_n.lag_table(ham.grid)
+    table = ham.lag_table()
     for a in range(n):
         for b in range(a + 1, n):
             yield table[occ[:, b] - occ[:, a]] / n
 
 
 @dataclass
-class DiscreteHamiltonian:
-    """Sparse many-body Hamiltonian over the colex-ranked occupation basis.
+class DiscreteHamiltonian(LatticeModel):
+    """Sparse many-body Hamiltonian of a lattice model over the colex-ranked occupation basis.
 
     ``memory_cap`` bounds ``oracle_memory_bytes(M, N)``; above it the
     constructor raises ``CapExceededError`` before building anything.
     """
 
-    grid: SpatialGrid
-    potential: TrapPotential
-    n_particles: int
-    w_n: ScaledInteraction | None = None
     memory_cap: int = ORACLE_MEMORY_CAP
 
     occupations: Array = field(init=False)  # (dim, N) ascending sites, row = colex rank
     binomials: Array = field(init=False)  # _colex_binomials(M, N)
     matrix: sp.csr_matrix = field(init=False)
-    hbar: float = field(init=False)
 
     def __post_init__(self):
-        if self.grid.d != 1:
-            raise ValidationError("the many-body oracle supports d=1 only")
-        m = self.grid.points_per_axis
-        n = self.n_particles
-        if not (1 <= n <= m):
-            raise ValidationError(f"need 1 <= N <= M, got N={n}, M={m}")
+        super().__post_init__()
+        m, n = self.grid.points_per_axis, self.n_particles
         need = oracle_memory_bytes(m, n)
         if need > self.memory_cap:
             raise CapExceededError(
                 f"the oracle at M={m}, N={n} (basis C({m},{n}) = {math.comb(m, n)}) needs about "
                 f"{need >> 20} MiB, above the cap of {self.memory_cap >> 20} MiB"
             )
-        self.hbar = 1.0 / n
         self.binomials = _colex_binomials(m, n)
         self.occupations = _colex_subsets(self.binomials, m, n)
         self.matrix = self._build_matrix()
@@ -174,11 +165,6 @@ class DiscreteHamiltonian:
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
-
-    @property
-    def hop(self) -> float:
-        """hbar^2 / h^2, the magnitude of every off-diagonal entry (each one is -hop)."""
-        return self.hbar**2 / self.grid.spacing**2
 
     def _build_matrix(self) -> sp.csr_matrix:
         from scipy.sparse import csr_matrix
@@ -276,11 +262,8 @@ def _product_start(ham: DiscreteHamiltonian, even: bool) -> Array:
     overflows on nearly full lattices. A tail of u0 below the smallest normal
     float gives an entry 0.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     m, n, occ = ham.grid.points_per_axis, ham.n_particles, ham.occupations
-    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
-    u0 = np.abs(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0])
+    u0 = np.abs(ham.orbitals(1)[1][:, 0])
     if even:
         u0 += u0[::-1]
     log_u0 = np.log(np.maximum(u0, np.finfo(float).tiny))
@@ -489,28 +472,26 @@ def reduced_densities(state: FermionState) -> ReducedDensities:
     return ReducedDensities(rho1=site_occ / h, rho2=pair, gamma1=gamma)
 
 
-def slater_energy(ham: DiscreteHamiltonian, orbitals: Array) -> float:
+def slater_energy(model: LatticeModel, orbitals: Array) -> float:
     """Exact lattice energy of the Slater determinant of orthonormal orbitals.
 
-    Wick's rule gives <n_i n_j> = nu_i nu_j - |G_ij|^2 for the
-    density-density interaction, of which the lattice pair energy is half
-    the ``matrix_pair_sum`` over N; the one-body part is tr(T G) + tr(V G),
-    read from G's two inner diagonals.
+    Wick's rule gives <n_i n_j> = nu_i nu_j - |G_ij|^2, so the lattice pair
+    energy is -1/2 (``density_pair_sum`` of nu = diag G - ``exchange_sum`` of
+    G) / N, whose i = j terms cancel (no self-interaction). The one-body part
+    is tr(T G) + tr(V G); G is the only M x M array formed.
     """
-    n = ham.n_particles
-    if orbitals.shape != (ham.grid.points_per_axis, n):
-        raise ValidationError(f"orbitals must have shape (M, N) = {(ham.grid.points_per_axis, n)}")
+    n = model.n_particles
+    if orbitals.shape != (model.grid.points_per_axis, n):
+        raise ValidationError(f"orbitals must have shape (M, N) = {(model.grid.points_per_axis, n)}")
     overlap = orbitals.T.conj() @ orbitals
     if not np.allclose(overlap, np.eye(n), atol=1e-8):
         raise ValidationError("orbitals must be orthonormal in the plain lattice product")
     g = orbitals @ orbitals.T.conj()
-    kinetic, pot = _one_body_traces(ham.grid, ham.potential, ham.hbar, g)
-    if ham.w_n is None:
+    kinetic, pot = model.one_body_traces(g)
+    if model.w_n is None:
         return kinetic + pot
-    nu = np.real(np.diag(g))
-    # the diagonal nu_i^2 - |g_ii|^2 vanishes, so no self-interaction
-    pairs = np.outer(nu, nu) - np.abs(g) ** 2
-    return kinetic + pot - 0.5 * ham.w_n.matrix_pair_sum(ham.grid, pairs) / n
+    direct = model.w_n.density_pair_sum(model.grid, np.real(np.diag(g)))
+    return kinetic + pot - 0.5 * (direct - model.exchange_sum(g)) / n
 
 
 @dataclass
@@ -520,7 +501,7 @@ class TrialEnergyReport:
 
 
 def slater_upper_bound(
-    ham: DiscreteHamiltonian,
+    model: LatticeModel,
     gamma_matrix: Array,
     ground_energy: float,
     tol: float = 1e-10,
@@ -532,14 +513,14 @@ def slater_upper_bound(
     energy of that determinant, and checks ``ground_energy <= trial + tol``
     for the caller's ground energy E(N).
     """
-    n = ham.n_particles
+    n = model.n_particles
     evals, evecs = np.linalg.eigh(gamma_hermitize(gamma_matrix))
     if evals[::-1][:n][-1] <= 1e-12:  # the N-th largest occupation; eigh sorts ascending
         raise ValidationError(
             f"one-body matrix has rank below N={n}; cannot form a Slater trial"
         )
     orbitals = evecs[:, ::-1][:, :n]
-    trial = slater_energy(ham, orbitals)
+    trial = slater_energy(model, orbitals)
     return TrialEnergyReport(
         trial_energy=trial,
         satisfied=bool(ground_energy <= trial + tol),
@@ -570,7 +551,7 @@ def apriori_diagnostics(state: FermionState) -> AprioriReport:
     )
 
 
-def free_fermion_energy(ham: DiscreteHamiltonian) -> float:
+def free_fermion_energy(model: LatticeModel) -> float:
     """Filling rule: sum of the N lowest one-body eigenvalues (w = 0).
 
     Bisection runs to LAPACK's most accurate setting (twice the underflow
@@ -579,8 +560,7 @@ def free_fermion_energy(ham: DiscreteHamiltonian) -> float:
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
     evals = eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, ham.n_particles - 1), tol=2 * np.finfo(float).tiny
+        *model.one_body_diagonals(), select="i", select_range=(0, model.n_particles - 1), tol=2 * np.finfo(float).tiny
     )
     return float(np.sum(evals))

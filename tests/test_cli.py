@@ -306,17 +306,29 @@ class TestHusimiCommands:
          ("semiclassics-check", "--smear-hbar-x", ("1e-2", "1e-3"))],
     )
     def test_flags_enter_config_hash(self, subcommand, flag, values, tmp_path):
-        config = write_config(
-            tmp_path / "small.json",
-            {"d": 1, "potential": {"family": "harmonic"}, "beta": 0.2, "n_particles": 2,
-             "grid": {"half_width": 2.2, "points_per_axis": 64}},
-        )
+        raw = {"d": 1, "potential": {"family": "harmonic"}, "beta": 0.2, "n_particles": 2,
+               "grid": {"half_width": 2.2, "points_per_axis": 64}}
+        if flag == "--smear-hbar-x":  # the kernel-blur scale needs a kernel
+            raw["interaction"] = {"family": "plateau", "params": {"edge_width": 1e-3}}
+        config = write_config(tmp_path / "small.json", raw)
         hashes = set()
         for idx, value in enumerate(values):
             out = tmp_path / str(idx)
             assert main([subcommand, "--config", config, flag, value, "--out", str(out)]) == 0
             hashes.add(config_hash(out))
         assert len(hashes) == 2
+
+    def test_smearing_scale_without_interaction_exits_2(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "free.json",
+            {"d": 1, "potential": {"family": "harmonic"}, "n_particles": 2,
+             "grid": {"half_width": 2.2, "points_per_axis": 64}},
+        )
+        out = tmp_path / "s"
+        assert main(["semiclassics-check", "--config", config, "--smear-hbar-x", "1e-3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1e-3"])
     def test_nonpositive_smearing_scale_exits_2(self, value, tmp_path, capsys):

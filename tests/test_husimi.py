@@ -8,10 +8,10 @@ from scipy.integrate import quad
 
 from fermigas.errors import GridResolutionError, HypothesisViolationError, ValidationError
 from fermigas.model import (
+    LatticeModel,
     SpatialGrid,
     TFConstants,
     TrapPotential,
-    _one_body_diagonals,
     bump_profile,
     double_well_potential,
     harmonic_potential,
@@ -486,7 +486,7 @@ class TestLowestOrbitals:
     def test_matches_dense_eigh(self, trap, m):
         grid, potential, n, hbar = SpatialGrid(1, 2.2, m), TRAPS[trap], N_PARTICLES, 1.0 / N_PARTICLES
         u = lowest_orbitals(grid, potential, n, hbar)
-        diag, off = _one_body_diagonals(grid, potential, hbar)
+        diag, off = LatticeModel(grid, potential, n).one_body_diagonals()
         t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         energies, vecs = np.linalg.eigh(t_mat)
         dense = vecs[:, :n]
@@ -500,6 +500,17 @@ class TestLowestOrbitals:
     def test_count_out_of_range_rejected(self, n):
         with pytest.raises(ValidationError, match="orbitals"):
             lowest_orbitals(SpatialGrid(1, 2.2, 64), harmonic_potential(1), n, 0.125)
+
+    @pytest.mark.parametrize("scale", [1.1, 1.0 + 2e-12, 1.0 - 2e-12])
+    def test_hbar_other_than_one_over_n_rejected(self, scale):
+        with pytest.raises(ValidationError, match="1/n"):
+            lowest_orbitals(SpatialGrid(1, 2.2, 64), harmonic_potential(1), 8, scale / 8)
+
+    def test_hbar_compared_within_rounding(self):
+        # float(n) ** -1.0, the value CoherentFamily.hbar passes, is not 1/n at n = 1923
+        n = 1923
+        assert float(n) ** -1.0 != 1.0 / n
+        assert lowest_orbitals(SpatialGrid(1, 2.5, n), harmonic_potential(1), n, float(n) ** -1.0).shape == (n, n)
 
 
 # measured on a 2-vCPU VM: 0.48-0.59 s and a 161.3 MiB tracemalloc peak, of
@@ -655,8 +666,8 @@ class TestHartree:
 class TestErrorDecomposition:
     def test_kinetic_correction_identity(self, setup):
         grid, potential, family, _ = setup
-        orbitals = lowest_orbitals(grid, potential, 5, family.hbar)
         fam5 = CoherentFamily(5, family.hbar_x, (1.0 / 5.0) ** 2 / family.hbar_x)
+        orbitals = lowest_orbitals(grid, potential, 5, fam5.hbar)
         gamma = slater_operator(orbitals, grid)
         report = semiclassical_error_decomposition(gamma, fam5, potential)
         assert abs(report.measured_correction - report.expected_correction) <= 1e-4

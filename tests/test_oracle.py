@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from fermigas import oracle
 from fermigas.errors import CapExceededError, ConvergenceError, ValidationError
 from fermigas.model import (
+    LatticeModel,
     SpatialGrid,
     TrapPotential,
-    _one_body_diagonals,
     box_profile,
     bump_profile,
     double_well_potential,
@@ -50,9 +50,9 @@ POTENTIAL = harmonic_potential(1)
 PROFILE = bump_profile(1, beta=0.2, radius=1.0, height=2.0)
 
 
-def one_body_matrix(grid, potential, hbar):
-    """Dense one-body matrix: 3-point -hbar^2*Laplacian plus diagonal V."""
-    diag, off = _one_body_diagonals(grid, potential, hbar)
+def one_body_matrix(model):
+    """Dense one-body matrix of a lattice model: 3-point -hbar^2*Laplacian plus diagonal V."""
+    diag, off = model.one_body_diagonals()
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -192,7 +192,7 @@ def polynomial_determinants(ham, even):
     so it is formed and eliminated in long double.
     """
     m, n = ham.grid.points_per_axis, ham.n_particles
-    diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+    diag, off = ham.one_body_diagonals()
     u0 = np.abs(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0])
     if even:
         u0 += u0[::-1]
@@ -286,7 +286,7 @@ class TestGroundState:
         for interacting in (False, True):
             ham = make_ham(1, interacting=interacting)
             energy, _ = ground_state(ham)
-            dense = np.linalg.eigvalsh(one_body_matrix(GRID, POTENTIAL, ham.hbar))
+            dense = np.linalg.eigvalsh(one_body_matrix(ham))
             assert energy == pytest.approx(dense[0], abs=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -362,7 +362,7 @@ class TestGroundState:
         assert np.linalg.norm(v0) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(v0 - v0[mirrored_rows(ham)])) <= 1e-12
         if n == 1:
-            diag, off = _one_body_diagonals(ham.grid, ham.potential, ham.hbar)
+            diag, off = ham.one_body_diagonals()
             u0 = np.abs(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0])
             assert np.max(np.abs(_product_start(ham, even=False) - u0)) <= 1e-12
             u0 += u0[::-1]
@@ -394,7 +394,7 @@ class TestGroundState:
     @pytest.mark.parametrize("m, n", [(40, 3), (2000, 1)])
     def test_free_fermion_energy_matches_dense_eigvalsh(self, m, n):
         ham = make_ham(n, grid=SpatialGrid(1, 2.5, m))
-        dense = np.linalg.eigvalsh(one_body_matrix(ham.grid, POTENTIAL, ham.hbar))[:n].sum()
+        dense = np.linalg.eigvalsh(one_body_matrix(ham))[:n].sum()
         assert free_fermion_energy(ham) == pytest.approx(dense, abs=1e-10)
 
     def test_basis_cap(self):
@@ -704,7 +704,7 @@ class TestReducedDensities:
         ham = make_ham(2)
         _, state = ground_state(ham)
         red = reduced_densities(state)
-        t_mat = one_body_matrix(GRID, POTENTIAL, ham.hbar)
+        t_mat = one_body_matrix(ham)
         _, vecs = np.linalg.eigh(t_mat)
         orbital_density = (vecs[:, 0] ** 2 + vecs[:, 1] ** 2) / GRID.spacing
         assert red.rho1 == pytest.approx(orbital_density, abs=1e-10)
@@ -777,7 +777,7 @@ class TestReducedDensities:
         ham = make_ham(3)
         _, state = ground_state(ham)
         red = reduced_densities(state)
-        t_mat = one_body_matrix(GRID, POTENTIAL, ham.hbar)
+        t_mat = one_body_matrix(ham)
         _, vecs = np.linalg.eigh(t_mat)
         projector = vecs[:, :3] @ vecs[:, :3].T
         assert np.max(np.abs(np.abs(red.gamma1) - np.abs(projector))) < 1e-8
@@ -832,7 +832,7 @@ class TestSlaterUpperBound:
     def test_exact_orbitals_tight_for_free_case(self):
         ham = make_ham(3)
         energy, _ = ground_state(ham)
-        t_mat = one_body_matrix(GRID, POTENTIAL, ham.hbar)
+        t_mat = one_body_matrix(ham)
         _, vecs = np.linalg.eigh(t_mat)
         trial = slater_energy(ham, vecs[:, :3])
         assert trial == pytest.approx(energy, abs=1e-10)
@@ -847,7 +847,7 @@ class TestSlaterUpperBound:
     def test_slater_energy_matches_full_expectation(self):
         # Wick-rule evaluation against the explicit determinant vector
         ham = make_ham(2, interacting=True)
-        t_mat = one_body_matrix(GRID, POTENTIAL, ham.hbar)
+        t_mat = one_body_matrix(ham)
         _, vecs = np.linalg.eigh(t_mat)
         orbitals = vecs[:, :2]
         coeffs = np.zeros(ham.dim)
@@ -875,7 +875,7 @@ class TestAprioriDiagnostics:
         ham = make_ham(3, interacting=True)
         _, state = ground_state(ham)
         report = apriori_diagnostics(state)
-        t_mat = one_body_matrix(GRID, POTENTIAL, ham.hbar)
+        t_mat = one_body_matrix(ham)
         trace = float(np.sum(t_mat * reduced_densities(state).gamma1.T))
         assert report.interaction_integral > 0.0
         assert report.kinetic_potential == pytest.approx(trace, abs=1e-10)
@@ -895,7 +895,7 @@ class TestAprioriDiagnostics:
 def parent_slater_energy(ham, orbitals):
     """slater_energy from the dense one-body einsum and the dense pair coupling."""
     n = ham.n_particles
-    t_mat = one_body_matrix(ham.grid, ham.potential, ham.hbar)
+    t_mat = one_body_matrix(ham)
     e_one = float(np.real(np.einsum("ia,ij,ja->", orbitals.conj(), t_mat, orbitals)))
     if ham.w_n is None:
         return e_one
@@ -959,8 +959,8 @@ class TestLagTableSums:
         orbitals = lowest_orbitals(grid, POTENTIAL, n, 1.0 / n)
         nu = np.sum(orbitals**2, axis=1)
         direct = -0.5 * float(nu @ pair_matrix(w_n, grid) @ nu) / n
-        # slater_energy's pair term is -1/2 matrix_pair_sum / N, linear in the pair occupation
-        assert -0.5 * w_n.matrix_pair_sum(grid, np.outer(nu, nu)) / n == pytest.approx(direct, rel=1e-12)
+        # slater_energy's direct term is -1/2 density_pair_sum(nu) / N
+        assert -0.5 * w_n.density_pair_sum(grid, nu) / n == pytest.approx(direct, rel=1e-12)
         inter = hartree_energy(slater_operator(orbitals, grid), POTENTIAL, w_n, n)["interaction_term"]
         assert inter == pytest.approx(2.0 * direct, rel=1e-12)
 
@@ -978,6 +978,32 @@ class TestLagTableSums:
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
+
+
+class TestBareLatticeModel:
+    """Lattice energies of a model whose occupation basis no memory cap admits."""
+
+    def test_energies_need_no_basis(self):
+        # C(1024, 64) is about 4.8e110 states
+        grid = SpatialGrid(1, 2.5, 1024)
+        with pytest.raises(CapExceededError):
+            DiscreteHamiltonian(grid, POTENTIAL, 64)
+        model = LatticeModel(grid, POTENTIAL, 64)
+        assert slater_energy(model, model.orbitals(64)[1]) == pytest.approx(free_fermion_energy(model), abs=1e-10)
+
+    def test_slater_energy_forms_only_the_one_body_matrix(self):
+        # the outer(nu, nu) - |G|^2 pair array and its temporaries took 61 MiB beside G here
+        m, n = 2000, 8
+        model = LatticeModel(SpatialGrid(1, 2.5, m), POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
+        orbitals = model.orbitals(n)[1]
+        tracemalloc.start()
+        try:
+            energy = slater_energy(model, orbitals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(energy)
+        assert peak <= 8 * m * m + (1 << 20)
 
 
 class TestHusimiCrossCheck:
