@@ -39,6 +39,7 @@ from .model import (
     load_config,
     read_config,
     scaled_interaction,
+    slater_operator,
     theorem_beta_limit,
 )
 
@@ -209,15 +210,21 @@ def _read_density_csv(path: str, grid: SpatialGrid):
 
     try:
         with open(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = list(reader)
+            rows = list(csv.reader(fh))[1:]  # below the header
     except FileNotFoundError:
         raise ConfigError(f"density file not found: {path}") from None
     if len(rows) != grid.size:
         raise ConfigError(f"density file has {len(rows)} rows for a grid of size {grid.size}")
-    values = np.array([float(r[-1]) for r in rows])
-    return DensityField(grid, values)
+    try:
+        table = np.array([[float(v) for v in r] for r in rows])
+    except ValueError as exc:  # a non-numeric entry, or rows of unequal length
+        raise ConfigError(f"density file is not a numeric table: {exc}") from None
+    if table.shape[1] != grid.d + 1:
+        raise ConfigError(f"density file has {table.shape[1]} columns, not {grid.d + 1}, for a {grid.d}D grid")
+    # the coordinate columns must be the grid's own points (tf-minimize writes them exactly)
+    if not np.all(np.abs(table[:, :-1] - grid.points()) <= 1e-9 * grid.spacing):
+        raise ConfigError(f"density file's coordinates are not the config grid's points: {path}")
+    return DensityField(grid, table[:, -1])
 
 
 def _cmd_vlasov_lift(args) -> int:
@@ -255,7 +262,7 @@ def _cmd_vlasov_lift(args) -> int:
 
 def _slater_model(cfg: ModelConfig, args, what: str):
     """The coherent family of a config and the Slater operator of its N lowest orbitals (1D only)."""
-    from .husimi import CoherentFamily, lowest_orbitals, slater_operator
+    from .husimi import CoherentFamily, lowest_orbitals
 
     if cfg.d != 1:
         raise ConfigError(f"{what} are desk-scale 1D only")

@@ -30,7 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridResolutionError, HypothesisViolationError, ValidationError
-from .model import LatticeModel, ScaledInteraction, SpatialGrid, TrapPotential, _mollifier
+from .model import LatticeModel, OneBodyOperator, ScaledInteraction, SpatialGrid, TrapPotential, _mollifier
+from .model import semiclassical_hbar, slater_operator  # noqa: F401  (bench/ reads husimi.slater_operator)
 from .vlasov import PhaseSpaceDensity, brillouin_momentum_grid
 
 Array = np.ndarray
@@ -97,11 +98,11 @@ class CoherentFamily:
 
     @property
     def hbar(self) -> float:
-        return float(self.n_particles) ** -1.0
+        return semiclassical_hbar(self.n_particles)
 
     @classmethod
     def default(cls, n_particles: int, beta: float, hbar_x: float | None = None) -> "CoherentFamily":
-        hbar = float(n_particles) ** -1.0
+        hbar = semiclassical_hbar(n_particles)
         if hbar_x is None:
             hbar_x = float(n_particles) ** (-beta - 1.0)
         return cls(n_particles, hbar_x, hbar**2 / hbar_x)
@@ -133,57 +134,10 @@ def coherent_state(x: float, p: float, family: CoherentFamily, grid: SpatialGrid
     return family.envelope_at(y, x) * np.exp(1j * p * y / family.hbar)
 
 
-def _hermitian_defect(matrix: Array) -> tuple[float, float]:
-    """max |A - A^H| and max |A|, from one 128-row strip of the upper triangle
-    at a time against the conjugated column strip below it (no M x M temporary)."""
-    defect = peak = 0.0
-    for i in range(0, matrix.shape[0], 128):
-        upper = matrix[i : i + 128, i:]
-        lower = np.conj(matrix[i:, i : i + 128].T)
-        defect = max(defect, float(np.max(np.abs(upper - lower))))
-        peak = max(peak, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
-    return defect, peak
-
-
-@dataclass
-class OneBodyOperator:
-    """Occupancy-form operator on the grid: eigenvalues are occupations."""
-
-    grid: SpatialGrid
-    matrix: Array
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix)
-        m = self.grid.size
-        if self.matrix.shape != (m, m):
-            raise ValidationError(f"operator matrix must be {(m, m)}")
-        herm, peak = _hermitian_defect(self.matrix)
-        scale = max(1.0, peak)
-        if herm > 1e-10 * scale:
-            raise ValidationError(f"operator is not Hermitian (defect {herm:.3e})")
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def occupations(self) -> Array:
-        return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T.conj()))
-
-
-def slater_operator(orbitals: Array, grid: SpatialGrid) -> OneBodyOperator:
-    """gamma = sum_a |u_a><u_a| for plainly orthonormal orbital columns."""
-    n = orbitals.shape[1]
-    overlap = orbitals.T.conj() @ orbitals
-    if not np.allclose(overlap, np.eye(n), atol=1e-8):
-        raise ValidationError("orbital columns must be orthonormal")
-    return OneBodyOperator(grid, orbitals @ orbitals.T.conj())
-
-
 def lowest_orbitals(grid: SpatialGrid, potential: TrapPotential, n: int, hbar: float) -> Array:
     """Columns = N lowest eigenvectors of the lattice one-body Hamiltonian (``LatticeModel.orbitals``).
 
-    ``hbar`` must be the model's 1/n within 1e-12 relative (``float(n) ** -1.0``
-    misses it by an ulp at n = 1923, 3846, ...), or ``ValidationError`` is raised.
+    ``hbar`` must be the model's 1/n within 1e-12 relative, or ``ValidationError`` is raised.
     """
     if not 1 <= n <= grid.size:
         raise ValidationError(f"need 1 <= n <= {grid.size} orbitals, got {n}")
@@ -466,13 +420,12 @@ def hartree_energy(
     """hbar^2 tr(-Lap gamma) + tr(V gamma) - N^-1 * double integral (w_N * rho) rho.
 
     The one-body traces are those of the ``LatticeModel`` on the operator's
-    grid; the interaction is the mean-field pair sum of the scaled kernel
-    (``density_pair_sum``) over the operator's site occupations.
+    grid; the interaction is -N^-1 times its ``direct_sum``, the mean-field
+    pair sum, twice the direct part of ``LatticeModel.energy``.
     """
-    kinetic, pot = LatticeModel(gamma.grid, potential, n_particles, w_n).one_body_traces(gamma.matrix)
-    inter = 0.0
-    if w_n is not None:
-        inter = -w_n.density_pair_sum(gamma.grid, np.real(np.diag(gamma.matrix))) / n_particles
+    model = LatticeModel(gamma.grid, potential, n_particles, w_n)
+    kinetic, pot = model.one_body_traces(gamma.matrix)
+    inter = -model.direct_sum(gamma.matrix) / n_particles
     return {
         "kinetic_term": kinetic,
         "potential_term": pot,

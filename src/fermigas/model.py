@@ -3,8 +3,10 @@
 Contains the dimension guard, the two kinetic-coefficient conventions,
 trapping potentials with sampled assumption checks, compactly supported
 interaction profiles with their short-range scaling, uniform spatial
-grids with the fixed quadrature rule, and the 1D ``LatticeModel`` (one-body
-stencil and pair kernel) over which the oracle builds its Hamiltonian H.
+grids with the fixed quadrature rule, and the 1D lattice's one-body layer:
+hbar = 1/N, the ``LatticeModel`` (one-body stencil and pair kernel, the energy
+of any one-body matrix gamma) over which the oracle builds its Hamiltonian H,
+and the occupancy-form ``OneBodyOperator`` with its Slater constructor.
 
 Conventions
 -----------
@@ -400,6 +402,11 @@ def scaled_interaction(profile: InteractionProfile, n_particles: int) -> ScaledI
     return ScaledInteraction(profile, n_particles)
 
 
+def semiclassical_hbar(n_particles: int) -> float:
+    """hbar = 1/N, the one spelling of the semiclassical parameter of N particles in 1D."""
+    return 1.0 / n_particles
+
+
 @dataclass
 class LatticeModel:
     """N spinless fermions on a 1D grid: the one-body stencil and the pair kernel.
@@ -422,7 +429,7 @@ class LatticeModel:
 
     @property
     def hbar(self) -> float:
-        return 1.0 / self.n_particles
+        return semiclassical_hbar(self.n_particles)
 
     @property
     def hop(self) -> float:
@@ -458,6 +465,70 @@ class LatticeModel:
         table = self.lag_table()
         lags = [d for d in range(1 - table.size, table.size) if table[abs(d)]]
         return float(sum(table[abs(d)] * np.linalg.norm(np.diagonal(gamma, d)) ** 2 for d in lags))
+
+    def direct_sum(self, gamma: Array) -> float:
+        """sum_(i, j) w_N(x_i - x_j) nu_i nu_j for nu = diag gamma (``density_pair_sum``); 0 without w_N."""
+        if self.w_n is None:
+            return 0.0
+        return self.w_n.density_pair_sum(self.grid, np.real(np.diag(gamma)))
+
+    def energy(self, gamma: Array) -> float:
+        """tr(T gamma) + tr(V gamma) - (direct_sum - exchange_sum) / (2N) for a Hermitian gamma.
+
+        For a Slater projector gamma = U U^H, Wick's rule gives <n_i n_j> = nu_i nu_j - |gamma_ij|^2,
+        so this is the determinant's exact lattice energy, whose i = j pair terms cancel (no
+        self-interaction). Every term reads gamma's diagonals; no M x M array is formed.
+        """
+        kinetic, pot = self.one_body_traces(gamma)
+        if self.w_n is None:
+            return kinetic + pot
+        return kinetic + pot - 0.5 * (self.direct_sum(gamma) - self.exchange_sum(gamma)) / self.n_particles
+
+
+def _hermitian_defect(matrix: Array) -> tuple[float, float]:
+    """max |A - A^H| and max |A|, from one 128-row strip of the upper triangle
+    at a time against the conjugated column strip below it (no M x M temporary)."""
+    defect = peak = 0.0
+    for i in range(0, matrix.shape[0], 128):
+        upper = matrix[i : i + 128, i:]
+        lower = np.conj(matrix[i:, i : i + 128].T)
+        defect = max(defect, float(np.max(np.abs(upper - lower))))
+        peak = max(peak, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+    return defect, peak
+
+
+@dataclass
+class OneBodyOperator:
+    """Occupancy-form operator on the grid: eigenvalues are occupations."""
+
+    grid: SpatialGrid
+    matrix: Array
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix)
+        m = self.grid.size
+        if self.matrix.shape != (m, m):
+            raise ValidationError(f"operator matrix must be {(m, m)}")
+        herm, peak = _hermitian_defect(self.matrix)
+        scale = max(1.0, peak)
+        if herm > 1e-10 * scale:
+            raise ValidationError(f"operator is not Hermitian (defect {herm:.3e})")
+
+    @property
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.matrix)))
+
+    def occupations(self) -> Array:
+        return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T.conj()))
+
+
+def slater_operator(orbitals: Array, grid: SpatialGrid) -> OneBodyOperator:
+    """gamma = sum_a |u_a><u_a| for plainly orthonormal orbital columns."""
+    n = orbitals.shape[1]
+    overlap = orbitals.T.conj() @ orbitals
+    if not np.allclose(overlap, np.eye(n), atol=1e-8):
+        raise ValidationError("orbital columns must be orthonormal")
+    return OneBodyOperator(grid, orbitals @ orbitals.T.conj())
 
 
 def box_profile(d: int, beta: float, radius: float = 1.0, height: float = 1.0) -> InteractionProfile:

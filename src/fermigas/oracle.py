@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapExceededError, ConvergenceError, ValidationError
-from .model import LatticeModel
+from .model import LatticeModel, OneBodyOperator
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -413,11 +413,8 @@ class ReducedDensities:
     gamma1: Array
 
     def occupations(self) -> Array:
-        return np.linalg.eigvalsh(gamma_hermitize(self.gamma1))
-
-
-def gamma_hermitize(g: Array) -> Array:
-    return 0.5 * (g + g.T.conj())
+        # gamma1 = A^T A is exactly symmetric (numpy computes the product as a symmetric rank-k update)
+        return np.linalg.eigvalsh(self.gamma1)
 
 
 def _site_and_pair_occupations(state: FermionState) -> tuple[Array, Array]:
@@ -472,28 +469,6 @@ def reduced_densities(state: FermionState) -> ReducedDensities:
     return ReducedDensities(rho1=site_occ / h, rho2=pair, gamma1=gamma)
 
 
-def slater_energy(model: LatticeModel, orbitals: Array) -> float:
-    """Exact lattice energy of the Slater determinant of orthonormal orbitals.
-
-    Wick's rule gives <n_i n_j> = nu_i nu_j - |G_ij|^2, so the lattice pair
-    energy is -1/2 (``density_pair_sum`` of nu = diag G - ``exchange_sum`` of
-    G) / N, whose i = j terms cancel (no self-interaction). The one-body part
-    is tr(T G) + tr(V G); G is the only M x M array formed.
-    """
-    n = model.n_particles
-    if orbitals.shape != (model.grid.points_per_axis, n):
-        raise ValidationError(f"orbitals must have shape (M, N) = {(model.grid.points_per_axis, n)}")
-    overlap = orbitals.T.conj() @ orbitals
-    if not np.allclose(overlap, np.eye(n), atol=1e-8):
-        raise ValidationError("orbitals must be orthonormal in the plain lattice product")
-    g = orbitals @ orbitals.T.conj()
-    kinetic, pot = model.one_body_traces(g)
-    if model.w_n is None:
-        return kinetic + pot
-    direct = model.w_n.density_pair_sum(model.grid, np.real(np.diag(g)))
-    return kinetic + pot - 0.5 * (direct - model.exchange_sum(g)) / n
-
-
 @dataclass
 class TrialEnergyReport:
     trial_energy: float
@@ -508,19 +483,20 @@ def slater_upper_bound(
 ) -> TrialEnergyReport:
     """Variational bound from the N dominant natural orbitals of a one-body matrix.
 
-    Diagonalizes ``gamma_matrix`` (occupancy form on the oracle grid), takes
-    its top-N eigenvectors as Slater orbitals, evaluates the exact lattice
-    energy of that determinant, and checks ``ground_energy <= trial + tol``
-    for the caller's ground energy E(N).
+    Diagonalizes ``gamma_matrix`` (occupancy form on the oracle grid, Hermitian
+    as ``OneBodyOperator`` checks, else ``ValidationError``), takes its top-N
+    eigenvectors U as Slater orbitals, evaluates the exact lattice energy
+    ``model.energy(U U^H)`` of that determinant, and checks
+    ``ground_energy <= trial + tol`` for the caller's ground energy E(N).
     """
     n = model.n_particles
-    evals, evecs = np.linalg.eigh(gamma_hermitize(gamma_matrix))
+    evals, evecs = np.linalg.eigh(OneBodyOperator(model.grid, gamma_matrix).matrix)
     if evals[::-1][:n][-1] <= 1e-12:  # the N-th largest occupation; eigh sorts ascending
         raise ValidationError(
             f"one-body matrix has rank below N={n}; cannot form a Slater trial"
         )
     orbitals = evecs[:, ::-1][:, :n]
-    trial = slater_energy(model, orbitals)
+    trial = model.energy(orbitals @ orbitals.T.conj())
     return TrialEnergyReport(
         trial_energy=trial,
         satisfied=bool(ground_energy <= trial + tol),

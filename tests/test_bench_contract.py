@@ -3,7 +3,8 @@
 The benchmark wraps the functions named in ``bench/spans.py`` ``TRACED`` and
 calls a few of them with fixed signatures from ``bench/workloads.py``; a
 rename or deletion here would otherwise surface only as a failed benchmark
-run. ``bench/spans.py`` is loaded read-only, by path. The caller-contract
+run. ``bench/spans.py`` is loaded read-only, by path, and every module
+attribute that ``bench/workloads.py`` reads must resolve. The caller-contract
 tests read ``bench/`` and ``src/`` as source text and ask that every public
 name of the package, every public method and property of its public
 classes, and every defaulted parameter has a caller there, and that every
@@ -24,8 +25,15 @@ import numpy as np
 import pytest
 
 from fermigas.cli import build_parser
-from fermigas.husimi import OneBodyOperator, hartree_energy
-from fermigas.model import SpatialGrid, bump_profile, config_from_dict, harmonic_potential, scaled_interaction
+from fermigas.husimi import hartree_energy
+from fermigas.model import (
+    OneBodyOperator,
+    SpatialGrid,
+    bump_profile,
+    config_from_dict,
+    harmonic_potential,
+    scaled_interaction,
+)
 from fermigas.oracle import DiscreteHamiltonian, ground_state
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +60,30 @@ TRACED = load_spans().TRACED
 def test_traced_function_exists(layer, name):
     module = importlib.import_module(f"fermigas.{layer}")
     assert callable(getattr(module, name, None)), f"fermigas.{layer}.{name}"
+
+
+def _benchmark_attributes() -> set[tuple[str, str]]:
+    """Every ``<module>.<name>`` that ``bench/workloads.py`` reads off a module of ``from fermigas import ...``."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fermigas"
+        for alias in node.names
+    }
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+
+
+def test_benchmark_attributes_resolve():
+    # re-exports such as husimi.slater_operator (defined in model) count: the benchmark reads them there
+    attributes = _benchmark_attributes()
+    assert ("husimi", "slater_operator") in attributes
+    missing = {(m, n) for m, n in attributes if not hasattr(importlib.import_module(f"fermigas.{m}"), n)}
+    assert not missing, sorted(missing)
 
 
 def test_hamiltonian_build_runs_in_post_init():

@@ -266,6 +266,30 @@ class TestVlasovLift:
         assert report["total"] == pytest.approx(solution["energy"]["total"], rel=1e-6)
         assert report["normalization"] == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("case", ["empty", "non_numeric", "shifted_x"])
+    def test_bad_density_file_exits_2(self, case, tmp_path, capsys):
+        # an unreadable file or one over other points is a config error, not a traceback or a lift
+        config = write_config(
+            tmp_path / "coupled.json",
+            {"d": 1, "potential": {"family": "harmonic"}, "beta": 0.2, "interaction": {"family": "bump"},
+             "grid": {"half_width": 3.0, "points_per_axis": 64}},
+        )
+        assert main(["tf-minimize", "--config", config, "--tol", "1e-2", "--out", str(tmp_path / "tf")]) == 0
+        header, *rows = (tmp_path / "tf" / "density.csv").read_text().splitlines()
+        table = [row.split(",") for row in rows]
+        if case == "non_numeric":
+            table[10][1] = "abc"
+        elif case == "shifted_x":
+            table = [[repr(float(x) + 1.0), rho] for x, rho in table]
+        body = "" if case == "empty" else "\n".join([header] + [",".join(row) for row in table]) + "\n"
+        (tmp_path / "bad.csv").write_text(body)
+        capsys.readouterr()
+        out = tmp_path / "lift"
+        assert main(["vlasov-lift", "--config", config, "--density", str(tmp_path / "bad.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigError"
+        assert not out.exists()
+
 
 class TestHusimiCommands:
     @pytest.fixture

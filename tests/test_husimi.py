@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from fermigas.errors import GridResolutionError, HypothesisViolationError, ValidationError
 from fermigas.model import (
     LatticeModel,
+    OneBodyOperator,
     SpatialGrid,
     TFConstants,
     TrapPotential,
@@ -18,10 +19,10 @@ from fermigas.model import (
     plateau_profile,
     quartic_potential,
     scaled_interaction,
+    slater_operator,
 )
 from fermigas.husimi import (
     CoherentFamily,
-    OneBodyOperator,
     _envelope_constants,
     coherent_state,
     envelope,
@@ -35,7 +36,6 @@ from fermigas.husimi import (
     marginal_identity_report,
     momentum_density,
     semiclassical_error_decomposition,
-    slater_operator,
     smearing_errors,
 )
 from fermigas.tf_solver import RelaxedLocalEnergy, minimize_1d_relaxed, sample_minimizer
@@ -86,6 +86,12 @@ class TestCoherentFamily:
     def test_rejects_inconsistent_scales(self):
         with pytest.raises(ValidationError):
             CoherentFamily(8, 0.1, 0.1)
+
+    def test_hbar_is_the_lattice_models(self):
+        # float(n) ** -1.0 and 1 / n differ by an ulp at n = 1923; both classes read semiclassical_hbar
+        n = 1923
+        model = LatticeModel(SpatialGrid(1, 2.5, n), harmonic_potential(1), n)
+        assert CoherentFamily.default(n, 0.2).hbar == model.hbar
 
 
 class TestCoherentState:
@@ -505,12 +511,6 @@ class TestLowestOrbitals:
     def test_hbar_other_than_one_over_n_rejected(self, scale):
         with pytest.raises(ValidationError, match="1/n"):
             lowest_orbitals(SpatialGrid(1, 2.2, 64), harmonic_potential(1), 8, scale / 8)
-
-    def test_hbar_compared_within_rounding(self):
-        # float(n) ** -1.0, the value CoherentFamily.hbar passes, is not 1/n at n = 1923
-        n = 1923
-        assert float(n) ** -1.0 != 1.0 / n
-        assert lowest_orbitals(SpatialGrid(1, 2.5, n), harmonic_potential(1), n, float(n) ** -1.0).shape == (n, n)
 
 
 # measured on a 2-vCPU VM: 0.48-0.59 s and a 161.3 MiB tracemalloc peak, of

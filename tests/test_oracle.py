@@ -41,7 +41,6 @@ from fermigas.oracle import (
     ground_state,
     oracle_memory_bytes,
     reduced_densities,
-    slater_energy,
     slater_upper_bound,
 )
 
@@ -834,7 +833,7 @@ class TestSlaterUpperBound:
         energy, _ = ground_state(ham)
         t_mat = one_body_matrix(ham)
         _, vecs = np.linalg.eigh(t_mat)
-        trial = slater_energy(ham, vecs[:, :3])
+        trial = ham.energy(vecs[:, :3] @ vecs[:, :3].T)
         assert trial == pytest.approx(energy, abs=1e-10)
 
     def test_rank_deficiency_rejected(self):
@@ -843,6 +842,14 @@ class TestSlaterUpperBound:
         rank1[0, 0] = 1.0
         with pytest.raises(ValidationError, match="rank"):
             slater_upper_bound(ham, rank1, ground_energy=0.0)
+
+    def test_non_hermitian_matrix_rejected(self):
+        # the bound diagonalizes the matrix it is given; a non-Hermitian one is refused, not symmetrized
+        ham = make_ham(3)
+        gamma = np.eye(GRID.size)
+        gamma[0, 1] = 1e-3
+        with pytest.raises(ValidationError, match="Hermitian"):
+            slater_upper_bound(ham, gamma, ground_energy=0.0)
 
     def test_slater_energy_matches_full_expectation(self):
         # Wick-rule evaluation against the explicit determinant vector
@@ -855,7 +862,7 @@ class TestSlaterUpperBound:
             i, j = ham.occupations[row]
             coeffs[row] = orbitals[i, 0] * orbitals[j, 1] - orbitals[j, 0] * orbitals[i, 1]
         coeffs /= np.linalg.norm(coeffs)
-        assert slater_energy(ham, orbitals) == pytest.approx(expectation(ham, coeffs), abs=1e-9)
+        assert ham.energy(orbitals @ orbitals.T) == pytest.approx(expectation(ham, coeffs), abs=1e-9)
 
 
 class TestAprioriDiagnostics:
@@ -893,7 +900,7 @@ class TestAprioriDiagnostics:
 
 
 def parent_slater_energy(ham, orbitals):
-    """slater_energy from the dense one-body einsum and the dense pair coupling."""
+    """A Slater determinant's energy from the dense one-body einsum and the dense pair coupling."""
     n = ham.n_particles
     t_mat = one_body_matrix(ham)
     e_one = float(np.real(np.einsum("ia,ij,ja->", orbitals.conj(), t_mat, orbitals)))
@@ -925,7 +932,7 @@ pair_sum_cases = st.tuples(
 
 
 class TestLagTableSums:
-    """slater_energy and apriori_diagnostics against the dense M x M formulas they replaced."""
+    """LatticeModel.energy and apriori_diagnostics against the dense M x M formulas they replaced."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=pair_sum_cases, seed=st.integers(0, 2**32 - 1))
@@ -940,7 +947,8 @@ class TestLagTableSums:
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         for orbitals in (np.linalg.qr(raw.real)[0], np.linalg.qr(raw)[0]):
-            assert slater_energy(ham, orbitals) == pytest.approx(parent_slater_energy(ham, orbitals), rel=1e-12)
+            gamma = orbitals @ orbitals.T.conj()
+            assert ham.energy(gamma) == pytest.approx(parent_slater_energy(ham, orbitals), rel=1e-12)
         coeffs = rng.standard_normal(ham.dim)
         state = FermionState(ham, coeffs / np.linalg.norm(coeffs))
         report = apriori_diagnostics(state)
@@ -952,16 +960,19 @@ class TestLagTableSums:
     def test_hartree_interaction_is_twice_the_slater_direct_part(self, n):
         # acceptance 08's model: the mean-field -double integral w_N rho rho counts
         # every pair twice, the lattice -N^-1 sum_(j<k) w_N once
-        from fermigas.husimi import hartree_energy, lowest_orbitals, slater_operator
+        from fermigas.husimi import hartree_energy, lowest_orbitals
+        from fermigas.model import slater_operator
 
         grid = SpatialGrid(1, 2.5, 48)
         w_n = scaled_interaction(PROFILE, n)
         orbitals = lowest_orbitals(grid, POTENTIAL, n, 1.0 / n)
+        gamma = slater_operator(orbitals, grid)
         nu = np.sum(orbitals**2, axis=1)
         direct = -0.5 * float(nu @ pair_matrix(w_n, grid) @ nu) / n
-        # slater_energy's direct term is -1/2 density_pair_sum(nu) / N
-        assert -0.5 * w_n.density_pair_sum(grid, nu) / n == pytest.approx(direct, rel=1e-12)
-        inter = hartree_energy(slater_operator(orbitals, grid), POTENTIAL, w_n, n)["interaction_term"]
+        # LatticeModel.energy's direct term is -1/2 direct_sum / N
+        model = LatticeModel(grid, POTENTIAL, n, w_n)
+        assert -0.5 * model.direct_sum(gamma.matrix) / n == pytest.approx(direct, rel=1e-12)
+        inter = hartree_energy(gamma, POTENTIAL, w_n, n)["interaction_term"]
         assert inter == pytest.approx(2.0 * direct, rel=1e-12)
 
     def test_apriori_forms_no_pair_array(self):
@@ -989,21 +1000,39 @@ class TestBareLatticeModel:
         with pytest.raises(CapExceededError):
             DiscreteHamiltonian(grid, POTENTIAL, 64)
         model = LatticeModel(grid, POTENTIAL, 64)
-        assert slater_energy(model, model.orbitals(64)[1]) == pytest.approx(free_fermion_energy(model), abs=1e-10)
+        orbitals = model.orbitals(64)[1]
+        assert model.energy(orbitals @ orbitals.T) == pytest.approx(free_fermion_energy(model), abs=1e-10)
 
-    def test_slater_energy_forms_only_the_one_body_matrix(self):
+    def test_energy_forms_no_m_by_m_array(self):
         # the outer(nu, nu) - |G|^2 pair array and its temporaries took 61 MiB beside G here
         m, n = 2000, 8
         model = LatticeModel(SpatialGrid(1, 2.5, m), POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
         orbitals = model.orbitals(n)[1]
+        gamma = orbitals @ orbitals.T
         tracemalloc.start()
         try:
-            energy = slater_energy(model, orbitals)
+            energy = model.energy(gamma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.isfinite(energy)
-        assert peak <= 8 * m * m + (1 << 20)
+        assert peak <= 1 << 20
+
+    def test_energy_is_quadratic_along_a_segment(self):
+        # E((1 - t) gamma_0 + t gamma_1) is a quadratic in t: the one-body traces are linear and
+        # the direct and exchange sums quadratic in gamma, so three values fix every other one
+        m, n = 128, 8
+        model = LatticeModel(SpatialGrid(1, 2.5, m), POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
+        low = model.orbitals(n)[1]
+        rotated = np.linalg.qr(np.random.default_rng(3).standard_normal((m, n)))[0]
+        ends = [u @ u.T for u in (low, rotated)]
+
+        def energy(t):
+            return model.energy((1.0 - t) * ends[0] + t * ends[1])
+
+        quadratic = np.polynomial.Polynomial.fit([0.0, 0.5, 1.0], [energy(t) for t in (0.0, 0.5, 1.0)], 2)
+        for t in (0.3, 0.7):
+            assert quadratic(t) == pytest.approx(energy(t), rel=1e-12)
 
 
 class TestHusimiCrossCheck:
