@@ -12,7 +12,7 @@ Conventions
 -----------
 * Points are arrays of shape ``(n, d)``; scalar fields return ``(n,)``.
   Evaluators must be pointwise (value i depends on point i only), because
-  ``SpatialGrid.sample`` feeds them the grid in blocks of rows.
+  ``SpatialGrid.blocks`` feeds them the grid in blocks of rows.
 * Grids are uniform with ``M`` cell-centered points per axis and spacing
   ``h = 2 * half_width / M``; integrals are the equal-weight rule
   ``h**d * sum(values)`` (the trapezoid value for densities vanishing on
@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,7 +38,7 @@ _PROBE_SLACK = 1e-9
 # The probe grid of TrapPotential: points per axis on [-radius, radius]^d.
 _PROBE_RADIUS = 8.0
 _PROBE_POINTS = 41
-# Points per block of SpatialGrid.sample and of the Thomas-Fermi solver's
+# Points per block of SpatialGrid.blocks and of the Thomas-Fermi solver's
 # blocked passes: 128 KiB per float64 temporary.
 SAMPLE_BLOCK_POINTS = 1 << 14
 
@@ -165,26 +165,32 @@ class SpatialGrid:
         """All grid points, flattened C-order, shape (M^d, d)."""
         return self._rows(0, self.points_per_axis)
 
-    def sample(self, fn: Callable[[Array], Array]) -> Array:
-        """``fn(self.points())`` as a float array, evaluated over blocks of rows.
+    def blocks(self, fn: Callable[[Array], Array]) -> Iterator[tuple[slice, Array]]:
+        """``(b, fn(self.points()[b]))`` over consecutive blocks of axis-0 rows.
 
         ``fn`` must be pointwise: it maps an (n, d) array of points to the
         (n,) values at those points, each value depending on its own point
         only (every potential and interaction evaluator in this package is).
         The point table is then never formed whole: each block holds about
-        ``SAMPLE_BLOCK_POINTS`` points, so the scratch stays O(block) beside
-        the one output array.
+        ``SAMPLE_BLOCK_POINTS`` points, so a pass over the blocks needs
+        O(block) scratch. Each yielded value array is fresh and may be
+        overwritten.
         """
         m = self.points_per_axis
         row_size = self.size // m
         rows = max(1, SAMPLE_BLOCK_POINTS // row_size)
-        out = np.empty(self.size)
         for start in range(0, m, rows):
             stop = min(start + rows, m)
             values = np.asarray(fn(self._rows(start, stop)), dtype=float)
             if values.shape != ((stop - start) * row_size,):
                 raise ValidationError("a pointwise evaluator must map (n, d) points to (n,) values")
-            out[start * row_size : stop * row_size] = values
+            yield slice(start * row_size, stop * row_size), values
+
+    def sample(self, fn: Callable[[Array], Array]) -> Array:
+        """``fn(self.points())`` as a float array, filled block by block from ``blocks``."""
+        out = np.empty(self.size)
+        for b, values in self.blocks(fn):
+            out[b] = values
         return out
 
     def integrate(self, values: Array) -> float:
@@ -199,7 +205,7 @@ class TrapPotential:
     """Confining potential with sampled growth and gradient checks.
 
     The evaluator and gradient are user code and must be pointwise (see
-    ``SpatialGrid.sample``), so the assumptions
+    ``SpatialGrid.blocks``), so the assumptions
     ``V >= 0``, ``V(x) >= growth_constant*|x|^s - growth_offset`` and
     ``|grad V(x)| <= gradient_constant*(|x|^(s-1)+1)`` are checked on a
     probe grid at construction rather than symbolically.
@@ -254,12 +260,22 @@ def _probe_grid(d: int, radius: float, points: int) -> Array:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def _squared_norm(pts: Array) -> Array:
+    """``|x|^2`` per row of an (n, d) point array, d in {1, 2}.
+
+    Bitwise equal to ``np.sum(pts**2, axis=1)``, whose reduction over two
+    columns adds them in the same order, without the strided reduction.
+    """
+    sq = pts * pts
+    return sq[:, 0] + sq[:, 1] if sq.shape[1] == 2 else sq[:, 0]
+
+
 def harmonic_potential(d: int, stiffness: float = 1.0) -> TrapPotential:
     """V(x) = stiffness * |x|^2."""
     a = float(stiffness)
 
     def ev(pts):
-        return a * np.sum(pts**2, axis=1)
+        return a * _squared_norm(pts)
 
     def gr(pts):
         return 2.0 * a * pts
@@ -272,10 +288,10 @@ def quartic_potential(d: int, stiffness: float = 1.0) -> TrapPotential:
     a = float(stiffness)
 
     def ev(pts):
-        return a * np.sum(pts**2, axis=1) ** 2
+        return a * _squared_norm(pts) ** 2
 
     def gr(pts):
-        return 4.0 * a * np.sum(pts**2, axis=1)[:, None] * pts
+        return 4.0 * a * _squared_norm(pts)[:, None] * pts
 
     return TrapPotential(d, ev, gr, 4.0, a, 0.0, 4.0 * a, name="quartic")
 
@@ -286,10 +302,10 @@ def double_well_potential(d: int, well_radius: float = 1.0, stiffness: float = 1
     b2 = float(well_radius) ** 2
 
     def ev(pts):
-        return a * (np.sum(pts**2, axis=1) - b2) ** 2
+        return a * (_squared_norm(pts) - b2) ** 2
 
     def gr(pts):
-        return 4.0 * a * (np.sum(pts**2, axis=1) - b2)[:, None] * pts
+        return 4.0 * a * (_squared_norm(pts) - b2)[:, None] * pts
 
     # (r^2-b^2)^2 >= r^4/2 - 2 b^4;  |grad| = 4a r |r^2-b^2| <= 4a(1+b^2)(r^3+1)
     return TrapPotential(

@@ -11,12 +11,14 @@ by a per-point activation rule. In both dimensions a point with threshold
 carries ``g(lam - s)`` for one fixed increasing profile ``g``, so ``lam`` is
 solved exactly from the sorted thresholds instead of by bisection.
 
-A solve holds two grid-sized float arrays: the thresholds, sampled from the
-potential by ``SpatialGrid.sample`` (so the evaluator must be pointwise), and
-their sorted copy, which becomes the density once ``lam`` is known. Mass
-probes, the density, the Euler-Lagrange certificates and the energies run
+A solve holds one grid-sized float array. The thresholds are sampled into it
+from the potential (so the evaluator must be pointwise, see
+``SpatialGrid.blocks``) and sorted in place, and ``lam`` is found on the
+sorted array. One fused pass over the grid's row blocks then re-evaluates the
+thresholds and writes the density over the sorted array, taking the
+Euler-Lagrange certificates and the energy sums on the way. Mass probes run
 over slices of ``SAMPLE_BLOCK_POINTS`` points, so the rest of the scratch is
-O(block) plus one boolean mask of the support.
+O(block), plus in 1D the boolean masks of the support interior.
 """
 
 from __future__ import annotations
@@ -147,23 +149,19 @@ class TFSolution:
     support_interior_min: float = math.nan
 
 
-def _energy_terms(
-    grid: SpatialGrid, values: Array, s: Array, c_tf: float, i_w: float, alpha: float = 0.0
-) -> EnergyBreakdown:
-    """The three terms at a density, given the thresholds ``s = V - alpha``.
+def _energy_sums(rho: Array, s: Array, p: float) -> Array:
+    """``[sum rho^p, sum rho^2, sum s rho]`` over one block; the grid's sums are the blocks' sums added."""
+    return np.array([np.sum(rho**p), np.sum(rho**2), np.sum(s * rho)])
 
-    ``I(V rho) = I(s rho) + alpha I(rho)``, so a 1D solve never holds V beside
-    s. The sums run over slices, so no grid-sized temporary is formed.
+
+def _energy_terms(grid: SpatialGrid, sums: Array, c_tf: float, i_w: float, shift_mass: float = 0.0) -> EnergyBreakdown:
+    """The three terms from the grid's ``_energy_sums`` over the thresholds ``s = V - alpha``.
+
+    ``I(V rho) = I(s rho) + alpha I(rho)``, and ``shift_mass`` is ``alpha I(rho)``.
     """
-    p = 1.0 + 2.0 / grid.d
-    power = square = linear = 0.0
-    for b in _slices(values.size):
-        rho = values[b]
-        power += float(np.sum(rho**p))
-        square += float(np.sum(rho**2))
-        linear += float(np.sum(s[b] * rho))
+    power, square, linear = sums.tolist()
     h = grid.cell_volume
-    return EnergyBreakdown(c_tf * (h * power), h * linear + alpha * grid.integrate(values), -i_w * (h * square))
+    return EnergyBreakdown(c_tf * (h * power), h * linear + shift_mass, -i_w * (h * square))
 
 
 def tf_energy(rho: DensityField, potential: TrapPotential, constants: TFConstants, i_w: float) -> EnergyBreakdown:
@@ -172,13 +170,17 @@ def tf_energy(rho: DensityField, potential: TrapPotential, constants: TFConstant
     The coupling ``i_w`` is taken as a raw number so that super-critical
     values can be explored; constructors, not this evaluator, enforce the
     2D sub-criticality bound. The interaction term carries its minus sign.
+    V is read block by block, so no grid-sized array is formed.
     """
     if potential.d != rho.grid.d:
         raise ValidationError("potential and density dimensions differ")
     if constants.d != rho.grid.d:
         raise ValidationError("constants and density dimensions differ")
-    v = rho.grid.sample(potential.evaluate)
-    return _energy_terms(rho.grid, rho.values, v, constants.c_tf, i_w)
+    p = 1.0 + 2.0 / rho.grid.d
+    sums = np.zeros(3)
+    for b, v in rho.grid.blocks(potential.evaluate):
+        sums += _energy_sums(rho.values[b], v, p)
+    return _energy_terms(rho.grid, sums, constants.c_tf, i_w)
 
 
 def _ramp(kappa: float):
@@ -186,8 +188,8 @@ def _ramp(kappa: float):
     return lambda u, out=None: np.divide(u, 2.0 * kappa, out=out)
 
 
-def _pointwise_density(s: Array, lam: float, profile, out: Array | None = None) -> Array:
-    """Grid density at multiplier ``lam``: ``g(lam - s)`` where ``s < lam``, else 0.
+def _density_block(s: Array, lam: float, profile, out: Array) -> Array:
+    """Density at multiplier ``lam``: ``g(lam - s)`` where ``s < lam``, else 0, written into ``out``.
 
     This is the activation rule of the mass map. In 1D (``s = V - alpha``,
     ``g = rel.active_density``) it is the per-point minimizer of
@@ -198,19 +200,16 @@ def _pointwise_density(s: Array, lam: float, profile, out: Array | None = None) 
     t = 0 otherwise. Exact ties go to 0, which reproduces the jump of the
     continuum minimizer instead of smearing it across a cell.
 
-    The density is written slice by slice into ``out`` (which may be ``s``);
-    ``profile(u, out=u)`` must work in place. Distinct floats have a nonzero
-    difference, so ``u = lam - s > 0`` exactly where ``s < lam``.
+    ``out`` may be ``s``, and ``profile(u, out=u)`` must work in place.
+    Distinct floats have a nonzero difference, so ``u = lam - s > 0``
+    exactly where ``s < lam``.
     """
-    if out is None:
-        out = np.empty_like(s)
-    for b in _slices(s.size):
-        u = np.subtract(lam, s[b], out=out[b])
-        inactive = u <= 0.0
-        np.maximum(u, 0.0, out=u)  # keeps the profile's square root real
-        profile(u, out=u)
-        u[inactive] = 0.0
-    return out
+    u = np.subtract(lam, s, out=out)
+    inactive = u <= 0.0
+    np.maximum(u, 0.0, out=u)  # keeps the profile's square root real
+    profile(u, out=u)
+    u[inactive] = 0.0
+    return u
 
 
 def _mass(s: Array, lam: float, profile, volume: float) -> float:
@@ -225,64 +224,46 @@ def _mass(s: Array, lam: float, profile, volume: float) -> float:
     return volume * total
 
 
-def _solve_unit_mass(s: Array, profile, volume: float, tol: float, segment_root) -> tuple[float, Array]:
-    """The multiplier ``lam`` and density ``_pointwise_density(s, lam, profile)`` of unit mass.
+def _solve_unit_mass(s: Array, profile, volume: float, segment_root) -> tuple[float, tuple | None]:
+    """The multiplier ``lam`` of unit mass and the activation jump it sits in, sorting ``s`` in place.
 
     The mass is nondecreasing in lam and smooth between consecutive sorted
     thresholds (ties, such as symmetric grid pairs, activate together). A
     binary search finds the last threshold ``s_j`` whose mass is below 1.
-    Unit mass then lies inside the activation jump at ``s_j``, whose nearer
-    end is taken, or on the segment past it, where the active set is fixed
-    and ``segment_root(active, lo, hi)`` solves for ``lam``. The density is
-    returned when its ``|mass - 1| <= tol``; otherwise a jump raises
-    ``MassJumpError`` with the exact jump ``[s_j, nextafter(s_j, inf)]`` and
-    the masses at its ends, and a segment ``ConvergenceError``.
+    Unit mass then lies either inside the activation jump at ``s_j``, whose
+    nearer end is taken and returned beside the jump
+    ``(lam_low, lam_high, mass_low, mass_high)``, with the exact jump
+    ``[s_j, nextafter(s_j, inf)]`` and the masses at its ends; or on the
+    segment past it, where the active set is fixed,
+    ``segment_root(active, lo, hi)`` solves for ``lam`` and the jump is None.
 
-    The sorted copy of ``s`` is the only grid-sized array this adds: the
-    density is written into it once ``lam`` is known.
+    ``s`` is the solve's one grid-sized array: the caller hands it over, it
+    is sorted here, and once ``lam`` is known the caller overwrites it with
+    the density.
     """
-    t = np.sort(s)  # NaN sorts last
-    if not (np.isfinite(t[0]) and np.isfinite(t[-1])):
+    s.sort()  # NaN sorts last
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise ValidationError("potential samples must be finite")
-    lo, hi = 1, t.size  # the mass at t[0] is 0
+    lo, hi = 1, s.size  # the mass at s[0] is 0
     while lo < hi:
         mid = (lo + hi) // 2
-        if _mass(t, t[mid], profile, volume) >= 1.0:
+        if _mass(s, s[mid], profile, volume) >= 1.0:
             hi = mid
         else:
             lo = mid + 1
-    lam_low = float(t[lo - 1])
+    lam_low = float(s[lo - 1])
     lam_high = float(np.nextafter(lam_low, np.inf))
-    mass_low = _mass(t, lam_low, profile, volume)
-    mass_high = _mass(t, lam_high, profile, volume)
-    jump = mass_high >= 1.0
-    if jump:
+    mass_low = _mass(s, lam_low, profile, volume)
+    mass_high = _mass(s, lam_high, profile, volume)
+    if mass_high >= 1.0:
         lam = lam_low if 1.0 - mass_low <= mass_high - 1.0 else lam_high
-    elif lo == t.size:
+        return lam, (lam_low, lam_high, mass_low, mass_high)
+    if lo == s.size:
         raise ValidationError(
             "unit mass needs every grid point occupied, so the minimizer support "
             "touches the box boundary; enlarge the grid half_width"
         )
-    else:
-        lam = segment_root(t[:lo], lam_high, float(t[lo]))
-    values = _pointwise_density(s, lam, profile, out=t)
-    gap = abs(volume * float(np.sum(values)) - 1.0)
-    if gap <= tol:
-        return lam, values
-    if jump:
-        raise MassJumpError(
-            "no multiplier reaches unit mass within tolerance: the mass jumps from "
-            f"{mass_low:.12g} to {mass_high:.12g} where the thresholds at lam = {lam_low!r} "
-            f"activate (residual gap {gap:.3g}, tol {tol:.3g})",
-            lam_low=lam_low,
-            lam_high=lam_high,
-            mass_low=mass_low,
-            mass_high=mass_high,
-        )
-    raise ConvergenceError(
-        f"tol={tol:.3g} is below the float resolution of the mass: the unit-mass "
-        f"multiplier {lam!r} leaves a mass gap of {gap:.3g}"
-    )
+    return segment_root(s[:lo], lam_high, float(s[lo])), None
 
 
 def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalEnergy, volume: float) -> float:
@@ -311,26 +292,6 @@ def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalE
     return lam
 
 
-def _el_defects(values: Array, s: Array, lam: float, derivative) -> tuple[float, float]:
-    """(sup over supp(rho) of ``|derivative(rho) + s - lam|``, min over the complement of ``s - lam``).
-
-    Taken slice by slice; rounding is monotone, so the complement's minimum
-    of ``s - lam`` is its minimum of ``s``, minus ``lam``.
-    """
-    supp_residual, comp_min = 0.0, math.inf
-    for b in _slices(values.size):
-        rho, sb = values[b], s[b]
-        supp = rho > 0
-        if supp.any():
-            r = derivative(rho[supp])
-            r += sb[supp]
-            r -= lam
-            supp_residual = max(supp_residual, float(np.max(np.abs(r, out=r))))
-        if not supp.all():
-            comp_min = min(comp_min, float(np.min(sb, where=~supp, initial=math.inf)) - lam)
-    return supp_residual, comp_min
-
-
 def _min_where(values: Array, mask: Array) -> float:
     """Smallest value under ``mask``, NaN when the mask is empty."""
     low = float(np.min(values, where=mask, initial=math.inf))
@@ -347,6 +308,110 @@ def _check_support_inside(grid: SpatialGrid, values: Array):
         raise ValidationError(
             "minimizer support touches the box boundary; enlarge the grid half_width"
         )
+
+
+def _support_interior(grid: SpatialGrid, values: Array) -> Array:
+    """Mask of support points all of whose grid neighbors are also occupied."""
+    pos = (values > 0).reshape(grid.shape)
+    interior = pos.copy()
+    for axis in range(grid.d):
+        inner, occupied = np.moveaxis(interior, axis, 0), np.moveaxis(pos, axis, 0)
+        inner[1:] &= occupied[:-1]
+        inner[:-1] &= occupied[1:]
+        inner[0] = inner[-1] = False
+    return interior.ravel()
+
+
+def _minimize(grid: SpatialGrid, evaluate, c_tf: float, i_w: float, tol: float) -> TFSolution:
+    """The unit-mass minimizer for the activation rule of the grid's dimension, in one grid array.
+
+    In 2D the thresholds are ``s = V`` and the profile is ``_ramp(c_tf - i_w)``
+    with the closed-form segment root; in 1D ``s = V - alpha`` and the
+    profile is the relaxed local energy's active density with the Newton
+    segment root. ``s`` is sampled, then sorted in place and searched by
+    ``_solve_unit_mass``. One fused pass over ``grid.blocks(evaluate)`` then
+    recomputes ``s`` block by block and writes the density over the sorted
+    thresholds, taking on the way the Euler-Lagrange defects (the sup over
+    supp(rho) of ``|g^-1(rho) + s - lam|`` and the min of ``s - lam`` over
+    the complement), the three energy sums and the smallest support value.
+    So the solve holds one grid array plus O(block) scratch (and, in 1D,
+    the boolean masks of the support interior). The density is returned
+    when its ``|mass - 1| <= tol``; otherwise a jump raises
+    ``MassJumpError`` with the jump and the residual gap, and a segment
+    ``ConvergenceError``.
+    """
+    volume = grid.cell_volume
+    if grid.d == 2:
+        kappa = c_tf - i_w
+        shift, profile = 0.0, _ramp(kappa)
+
+        def derivative(t):
+            return 2.0 * kappa * t
+
+        def segment_root(active, lo, hi):
+            return (2.0 * kappa / volume + float(np.sum(active))) / active.size
+
+    else:
+        rel = RelaxedLocalEnergy(c_tf, i_w)
+        shift, profile, derivative = rel.alpha, rel.active_density, rel.local_energy_derivative
+
+        def segment_root(active, lo, hi):
+            return _newton_segment_root(active, lo, hi, rel, volume)
+
+    values = grid.sample(evaluate)
+    if shift:
+        values -= shift
+    lam, jump = _solve_unit_mass(values, profile, volume, segment_root)
+    p = 1.0 + 2.0 / grid.d
+    residual, comp_min, supp_min = 0.0, math.inf, math.inf
+    sums = np.zeros(3)
+    for b, s in grid.blocks(evaluate):
+        if shift:
+            s -= shift
+        rho = _density_block(s, lam, profile, out=values[b])
+        supp = rho > 0
+        if supp.any():
+            r = derivative(rho[supp])
+            r += s[supp]
+            r -= lam
+            residual = max(residual, float(np.max(np.abs(r, out=r))))
+            supp_min = min(supp_min, float(np.min(rho, where=supp, initial=math.inf)))
+        if not supp.all():
+            # rounding is monotone, so the complement's min of s - lam is its min of s, minus lam
+            comp_min = min(comp_min, float(np.min(s, where=~supp, initial=math.inf)) - lam)
+        sums += _energy_sums(rho, s, p)
+    mass = grid.integrate(values)
+    gap = abs(mass - 1.0)
+    if gap > tol and jump is not None:
+        lam_low, lam_high, mass_low, mass_high = jump
+        raise MassJumpError(
+            "no multiplier reaches unit mass within tolerance: the mass jumps from "
+            f"{mass_low:.12g} to {mass_high:.12g} where the thresholds at lam = {lam_low!r} "
+            f"activate (residual gap {gap:.3g}, tol {tol:.3g})",
+            lam_low=lam_low,
+            lam_high=lam_high,
+            mass_low=mass_low,
+            mass_high=mass_high,
+        )
+    if gap > tol:
+        raise ConvergenceError(
+            f"tol={tol:.3g} is below the float resolution of the mass: the unit-mass "
+            f"multiplier {lam!r} leaves a mass gap of {gap:.3g}"
+        )
+    _check_support_inside(grid, values)
+    if grid.d == 1:
+        supp_min = _min_where(values, _support_interior(grid, values))
+    return TFSolution(
+        rho=DensityField(grid, values),
+        lam=lam,
+        energy=_energy_terms(grid, sums, c_tf, i_w, shift * mass),
+        el_residual=residual,
+        el_complement_min=comp_min,
+        mass_gap=gap,
+        c_tf=c_tf,
+        i_w=i_w,
+        support_interior_min=supp_min,
+    )
 
 
 def minimize_2d(
@@ -371,40 +436,7 @@ def minimize_2d(
         raise ValidationError(
             f"minimize_2d requires i_w < c_tf, got i_w={i_w} with c_tf={constants.c_tf}"
         )
-    v = grid.sample(potential.evaluate)
-    volume = grid.cell_volume
-    ramp = _ramp(kappa)
-
-    def closed_form(active: Array, lo: float, hi: float) -> float:
-        return (2.0 * kappa / volume + float(np.sum(active))) / active.size
-
-    lam, values = _solve_unit_mass(v, ramp, volume, tol, closed_form)
-    _check_support_inside(grid, values)
-    rho = DensityField(grid, values)
-    residual, comp_min = _el_defects(values, v, lam, lambda t: 2.0 * kappa * t)
-    return TFSolution(
-        rho=rho,
-        lam=lam,
-        energy=_energy_terms(grid, values, v, constants.c_tf, i_w),
-        el_residual=residual,
-        el_complement_min=comp_min,
-        mass_gap=abs(rho.mass - 1.0),
-        c_tf=constants.c_tf,
-        i_w=i_w,
-        support_interior_min=_min_where(values, values > 0),
-    )
-
-
-def _support_interior(grid: SpatialGrid, values: Array) -> Array:
-    """Mask of support points all of whose grid neighbors are also occupied."""
-    pos = (values > 0).reshape(grid.shape)
-    interior = pos.copy()
-    for axis in range(grid.d):
-        inner, occupied = np.moveaxis(interior, axis, 0), np.moveaxis(pos, axis, 0)
-        inner[1:] &= occupied[:-1]
-        inner[:-1] &= occupied[1:]
-        inner[0] = inner[-1] = False
-    return interior.ravel()
+    return _minimize(grid, potential.evaluate, constants.c_tf, i_w, tol)
 
 
 def minimize_1d_relaxed(
@@ -431,27 +463,7 @@ def minimize_1d_relaxed(
     """
     if grid.d != 1:
         raise ValidationError("minimize_1d_relaxed requires a 1D grid")
-    s = grid.sample(potential.evaluate)
-    s -= rel.alpha
-    h = grid.cell_volume
-    lam, values = _solve_unit_mass(
-        s, rel.active_density, h, tol, lambda active, lo, hi: _newton_segment_root(active, lo, hi, rel, h)
-    )
-    _check_support_inside(grid, values)
-    rho = DensityField(grid, values)
-    residual, comp_min = _el_defects(values, s, lam, rel.local_energy_derivative)
-    interior_min = _min_where(values, _support_interior(grid, values))
-    return TFSolution(
-        rho=rho,
-        lam=lam,
-        energy=_energy_terms(grid, values, s, rel.c_tf, rel.i_w, rel.alpha),
-        el_residual=residual,
-        el_complement_min=comp_min,
-        mass_gap=abs(rho.mass - 1.0),
-        c_tf=rel.c_tf,
-        i_w=rel.i_w,
-        support_interior_min=interior_min,
-    )
+    return _minimize(grid, potential.evaluate, rel.c_tf, rel.i_w, tol)
 
 
 def sample_minimizer(
@@ -464,27 +476,11 @@ def sample_minimizer(
     by the coarse quadrature error, bypassing the activation-jump lottery of
     a direct coarse-grid solve.
     """
-    s = grid.sample(potential.evaluate)
-    s -= rel.alpha
-    return DensityField(grid, _pointwise_density(s, lam, rel.active_density, out=s))
-
-
-def el_residual(sol: TFSolution, potential: TrapPotential):
-    """Euler-Lagrange defect of a solution (or of any density in a TFSolution).
-
-    Returns ``(sup-norm of the stationarity defect on supp(rho),
-    min over the complement of V - alpha - lam)``. A valid minimizer has the
-    first ~ 0 and the second >= -tol. In 2D the stationarity condition is
-    ``2 (c_tf - i_w) rho + V = lam`` and alpha plays no role.
-    """
-    grid = sol.rho.grid
-    v = grid.sample(potential.evaluate)
-    if grid.d == 2:
-        kappa = sol.c_tf - sol.i_w
-        return _el_defects(sol.rho.values, v, sol.lam, lambda t: 2.0 * kappa * t)
-    rel = RelaxedLocalEnergy(sol.c_tf, sol.i_w)
-    v -= rel.alpha
-    return _el_defects(sol.rho.values, v, sol.lam, rel.local_energy_derivative)
+    values = np.empty(grid.size)
+    for b, s in grid.blocks(potential.evaluate):
+        s -= rel.alpha
+        _density_block(s, lam, rel.active_density, out=values[b])
+    return DensityField(grid, values)
 
 
 @dataclass
@@ -499,14 +495,13 @@ def relaxed_energy(rho: DensityField, potential: TrapPotential, rel: RelaxedLoca
     """Relaxed functional: I(J(rho)) + I(V rho) - alpha * I(rho).
 
     J vanishes below the jump density, so only the points at or above it are
-    summed. The sums run over slices, so no grid-sized temporary is formed.
+    summed. V is read block by block, so no grid-sized array is formed.
     """
-    v = rho.grid.sample(potential.evaluate)
     local = linear = 0.0
-    for b in _slices(v.size):
+    for b, v in rho.grid.blocks(potential.evaluate):
         t = rho.values[b]
         local += float(np.sum(rel.local_energy(t[t >= rel.rho_jump])))
-        linear += float(np.sum(v[b] * t))
+        linear += float(np.sum(v * t))
     h = rho.grid.cell_volume
     return float(h * local + h * linear - rel.alpha * rho.mass)
 

@@ -84,7 +84,8 @@ class TestTFMinimize:
     def test_certificates_match_el_residual(self, config, request, tmp_path):
         # the record carries the solver's certificates, which el_residual recomputes
         from fermigas.model import load_config
-        from fermigas.tf_solver import RelaxedLocalEnergy, el_residual, minimize_1d_relaxed, minimize_2d
+        from fermigas.tf_solver import RelaxedLocalEnergy, minimize_1d_relaxed, minimize_2d
+        from tf_reference import el_residual
 
         path = request.getfixturevalue(config)
         assert main(["tf-minimize", "--config", path, "--out", str(tmp_path / "run")]) == 0
@@ -133,8 +134,23 @@ class TestOracleCommand:
         with open(out / "oracle.json") as fh:
             assert json.load(fh)["basis_dim"] == math.comb(100, 2)
 
-    def test_unreachable_tol_exit_3(self, tmp_path):
-        assert main(["oracle", "--N", "2", "--M", "40", "--tol", "1e-300", "--out", str(tmp_path)]) == 3
+    def test_unreachable_tol_exit_3(self, tmp_path, monkeypatch):
+        # the residual gate after the solve: ARPACK's vector is moved 1e-6 off the eigenvector
+        import scipy.sparse.linalg
+
+        solve = scipy.sparse.linalg.eigsh
+
+        def perturbed(*args, **kwargs):
+            evals, evecs = solve(*args, **kwargs)
+            return evals, evecs + 1e-6 * np.random.default_rng(0).standard_normal(evecs.shape)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+        assert main(["oracle", "--N", "2", "--M", "40", "--out", str(tmp_path)]) == 3
+
+    def test_tol_below_residual_floor_exit_2(self, tmp_path, capsys):
+        assert main(["oracle", "--N", "2", "--M", "40", "--tol", "1e-300", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "residual floor" in err["message"]
 
     def test_flag_driven_run(self, tmp_path):
         out = tmp_path / "o"

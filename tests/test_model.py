@@ -142,8 +142,32 @@ class TestSample:
         with pytest.raises(ValidationError, match="pointwise"):
             SpatialGrid(2, 2.0, 8).sample(lambda pts: np.zeros(3))
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_blocks_tile_the_grid_in_whole_rows(self, block):
+        for grid in (SpatialGrid(1, 2.0, 23), SpatialGrid(2, 2.0, 11)):
+            fn = harmonic_potential(grid.d).evaluate
+            row_size = grid.size // grid.points_per_axis
+            with patch.object(model, "SAMPLE_BLOCK_POINTS", block):
+                blocks = list(grid.blocks(fn))
+            assert [b.start for b, _ in blocks] == [0] + [b.stop for b, _ in blocks[:-1]]
+            assert blocks[-1][0].stop == grid.size
+            assert all(b.start % row_size == 0 for b, _ in blocks)
+            assert np.array_equal(np.concatenate([v for _, v in blocks]), fn(grid.points()))
+
 
 class TestTrapPotential:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_families_bit_equal_to_summed_squares(self, d, rng):
+        # the evaluators square and add the columns in the order np.sum(pts**2, axis=1) does
+        pts = 3.0 * rng.standard_normal((5000, d))
+        r2 = np.sum(pts**2, axis=1)
+        a, b2 = 1.7, 0.8**2
+        assert np.array_equal(harmonic_potential(d, a).evaluate(pts), a * r2)
+        assert np.array_equal(quartic_potential(d, a).evaluate(pts), a * r2**2)
+        assert np.array_equal(quartic_potential(d, a).gradient(pts), 4.0 * a * r2[:, None] * pts)
+        assert np.array_equal(double_well_potential(d, 0.8, a).evaluate(pts), a * (r2 - b2) ** 2)
+        assert np.array_equal(double_well_potential(d, 0.8, a).gradient(pts), 4.0 * a * (r2 - b2)[:, None] * pts)
+
     def test_families_construct(self):
         for factory in (harmonic_potential, quartic_potential, double_well_potential):
             for d in (1, 2):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from fermigas.model import (
 from fermigas.oracle import (
     DENSE_FALLBACK_DIM,
     ORACLE_MEMORY_CAP,
+    RESIDUAL_FLOOR_EPS,
     DiscreteHamiltonian,
+    _gershgorin_bounds,
     _gershgorin_radii,
     _mirror_fold,
     _mirror_rows,
@@ -209,7 +212,8 @@ def parent_ground_state(ham, tol=1e-9):
     """The full-space solve that the mirror fold replaced, kept as its oracle: eigsh on H."""
     v0 = reference_start(ham)
     eps = np.finfo(float).eps
-    tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0), eps ** (2.0 / 3.0)), eps)
+    low, _ = _gershgorin_bounds(ham, ham.matrix.diagonal())
+    tol_arpack = max(0.1 * tol / max(_ritz_bound(ham, v0, low), eps ** (2.0 / 3.0)), eps)
     evals, evecs = eigsh(ham.matrix, k=1, which="SA", v0=v0, tol=tol_arpack)
     return float(evals[0]), evecs[:, 0] / np.linalg.norm(evecs[:, 0])
 
@@ -310,13 +314,36 @@ class TestGroundState:
         residual = np.linalg.norm(ham.matrix @ state.coefficients - energy * state.coefficients)
         assert residual <= 1e-9
 
-    # iterative (dim 2300) and dense (dim 66) paths
+    # the gate after the iterative (dim 2300) and the dense (dim 66) solve: the solver's
+    # vector is perturbed by 1e-6, far above the default tol and the residual floor
     @pytest.mark.parametrize("m, n", [(25, 3), (12, 2)], ids=["25", "12"])
     def test_unreachable_tol_raises(self, m, n):
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, n, w_n=scaled_interaction(PROFILE, n))
-        assert (ham.dim <= DENSE_FALLBACK_DIM) == (m == 12)
-        with pytest.raises(ConvergenceError):
-            ground_state(ham, tol=1e-300)
+        dense = ham.dim <= DENSE_FALLBACK_DIM
+        assert dense == (m == 12)
+        ground_state(ham)
+        target, solver = ("numpy.linalg.eigh", np.linalg.eigh) if dense else ("scipy.sparse.linalg.eigsh", eigsh)
+
+        def perturbed(*args, **kwargs):
+            evals, evecs = solver(*args, **kwargs)
+            return evals, evecs + 1e-6 * np.random.default_rng(m).standard_normal(evecs.shape)
+
+        with patch(target, side_effect=perturbed) as called:
+            with pytest.raises(ConvergenceError, match="exceeds tol"):
+                ground_state(ham)
+        assert called.call_count == 1
+
+    def test_tol_below_residual_floor_rejected_before_solving(self):
+        # N = 1 on the default grid: the default tol falls below 6 eps ||H|| first at M = 2166
+        eps = np.finfo(float).eps
+        below, above = (DiscreteHamiltonian(SpatialGrid(1, 2.5, m), POTENTIAL, 1) for m in (2165, 2166))
+        floor = [RESIDUAL_FLOOR_EPS * eps * float(abs(h.matrix).sum(axis=1).max()) for h in (below, above)]
+        assert floor[0] <= 1e-9 < floor[1]
+        with patch("scipy.sparse.linalg.eigsh", side_effect=AssertionError("the solve ran")):
+            with pytest.raises(ValidationError, match="residual floor"):
+                ground_state(above)
+        energy, state = ground_state(below)
+        assert np.linalg.norm(below.matrix @ state.coefficients - energy * state.coefficients) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(case=hard_lanczos_cases)
@@ -467,8 +494,10 @@ class TestDirectBuild:
         # the copy-free Gershgorin radii against those of |H|
         radii = np.asarray(abs(ref).sum(axis=1)).ravel() - np.abs(ref.diagonal())
         assert np.allclose(_gershgorin_radii(ham), radii, rtol=1e-12, atol=0.0)
+        low, norm = _gershgorin_bounds(ham, ham.matrix.diagonal())
+        assert norm == pytest.approx(float(abs(ref).sum(axis=1).max()), rel=1e-12)
         v0 = np.random.default_rng(m * 7 + n).standard_normal(ham.dim)
-        assert _ritz_bound(ham, v0) == pytest.approx(abs_sum_ritz_bound(ham, v0), rel=1e-12)
+        assert _ritz_bound(ham, v0, low) == pytest.approx(abs_sum_ritz_bound(ham, v0), rel=1e-12)
 
     @staticmethod
     def traced_peak(fn):
@@ -489,7 +518,8 @@ class TestDirectBuild:
         # |H| alone is the 19 MiB of the matrix's data and indices
         ham = DiscreteHamiltonian(SpatialGrid(1, 2.5, 48), POTENTIAL, 4, w_n=scaled_interaction(PROFILE, 4))
         v0 = _product_start(ham, even=True)
-        assert self.traced_peak(lambda: _ritz_bound(ham, v0)) <= 8 << 20
+        peak = self.traced_peak(lambda: _ritz_bound(ham, v0, _gershgorin_bounds(ham, ham.matrix.diagonal())[0]))
+        assert peak <= 8 << 20
 
 
 # V = (x - 0.3)^2: no mirror symmetry, so ground_state must solve on H itself

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fermigas import tf_solver
+from fermigas import model, tf_solver
 from fermigas.errors import ConvergenceError, MassJumpError, ValidationError
 from fermigas.model import (
     SpatialGrid,
@@ -22,15 +22,23 @@ from fermigas.tf_solver import (
     DensityField,
     RelaxedLocalEnergy,
     _mass,
+    _minimize,
     _newton_segment_root,
     _ramp,
-    _solve_unit_mass,
-    el_residual,
     minimize_1d_relaxed,
     minimize_2d,
     relaxation_equivalence_check,
     relaxed_energy,
     tf_energy,
+)
+from tf_reference import (
+    activation_rule,
+    el_residual,
+    ref_el_defects,
+    ref_energy_terms,
+    ref_mass,
+    ref_newton_segment_root,
+    ref_solve_unit_mass,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -95,64 +103,6 @@ def bisect_unit_mass(s, profile, volume, tol, max_iter=400):
         if hi - lo <= 64.0 * np.finfo(float).eps * max(1.0, abs(hi)):
             raise MassJumpError("bracket collapsed", lam_low=lo, lam_high=hi, mass_low=m_lo, mass_high=m_hi)
     raise AssertionError(f"bisection did not converge in {max_iter} steps")
-
-
-def ref_pointwise_density(s, lam, profile):
-    """The allocating activation rule that the in-place one replaced."""
-    out = np.zeros_like(s)
-    active = s < lam
-    out[active] = profile(lam - s[active])
-    return out
-
-
-def ref_mass(s, lam, profile, volume):
-    active = s[: np.searchsorted(s, lam)]
-    return volume * float(np.sum(profile(lam - active)))
-
-
-def ref_newton_segment_root(active, lo, hi, rel, volume):
-    a = rel.c_tf
-    lam = lo
-    for _ in range(100):
-        rho = rel.active_density(lam - active)
-        slope = volume * float(np.sum(1.0 / (6.0 * a * rho - 2.0 * rel.i_w)))
-        nxt = min(lam + (1.0 - volume * float(np.sum(rho))) / slope, hi)
-        if not nxt > lam:
-            break
-        lam = nxt
-    return lam
-
-
-def ref_solve_unit_mass(s, profile, volume, tol, segment_root):
-    """The unit-mass solve over whole-prefix temporaries, kept as the oracle of the blocked one."""
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("potential samples must be finite")
-    t = np.sort(s)
-    lo, hi = 1, t.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ref_mass(t, t[mid], profile, volume) >= 1.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    lam_low = float(t[lo - 1])
-    lam_high = float(np.nextafter(lam_low, np.inf))
-    mass_low = ref_mass(t, lam_low, profile, volume)
-    mass_high = ref_mass(t, lam_high, profile, volume)
-    jump = mass_high >= 1.0
-    if jump:
-        lam = lam_low if 1.0 - mass_low <= mass_high - 1.0 else lam_high
-    elif lo == t.size:
-        raise ValidationError("unit mass needs every grid point occupied")
-    else:
-        lam = segment_root(t[:lo], lam_high, float(t[lo]))
-    values = ref_pointwise_density(s, lam, profile)
-    gap = abs(volume * float(np.sum(values)) - 1.0)
-    if gap <= tol:
-        return lam, values
-    if jump:
-        raise MassJumpError("jump", lam_low=lam_low, lam_high=lam_high, mass_low=mass_low, mass_high=mass_high)
-    raise ConvergenceError("segment")
 
 
 def dyadic_grid(d, m):
@@ -460,8 +410,90 @@ class TestExactMassSolve:
                 assert values[values > 0].min() >= rel.rho_jump
 
 
+def level_grid(d, levels, volume, wall):
+    """A grid and a lookup evaluator carrying ``levels`` on its first interior points and ``wall`` elsewhere.
+
+    The wall lies above every level and covers the box boundary, so it never
+    activates while unit mass is reached with the levels alone.
+    """
+    n = len(levels)
+    m = n + 2 if d == 1 else math.isqrt(n - 1) + 3
+    table = np.full((m,) * d, wall)
+    table[(slice(1, -1),) * d].flat[:n] = levels
+    spacing = volume ** (1.0 / d)
+    grid = SpatialGrid(d, 0.5 * m * spacing, m)
+
+    def evaluate(pts):
+        idx = np.rint(pts / spacing + 0.5 * m - 0.5).astype(np.intp)
+        return table[tuple(idx.T)]
+
+    return grid, evaluate
+
+
 class TestBlockedMassSolve:
-    """The blocked, in-place unit-mass solve against the allocating one it replaced."""
+    """The one-array fused solve against the two-array path it replaced, and that against the allocating solve."""
+
+    @staticmethod
+    def outcome(solve):
+        try:
+            return solve()
+        except (MassJumpError, ConvergenceError, ValidationError) as exc:
+            return exc
+
+    def compare(self, grid, evaluate, c_tf, i_w, tol):
+        alpha, profile, derivative = activation_rule(grid.d, c_tf, i_w)
+        s = grid.sample(evaluate)
+        s -= alpha
+        volume = grid.cell_volume
+        if grid.d == 1:
+            rel = RelaxedLocalEnergy(c_tf, i_w)
+            root = lambda active, lo, hi: _newton_segment_root(active, lo, hi, rel, volume)  # noqa: E731
+            ref_root = lambda active, lo, hi: ref_newton_segment_root(active, lo, hi, rel, volume)  # noqa: E731
+        else:
+            kappa = c_tf - i_w
+            root = ref_root = lambda active, lo, hi: (2.0 * kappa / volume + float(np.sum(active))) / active.size  # noqa: E731
+        got = self.outcome(lambda: _minimize(grid, evaluate, c_tf, i_w, tol))
+        want = self.outcome(lambda: ref_solve_unit_mass(s, profile, volume, tol, root, mass=_mass))
+        allocating = self.outcome(lambda: ref_solve_unit_mass(s, profile, volume, tol, ref_root))
+
+        # the two-array path against the allocating one, which sums each mass probe at once
+        assert type(allocating) is type(want)
+        if isinstance(want, MassJumpError):
+            assert (allocating.lam_low, allocating.lam_high) == (want.lam_low, want.lam_high)
+            assert allocating.mass_low == pytest.approx(want.mass_low, rel=1e-14)
+            assert allocating.mass_high == pytest.approx(want.mass_high, rel=1e-14)
+        elif isinstance(want, tuple):
+            (lam, values), (ref_lam, ref_values) = want, allocating
+            assert lam == pytest.approx(ref_lam, rel=1e-14)
+            assert np.max(np.abs(values - ref_values)) <= 1e-14 * np.max(ref_values)
+            assert np.array_equal(values > 0, ref_values > 0)
+
+        # the fused path against the two-array one: the same bits
+        if isinstance(want, MassJumpError):
+            assert type(got) is MassJumpError
+            assert (got.lam_low, got.lam_high, got.mass_low, got.mass_high) == (
+                want.lam_low, want.lam_high, want.mass_low, want.mass_high
+            )
+            return
+        if not isinstance(want, tuple):
+            assert type(got) is type(want)
+            return
+        lam, values = want
+        assert got.lam == lam
+        assert np.array_equal(got.rho.values, values)
+        assert got.mass_gap == abs(grid.integrate(values) - 1.0)
+        assert (got.el_residual, got.el_complement_min) == ref_el_defects(values, s, lam, derivative)
+        if grid.d == 2:
+            assert got.support_interior_min == values[values > 0].min()
+        energy = ref_energy_terms(grid, values, s, c_tf, i_w, alpha)
+        terms = lambda e: np.array([e.kinetic_term, e.potential_term, e.interaction_term])  # noqa: E731
+        # row blocks and the energy slices hold the same points when a whole number of rows fills a slice
+        row_size = grid.size // grid.points_per_axis
+        block = tf_solver.SAMPLE_BLOCK_POINTS
+        if grid.size <= block or block % row_size == 0:
+            assert np.array_equal(terms(got.energy), terms(energy))
+        else:
+            assert np.all(np.abs(terms(got.energy) - terms(energy)) <= 1e-15 * np.abs(terms(energy)))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
@@ -476,51 +508,43 @@ class TestBlockedMassSolve:
     )
     def test_matches_allocating_solve(self, d, levels, mirrored, scale, i_w, top_mass, log_tol, block):
         # integer levels give ties; a mirrored copy gives symmetric pairs
-        s = scale * np.array(levels, dtype=float)
+        v = scale * np.array(levels, dtype=float)
         if mirrored:
-            s = np.concatenate([s, s[::-1]])
-        tol = 10.0**log_tol
-        if d == 1:
-            rel = RelaxedLocalEnergy(math.pi**2 / 3.0, i_w)
-            s -= rel.alpha
-            profile = rel.active_density
-        else:
-            kappa = 1.0 + i_w
-            profile = _ramp(kappa)
-        # the cell volume puts the mass with every point active at top_mass > 1,
+            v = np.concatenate([v, v[::-1]])
+        c_tf = math.pi**2 / 3.0 if d == 1 else 1.0 + 2.0 * i_w
+        alpha, profile, _ = activation_rule(d, c_tf, i_w)
+        # the cell volume puts the mass with every level active at top_mass > 1,
         # so unit mass falls on a segment or inside a jump below the top
-        everything = ref_mass(np.sort(s), float(np.nextafter(s.max(), np.inf)), profile, 1.0)
+        s = np.sort(v - alpha)
+        everything = ref_mass(s, float(np.nextafter(s[-1], np.inf)), profile, 1.0)
         assume(everything > 0.0)
-        volume = top_mass / everything
-        if d == 1:
-            root = lambda active, lo, hi: _newton_segment_root(active, lo, hi, rel, volume)  # noqa: E731
-            ref_root = lambda active, lo, hi: ref_newton_segment_root(active, lo, hi, rel, volume)  # noqa: E731
+        grid, evaluate = level_grid(d, v, top_mass / everything, wall=2.0 * v.max() + 1.0)
+        with patch.object(tf_solver, "SAMPLE_BLOCK_POINTS", block), patch.object(model, "SAMPLE_BLOCK_POINTS", block):
+            self.compare(grid, evaluate, c_tf, i_w, 10.0**log_tol)
+
+    @pytest.mark.parametrize("d, m", [(1, 4096), (2, 128), (2, 160)])
+    @pytest.mark.parametrize("shape", ["harmonic", "quartic", "asymmetric_double_well"])
+    @pytest.mark.parametrize("log_tol", [-9, -4])
+    def test_matches_two_array_solve_on_traps(self, d, m, shape, log_tol):
+        if shape == "asymmetric_double_well":
+            wells = double_well_potential(d, well_radius=1.2, stiffness=2.0).evaluate
+            evaluate = lambda pts: wells(pts) + 0.25 * (pts[:, 0] + 3.0)  # noqa: E731
         else:
-            root = ref_root = lambda active, lo, hi: (2.0 * kappa / volume + float(np.sum(active))) / active.size  # noqa: E731
-
-        def outcome(solve, segment_root):
-            try:
-                return solve(s.copy(), profile, volume, tol, segment_root)
-            except (MassJumpError, ConvergenceError, ValidationError) as exc:
-                return exc
-
-        with patch.object(tf_solver, "SAMPLE_BLOCK_POINTS", block):
-            got = outcome(_solve_unit_mass, root)
-        want = outcome(ref_solve_unit_mass, ref_root)
-        assert type(got) is type(want)
-        if isinstance(want, MassJumpError):
-            assert (got.lam_low, got.lam_high) == (want.lam_low, want.lam_high)
-            assert got.mass_low == pytest.approx(want.mass_low, rel=1e-14)
-            assert got.mass_high == pytest.approx(want.mass_high, rel=1e-14)
-        elif isinstance(want, tuple):
-            (lam, values), (ref_lam, ref_values) = got, want
-            assert lam == pytest.approx(ref_lam, rel=1e-14)
-            assert np.max(np.abs(values - ref_values)) <= 1e-14 * np.max(ref_values)
-            assert np.array_equal(values > 0, ref_values > 0)
+            evaluate = {"harmonic": harmonic_potential, "quartic": quartic_potential}[shape](d).evaluate
+        if d == 1:
+            c_tf, i_w = math.pi**2 / 3.0, 2.0
+        else:
+            constants = TFConstants.paper_literal(2)
+            c_tf, i_w = constants.c_tf, constants.c_tf - 4.0 * math.pi
+        self.compare(SpatialGrid(d, 3.0, m), evaluate, c_tf, i_w, 10.0**log_tol)
 
 
 class TestFootprint:
-    """A solve holds the thresholds and the density, plus O(block) scratch."""
+    """A solve holds one grid array, the thresholds overwritten by the density, plus O(block) scratch.
+
+    In 1D the two boolean masks of the support interior add a quarter of a
+    grid array.
+    """
 
     @staticmethod
     def traced_peak(fn):
@@ -537,7 +561,7 @@ class TestFootprint:
         peak = self.traced_peak(
             lambda: minimize_2d(harmonic_2d, constants, constants.c_tf - 4.0 * math.pi, grid, tol=1e-9)
         )
-        assert peak <= 2.25 * 8 * grid.size
+        assert peak <= 1.25 * 8 * grid.size
 
     @pytest.mark.parametrize(
         "rel, tol",
@@ -550,14 +574,14 @@ class TestFootprint:
     def test_minimize_1d_relaxed(self, harmonic_1d, rel, tol):
         grid = SpatialGrid(1, 3.0, 1 << 20)
         peak = self.traced_peak(lambda: minimize_1d_relaxed(harmonic_1d, rel, grid, tol=tol))
-        assert peak <= 2.5 * 8 * grid.size
+        assert peak <= 1.35 * 8 * grid.size
 
     def test_relaxation_equivalence_check(self, harmonic_1d):
         grid = SpatialGrid(1, 3.0, 1 << 20)
         rel = RelaxedLocalEnergy(math.pi**2 / 3.0, 2.0)
         reports = []
         peak = self.traced_peak(lambda: reports.append(relaxation_equivalence_check(harmonic_1d, rel, grid)))
-        assert peak <= 2.5 * 8 * grid.size
+        assert peak <= 1.35 * 8 * grid.size
         # the grid-sized evaluation that the sliced sums replaced
         sol = minimize_1d_relaxed(harmonic_1d, rel, grid, tol=1e-6)
         rho = sol.rho
