@@ -10,9 +10,9 @@ a phase of the lag d = j - j' times exp(-2 pi i d k / M): a plane-wave sum
 over pairs of sites is a sum over lags and one ``np.fft`` call, the frame
 operator is exactly the diagonal 2 pi hbar * h * sum_x f^h(x - y)^2, and the
 frame identities close to quadrature precision instead of leaking staircase
-error. The windows f^h(y - x) are kept as a band of half-width
-r = ceil(sqrt(hbar_x) / h) and overlap only at lags |d| <= 2r, so a Husimi
-table costs O(M r^2) plus one real M x M FFT and a momentum density O(M^2).
+error. Every window f^h(y - x) samples f^h on the same 2r + 1 offsets,
+r = ceil(sqrt(hbar_x) / h), and windows overlap only at lags |d| <= 2r, so a
+Husimi table costs O(M r^2) plus one real M x M FFT, a momentum density O(M^2).
 Nothing here diagonalizes an operator; ``OneBodyOperator.occupations``
 reports eigenvalues when asked.
 
@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridResolutionError, HypothesisViolationError, ValidationError
-from .model import LatticeModel, OneBodyOperator, ScaledInteraction, SpatialGrid, TrapPotential, _mollifier
-from .model import semiclassical_hbar, slater_operator  # noqa: F401  (bench/ reads husimi.slater_operator)
+from .model import LatticeModel, OneBodyOperator, ScaledInteraction, SpatialGrid, TrapPotential, _convolve_same
+from .model import _mollifier, semiclassical_hbar, slater_operator  # noqa: F401  (bench/ reads husimi.slater_operator)
 from .vlasov import PhaseSpaceDensity, brillouin_momentum_grid
 
 Array = np.ndarray
@@ -165,20 +165,11 @@ class HusimiTable:
         return float(np.sum(self.values) * grid.cell_volume * momentum.cell_volume)
 
 
-def _window_band(family: CoherentFamily, grid: SpatialGrid) -> tuple[Array, int]:
-    """The windows W[x, y] = f^h(y - x) as an M x (2r + 1) band and its radius r.
-
-    ``band[i, r + o] = f^h(y_(i+o) - y_i)`` for |o| <= r = ceil(sqrt(hbar_x) / h),
-    zero where i + o is off the grid, so row i is the window centered at y_i
-    and W[i, i + o] = band[i, r + o]. The envelope is even, so column j of W
-    is row j of the band read backwards: W[j - o, j] = band[j, r - o].
-    """
-    y = grid.axis()
+def _window(family: CoherentFamily, grid: SpatialGrid) -> tuple[Array, int]:
+    """f^h(o h) on the offsets |o| <= r = ceil(sqrt(hbar_x) / h), and r: the grid is uniform and the
+    envelope even, so every window W[x, y] = f^h(y - x) is ``window[r + o]`` at y = x + o h."""
     r = int(math.ceil(math.sqrt(family.hbar_x) / grid.spacing))
-    idx = np.arange(grid.size)[:, None] + np.arange(-r, r + 1)[None, :]
-    inside = (idx >= 0) & (idx < grid.size)
-    values = family.envelope_at(y[np.clip(idx, 0, grid.size - 1)], y[:, None])
-    return np.where(inside, values, 0.0), r
+    return family.envelope_at(np.arange(-r, r + 1) * grid.spacing, 0.0), r
 
 
 def _neighbors(v: Array, r: int) -> Array:
@@ -234,23 +225,24 @@ def husimi_grid_table(
     eigenpairs: on the dual grid m(x, p_k) = h * sum_d lag[x, d]
     exp(-2 pi i d k / M) with
     lag[x, d] = exp(-i p_0 d h / hbar) * sum_j W[x, j] W[x, j - d] B(j, j - d),
-    and only lags |d| <= 2r carry windows that overlap. The banded windows
-    make the lags O(M r^2) and the table is one real M x M FFT. ``momentum``
+    and only lags |d| <= 2r carry windows that overlap. Each lag is one
+    matvec against the same window product at every x, so the lags are
+    O(M r^2) and the table is one real M x M FFT. ``momentum``
     defaults to the lattice-dual grid and must equal it (ValidationError
     otherwise).
     """
     grid = gamma.grid
     family.check_resolution(grid)
-    band, r = _window_band(family, grid)
-    size, width = grid.size, band.shape[1]
+    window, r = _window(family, grid)
+    size, width = grid.size, window.size
     lags = min(2 * r, size - 1)
     momentum, phases = _dual_lag_phases(grid, family.hbar, momentum, lags)
     lag = np.zeros((size, lags + 1), dtype=complex)
     for d in range(lags + 1):
         coupled = np.zeros(size, dtype=complex)  # phased B(j, j - d), zero for j < d
         coupled[d:] = phases[d] * _hermitian_lag(gamma.matrix, d)
-        pairs = band[:, d:] * band[:, : width - d]  # W[x, j] W[x, j - d] at j = x + a - r
-        lag[:, d] = np.einsum("xa,xa->x", pairs, _neighbors(coupled, r)[:, d:])
+        # W[x, j] W[x, j - d] at j = x + a + d - r; off-grid j reads a zero
+        lag[:, d] = _neighbors(coupled, r)[:, d:] @ (window[d:] * window[: width - d])
     table = grid.spacing * _lag_spectrum(lag, size)
     return HusimiTable(x_axis=grid.axis(), p_axis=momentum.axis(), values=table)
 
@@ -292,8 +284,8 @@ def frame_apply(psi: Array, family: CoherentFamily, grid: SpatialGrid) -> Array:
     the box edges (resolution of the identity).
     """
     family.check_resolution(grid)
-    band, _ = _window_band(family, grid)
-    return TWO_PI * family.hbar * grid.spacing * np.sum(band**2, axis=1) * psi
+    window, r = _window(family, grid)
+    return TWO_PI * family.hbar * grid.spacing * (_neighbors(np.ones(grid.size), r) @ window**2) * psi
 
 
 def momentum_density(gamma: OneBodyOperator, hbar: float, momentum: SpatialGrid) -> Array:
@@ -329,9 +321,9 @@ def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily) -> 
     y = grid.axis()
 
     lhs_rho = n / (TWO_PI * 1.0) * table.values.sum(axis=1) * dp
-    band, r = _window_band(family, grid)
+    window, r = _window(family, grid)
     rho1 = np.real(np.diag(gamma.matrix)) / h
-    rhs_rho = np.einsum("xa,xa->x", band**2, _neighbors(rho1, r)) * h
+    rhs_rho = (_neighbors(rho1, r) @ window**2) * h
     space_gap = float(np.sum(np.abs(lhs_rho - rhs_rho)) * h)
 
     lhs_t = n / TWO_PI * table.values.sum(axis=0) * h
@@ -365,14 +357,14 @@ def gamma_from_measure(
     With m_hat(x, d) = sum_k m(x, p_k) exp(2 pi i kd / M) (one real FFT
     over p), B[j, j - d] = coef * exp(i p_0 d h / hbar) *
     sum_x f^h(x - y_j) f^h(x - y_(j-d)) m_hat(x, d). Windows more than 2r
-    points apart do not overlap, so only lags d <= 2r are built, each from
-    the banded windows in O(M r), and the upper triangle is the conjugate
-    of the lower one.
+    points apart do not overlap, so only lags d <= 2r are built, each one
+    matvec of m_hat's neighbors against the window product, O(M r), and the
+    upper triangle is the conjugate of the lower one.
     """
     grid = m.grid
     family.check_resolution(grid)
-    band, r = _window_band(family, grid)
-    size, width = grid.size, band.shape[1]
+    window, r = _window(family, grid)
+    size, width = grid.size, window.size
     lags = min(2 * r, size - 1)
     momentum, phases = _dual_lag_phases(grid, family.hbar, m.momentum, lags)
     if not np.any(m.values):
@@ -403,9 +395,9 @@ def gamma_from_measure(
     out = np.zeros((size, size), dtype=complex)
     for d in range(lags + 1):
         j = np.arange(d, size)
-        pairs = band[d:, : width - d] * band[: size - d, d:]  # W[x, j] W[x, j - d] at x = j + a - r
+        # W[j, x] W[j - d, x] at x = j + a - r; off-grid x reads a zero
         near = _neighbors(m_hat[:, d], r)[d:, : width - d]
-        lower = coef * np.conj(phases[d]) * np.einsum("ja,ja->j", pairs, near)
+        lower = coef * np.conj(phases[d]) * (near @ (window[d:] * window[: width - d]))
         out[j, j - d] = lower
         out[j - d, j] = np.conj(lower)
     return OneBodyOperator(grid, out)
@@ -437,16 +429,6 @@ def hartree_energy(
 # ---------------------------------------------------------------------------
 # Smearing estimates and the error decomposition
 # ---------------------------------------------------------------------------
-
-
-def _convolve_same(a: Array, kernel: Array) -> Array:
-    """``np.convolve(a, kernel, mode="same")`` for len(kernel) <= len(a), as
-    one zero-padded rfft product (a linear, not periodic, convolution)."""
-    n_full = a.size + kernel.size - 1
-    n_fft = 1 << (n_full - 1).bit_length()
-    full = np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(kernel, n_fft), n_fft)
-    start = (kernel.size - 1) // 2
-    return full[start : start + a.size]
 
 
 def smearing_errors(w_eval, support_radius: float, hbar_x_values) -> list[dict]:
@@ -537,7 +519,8 @@ def semiclassical_error_decomposition(
     pot_husimi = float((v * rho_blur).sum() * h)
     pot_operator = float(v @ np.real(np.diag(gamma.matrix)))
     gap = abs(pot_husimi - pot_operator)
-    gap_scale = math.sqrt(family.hbar_x) * n ** (1.0 + 0.5 * getattr(getattr(w_n, "profile", None), "beta", 0.0))
+    beta = 0.0 if w_n is None else w_n.profile.beta
+    gap_scale = math.sqrt(family.hbar_x) * n ** (1.0 + 0.5 * beta)
 
     smearing = []
     if w_n is not None:

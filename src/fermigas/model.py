@@ -363,7 +363,8 @@ class ScaledInteraction:
 
     The rescaling preserves the integral: ``i_w`` of the scaled kernel
     equals that of the profile, while the support shrinks to
-    ``R_w * N^-beta`` and the amplitude grows as ``N^(d*beta)``.
+    ``R_w * N^-beta`` and the amplitude grows as ``N^(d*beta)``. Every grid
+    pair sum reads the one sample of w_N on lattice offsets, ``stencil``.
     """
 
     profile: InteractionProfile
@@ -392,25 +393,38 @@ class ScaledInteraction:
     def evaluate(self, points: Array) -> Array:
         return self.amplitude * self.profile.evaluate(np.asarray(points) * self.length_factor)
 
+    def stencil(self, grid: SpatialGrid) -> Array:
+        """w_N(o h) on the offsets |o_i| <= reach = min(floor(R_N / h) + 1, M - 1), entry reach + o per axis,
+        zero beyond R_N, which is tested as the profile tests it: |o h| N^beta <= R_w."""
+        reach = min(int(math.floor(self.support_radius / grid.spacing)) + 1, grid.points_per_axis - 1)
+        axis = np.arange(-reach, reach + 1) * grid.spacing
+        offsets = np.stack(np.meshgrid(*[axis] * grid.d, indexing="ij"), axis=-1).reshape(-1, grid.d)
+        inside = np.linalg.norm(offsets * self.length_factor, axis=1) <= self.profile.support_radius
+        values = np.zeros(offsets.shape[0])
+        values[inside] = self.evaluate(offsets[inside])
+        return values.reshape((2 * reach + 1,) * grid.d)
+
+    def convolve(self, grid: SpatialGrid, values: Array) -> Array:
+        """(w_N * a)(x) = sum_y w_N(x - y) a(y) on a 1D or 2D grid, flattened C-order."""
+        return _convolve_same(np.reshape(values, grid.shape), self.stencil(grid)).ravel()
+
     def density_pair_sum(self, grid: SpatialGrid, values: Array) -> float:
-        """sum_(x, y) w_N(x - y) a(x) a(y) over the sites of a 1D or 2D grid.
+        """sum_(x, y) w_N(x - y) a(x) a(y) = a . (w_N * a) over the sites of a 1D or 2D grid.
 
         The mean-field pair energy -double integral w_N rho rho is minus this
         sum over the cell masses a = rho h^d; in the local limit it tends to
         -I_w integral rho^2, twice the lattice side's -N^-1 sum_(j<k) w_N.
-        It weights by w_N(o h) the autocorrelation sum_y a(y) a(y + o) at the offsets
-        o with |o h| within the support, from one real FFT padded to M + reach per axis.
         """
-        h, shape = grid.spacing, grid.shape
-        reach = min(int(math.floor(self.support_radius / h)) + 1, grid.points_per_axis - 1)
-        axis = np.arange(-reach, reach + 1)
-        offsets = np.stack(np.meshgrid(*[axis] * grid.d, indexing="ij"), axis=-1).reshape(-1, grid.d)
-        offsets = offsets[np.linalg.norm(offsets * h, axis=1) <= self.support_radius]
-        weights = np.asarray(self.evaluate(offsets * h), dtype=float)
-        size, axes = [1 << (n + reach - 1).bit_length() for n in shape], tuple(range(grid.d))
-        spectrum = np.fft.rfftn(np.asarray(values, dtype=float).reshape(shape), size, axes)
-        correlation = np.fft.irfftn(spectrum.real**2 + spectrum.imag**2, size, axes)
-        return float(weights @ correlation[tuple((offsets % size).T)])
+        return float(np.ravel(values) @ self.convolve(grid, values))
+
+
+def _convolve_same(a: Array, kernel: Array) -> Array:
+    """The linear (not periodic) convolution of ``a`` with an odd-sided kernel of any size over every
+    axis, cropped to a's shape with the kernel centred, from one zero-padded rfftn product."""
+    axes = tuple(range(a.ndim))
+    size = [1 << (n + k - 2).bit_length() for n, k in zip(a.shape, kernel.shape)]
+    full = np.fft.irfftn(np.fft.rfftn(a, size, axes) * np.fft.rfftn(kernel, size, axes), size, axes)
+    return full[tuple(slice((k - 1) // 2, (k - 1) // 2 + n) for n, k in zip(a.shape, kernel.shape))]
 
 
 def scaled_interaction(profile: InteractionProfile, n_particles: int) -> ScaledInteraction:
@@ -428,7 +442,8 @@ class LatticeModel:
     """N spinless fermions on a 1D grid: the one-body stencil and the pair kernel.
 
     The 3-point -hbar^2 Laplacian with Dirichlet walls plus diagonal V, hbar = 1/N, and the
-    pair energy -N^-1 sum_(j<k) w_N(x_j - x_k); no energy read from them needs the C(M, N) basis.
+    pair energy -N^-1 sum_(j<k) w_N(x_j - x_k), whose lags w_N(d h) are the lags d >= 0 of
+    ``w_n.stencil(grid)``; no energy read from them needs the C(M, N) basis.
     """
 
     grid: SpatialGrid
@@ -470,15 +485,11 @@ class LatticeModel:
         kinetic = self.hop * (2.0 * diag.sum() - 2.0 * off.sum())
         return float(kinetic), float(self.grid.sample(self.potential.evaluate) @ diag)
 
-    def lag_table(self) -> Array:
-        """w_N(d h) for the lags d = 0..M-1."""
-        lags = np.arange(self.grid.points_per_axis) * self.grid.spacing
-        return np.asarray(self.w_n.evaluate(lags[:, None]), dtype=float)
-
     def exchange_sum(self, gamma: Array) -> float:
         """sum_(i, j) w_N(x_i - x_j) |gamma_ij|^2: w_N(|d| h) times the squared norm
-        of gamma's d-th diagonal, summed over the lags d where w_N is nonzero."""
-        table = self.lag_table()
+        of gamma's d-th diagonal, summed over the stencil's lags d where w_N is nonzero."""
+        stencil = self.w_n.stencil(self.grid)
+        table = stencil[stencil.size // 2 :]  # w_N(d h), d = 0..reach
         lags = [d for d in range(1 - table.size, table.size) if table[abs(d)]]
         return float(sum(table[abs(d)] * np.linalg.norm(np.diagonal(gamma, d)) ** 2 for d in lags))
 

@@ -65,14 +65,15 @@ RESIDUAL_FLOOR_EPS = 6.0
 # ground_state beside the matrix and basis, 370 B on the full space); the
 # build, which writes the CSR arrays directly, stays below that
 # (150 B per state at N = 3, 175 at N = 4, 320 at N = 18); 8 B per entry of
-# the C(M, N-1) x M hole matrix; 48 B per M^2 for the M x M float arrays of
-# reduced_densities (gamma_1 and rho_2), which peak at 16 M^2 B (measured at
-# N = 1, M = 2000). The coefficient stays at 48: a lower one would admit
-# N = 1 grids up to M ~ 4600, where the absolute residual gate of
-# ground_state fails (2.2e-9 at M = 4600). The dense path holds the matrix,
-# its eigenvectors and the LAPACK workspace (32 B per entry). 64 KiB covers
-# the small arrays of tiny bases. The cap admits about a million states at
-# N = 4.
+# the C(M, N-1) x M hole matrix; 16 B per M^2 for the M x M float arrays of
+# reduced_densities, two at a time (gamma_1 and rho_2, or rho_2 and one
+# bincount output; measured at N = 1, M = 2000). The dense path holds the
+# matrix, its eigenvectors and the LAPACK workspace (32 B per entry). 64 KiB
+# covers the small arrays of tiny bases. The cap admits about a million
+# states at N = 4, and N = 1 grids up to M ~ 5700; it is the residual floor
+# of ground_state, not the cap, that refuses the N = 1 grids where the
+# residual gate would fail (at tol = 1e-9 on the half-width-2.5 lattice,
+# every M above about 2170).
 ORACLE_MEMORY_CAP = 1 << 29
 
 
@@ -82,7 +83,7 @@ def oracle_memory_bytes(m: int, n: int) -> int:
     solve = dim * (410 + 25 * n)
     if dim <= DENSE_FALLBACK_DIM:
         solve += 32 * dim * dim
-    return solve + 8 * m * math.comb(m, n - 1) + 48 * m * m + (1 << 16)
+    return solve + 8 * m * math.comb(m, n - 1) + 16 * m * m + (1 << 16)
 
 
 def _colex_binomials(m: int, n: int) -> Array:
@@ -132,10 +133,13 @@ def _pair_terms(ham: DiscreteHamiltonian):
     Their sum is the lattice side's pair energy N^-1 sum_(j<k) w_N(x_j - x_k),
     which the Hamiltonian subtracts on its diagonal; the mean-field side's
     ``density_pair_sum`` counts every pair twice. Slot b lies above slot a,
-    so the lag is c_b - c_a, read from the 1D lag table.
+    so the lag is c_b - c_a, read from the stencil's lags d >= 0 padded with
+    zeros to d = M - 1.
     """
     n, occ = ham.n_particles, ham.occupations
-    table = ham.lag_table()
+    stencil = ham.w_n.stencil(ham.grid)
+    table = np.zeros(ham.grid.points_per_axis)
+    table[: stencil.size // 2 + 1] = stencil[stencil.size // 2 :]
     for a in range(n):
         for b in range(a + 1, n):
             yield table[occ[:, b] - occ[:, a]] / n

@@ -16,9 +16,9 @@ from the potential (so the evaluator must be pointwise, see
 ``SpatialGrid.blocks``) and sorted in place, and ``lam`` is found on the
 sorted array. One fused pass over the grid's row blocks then re-evaluates the
 thresholds and writes the density over the sorted array, taking the
-Euler-Lagrange certificates and the energy sums on the way. Mass probes run
-over slices of ``SAMPLE_BLOCK_POINTS`` points, so the rest of the scratch is
-O(block), plus in 1D the boolean masks of the support interior.
+Euler-Lagrange certificates, the smallest support value and the energy sums
+on the way. Mass probes run over slices of ``SAMPLE_BLOCK_POINTS`` points, so
+the rest of the scratch is O(block).
 """
 
 from __future__ import annotations
@@ -136,7 +136,12 @@ class EnergyBreakdown:
 
 @dataclass
 class TFSolution:
-    """Minimizer record: density, multiplier, energies and certificates."""
+    """Minimizer record: density, multiplier, energies and certificates.
+
+    ``support_interior_min`` is the smallest value of rho on its support (NaN
+    for an empty support), in both dimensions; in 1D every support value is
+    ``>= rho_jump``, so it certifies the jump on the support interior too.
+    """
 
     rho: DensityField
     lam: float
@@ -292,12 +297,6 @@ def _newton_segment_root(active: Array, lo: float, hi: float, rel: RelaxedLocalE
     return lam
 
 
-def _min_where(values: Array, mask: Array) -> float:
-    """Smallest value under ``mask``, NaN when the mask is empty."""
-    low = float(np.min(values, where=mask, initial=math.inf))
-    return low if low < math.inf else math.nan
-
-
 def _check_support_inside(grid: SpatialGrid, values: Array):
     vals = values.reshape(grid.shape)
     if grid.d == 1:
@@ -308,18 +307,6 @@ def _check_support_inside(grid: SpatialGrid, values: Array):
         raise ValidationError(
             "minimizer support touches the box boundary; enlarge the grid half_width"
         )
-
-
-def _support_interior(grid: SpatialGrid, values: Array) -> Array:
-    """Mask of support points all of whose grid neighbors are also occupied."""
-    pos = (values > 0).reshape(grid.shape)
-    interior = pos.copy()
-    for axis in range(grid.d):
-        inner, occupied = np.moveaxis(interior, axis, 0), np.moveaxis(pos, axis, 0)
-        inner[1:] &= occupied[:-1]
-        inner[:-1] &= occupied[1:]
-        inner[0] = inner[-1] = False
-    return interior.ravel()
 
 
 def _minimize(grid: SpatialGrid, evaluate, c_tf: float, i_w: float, tol: float) -> TFSolution:
@@ -334,9 +321,8 @@ def _minimize(grid: SpatialGrid, evaluate, c_tf: float, i_w: float, tol: float) 
     thresholds, taking on the way the Euler-Lagrange defects (the sup over
     supp(rho) of ``|g^-1(rho) + s - lam|`` and the min of ``s - lam`` over
     the complement), the three energy sums and the smallest support value.
-    So the solve holds one grid array plus O(block) scratch (and, in 1D,
-    the boolean masks of the support interior). The density is returned
-    when its ``|mass - 1| <= tol``; otherwise a jump raises
+    So the solve holds one grid array plus O(block) scratch. The density
+    is returned when its ``|mass - 1| <= tol``; otherwise a jump raises
     ``MassJumpError`` with the jump and the residual gap, and a segment
     ``ConvergenceError``.
     """
@@ -399,8 +385,6 @@ def _minimize(grid: SpatialGrid, evaluate, c_tf: float, i_w: float, tol: float) 
             f"multiplier {lam!r} leaves a mass gap of {gap:.3g}"
         )
     _check_support_inside(grid, values)
-    if grid.d == 1:
-        supp_min = _min_where(values, _support_interior(grid, values))
     return TFSolution(
         rho=DensityField(grid, values),
         lam=lam,
@@ -410,7 +394,7 @@ def _minimize(grid: SpatialGrid, evaluate, c_tf: float, i_w: float, tol: float) 
         mass_gap=gap,
         c_tf=c_tf,
         i_w=i_w,
-        support_interior_min=supp_min,
+        support_interior_min=supp_min if supp_min < math.inf else math.nan,
     )
 
 
@@ -458,8 +442,8 @@ def minimize_1d_relaxed(
     the exact jump ``[lam_low, nextafter(lam_low, inf)]`` and the masses at
     its ends, as the tie at the jump is resolved to 0 rather than smeared. A
     tolerance of at least ``rho_jump * h`` cannot fail at a symmetric pair.
-    The solution carries the jump certificate ``min(rho) >= rho_jump`` over
-    the discrete support interior; every nonzero value is ``>= rho_jump``.
+    The solution carries the jump certificate: ``support_interior_min``, the
+    smallest nonzero value, is ``>= rho_jump`` (``active_density`` clamps it).
     """
     if grid.d != 1:
         raise ValidationError("minimize_1d_relaxed requires a 1D grid")
@@ -516,7 +500,7 @@ def relaxation_equivalence_check(
 
     Solves the relaxed problem, evaluates the un-relaxed functional at the
     relaxed minimizer, and passes iff the two energies agree within ``tol``
-    and the minimizer sits above the jump density on its support interior.
+    and the minimizer sits above the jump density on its support.
     """
     sol = minimize_1d_relaxed(potential, rel, grid, tol=min(tol, 1e-6))
     e_relaxed = relaxed_energy(sol.rho, potential, rel)

@@ -394,7 +394,7 @@ class TestDFExperiment:
                 ["df-experiment", "--seed", "7", "--N", "32", "--trials", "2000", "--out", str(out)]
             )
             assert code == 0
-            outs.append(json.load(open(out / "df_stats.json")))
+            outs.append(json.loads((out / "df_stats.json").read_text()))
         assert outs[0]["frequency"] == outs[1]["frequency"]
         assert outs[0]["matches_exact"]
 

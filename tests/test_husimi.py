@@ -23,7 +23,11 @@ from fermigas.model import (
 )
 from fermigas.husimi import (
     CoherentFamily,
+    _dual_lag_phases,
     _envelope_constants,
+    _hermitian_lag,
+    _lag_spectrum,
+    _neighbors,
     coherent_state,
     envelope,
     envelope_gradient_norm_sq,
@@ -395,6 +399,123 @@ class TestFFTAgainstDenseOracles:
         _, family, _, lift, (_, _, quantized) = fft_case
         assert _rel(quantized.matrix, dense_gamma_from_measure(lift, family)) <= 1e-12
         assert np.array_equal(quantized.matrix, quantized.matrix.T.conj())
+
+
+def window_band(family, grid):
+    """The M x (2r + 1) window table that ``husimi._window`` replaced, kept as its reference.
+
+    ``band[i, r + o] = f^h(y_(i+o) - y_i)`` for |o| <= r, zero where i + o is off the grid.
+    """
+    y = grid.axis()
+    r = int(math.ceil(math.sqrt(family.hbar_x) / grid.spacing))
+    idx = np.arange(grid.size)[:, None] + np.arange(-r, r + 1)[None, :]
+    inside = (idx >= 0) & (idx < grid.size)
+    values = family.envelope_at(y[np.clip(idx, 0, grid.size - 1)], y[:, None])
+    return np.where(inside, values, 0.0), r
+
+
+def band_table(gamma, family, momentum):
+    """``husimi_grid_table``'s values from the window band, one row-wise product per lag."""
+    grid = gamma.grid
+    band, r = window_band(family, grid)
+    size, width = grid.size, band.shape[1]
+    lags = min(2 * r, size - 1)
+    _, phases = _dual_lag_phases(grid, family.hbar, momentum, lags)
+    lag = np.zeros((size, lags + 1), dtype=complex)
+    for d in range(lags + 1):
+        coupled = np.zeros(size, dtype=complex)
+        coupled[d:] = phases[d] * _hermitian_lag(gamma.matrix, d)
+        pairs = band[:, d:] * band[:, : width - d]  # W[x, j] W[x, j - d] at j = x + a - r
+        lag[:, d] = np.einsum("xa,xa->x", pairs, _neighbors(coupled, r)[:, d:])
+    return grid.spacing * _lag_spectrum(lag, size)
+
+
+def band_gamma_from_measure(m, family):
+    """``gamma_from_measure``'s matrix from the window band (hypothesis checks left out)."""
+    grid = m.grid
+    band, r = window_band(family, grid)
+    size, width = grid.size, band.shape[1]
+    lags = min(2 * r, size - 1)
+    momentum, phases = _dual_lag_phases(grid, family.hbar, m.momentum, lags)
+    coef = grid.spacing**2 * momentum.cell_volume / (2 * math.pi * family.hbar)
+    lag = np.arange(lags + 1)
+    low = lag <= size // 2
+    m_hat = np.fft.rfft(m.values, axis=1)[:, np.where(low, lag, size - lag)]
+    m_hat[:, low] = np.conj(m_hat[:, low])
+    out = np.zeros((size, size), dtype=complex)
+    for d in range(lags + 1):
+        j = np.arange(d, size)
+        pairs = band[d:, : width - d] * band[: size - d, d:]  # W[x, j] W[x, j - d] at x = j + a - r
+        near = _neighbors(m_hat[:, d], r)[d:, : width - d]
+        lower = coef * np.conj(phases[d]) * np.einsum("ja,ja->j", pairs, near)
+        out[j, j - d] = lower
+        out[j - d, j] = np.conj(lower)
+    return out
+
+
+def band_marginal_report(gamma, family):
+    """``marginal_identity_report`` from the band table, the space side summed over the band's rows."""
+    grid = gamma.grid
+    momentum = brillouin_momentum_grid(grid, family.hbar)
+    n, h, dp = family.n_particles, grid.spacing, momentum.cell_volume
+    table = band_table(gamma, family, momentum)
+    band, r = window_band(family, grid)
+    lhs_rho = n / (2 * math.pi) * table.sum(axis=1) * dp
+    rhs_rho = np.einsum("xa,xa->x", band**2, _neighbors(np.real(np.diag(gamma.matrix)) / h, r)) * h
+    lhs_t = n / (2 * math.pi) * table.sum(axis=0) * h
+    t_gamma = momentum_density(gamma, family.hbar, momentum)
+    g2 = h * h / (2 * math.pi * family.hbar) * np.abs(np.fft.fft(family.envelope_at(grid.axis(), 0.0))) ** 2
+    conv = np.fft.irfft(np.fft.rfft(t_gamma) * np.fft.rfft(g2), n=momentum.size) * dp
+    return {
+        "space_l1_gap": float(np.sum(np.abs(lhs_rho - rhs_rho)) * h),
+        "momentum_l1_gap": float(np.sum(np.abs(lhs_t - conv)) * dp),
+        "trace_normalized": float(np.sum(table)) * h * dp / (2 * math.pi * family.hbar) / n,
+    }
+
+
+class TestWindowAgainstBand:
+    """The (2r + 1)-point window against the M-row band it replaced, to 1e-13 absolute."""
+
+    def test_husimi_table(self, fft_case):
+        _, family, momentum, _, operators = fft_case
+        for gamma in operators:
+            got = husimi_grid_table(gamma, family, momentum).values
+            assert np.max(np.abs(got - band_table(gamma, family, momentum))) <= 1e-13
+
+    def test_gamma_from_measure(self, fft_case):
+        _, family, _, lift, (_, _, quantized) = fft_case
+        assert np.max(np.abs(quantized.matrix - band_gamma_from_measure(lift, family))) <= 1e-13
+
+    def test_frame_apply(self, fft_case, rng):
+        grid, family, _, _, _ = fft_case
+        psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        band, _ = window_band(family, grid)
+        want = 2 * math.pi * family.hbar * grid.spacing * np.sum(band**2, axis=1) * psi
+        assert np.max(np.abs(frame_apply(psi, family, grid) - want)) <= 1e-13
+
+    def test_marginal_identity_report(self, fft_case):
+        _, family, _, _, operators = fft_case
+        for gamma in operators:
+            got, want = marginal_identity_report(gamma, family), band_marginal_report(gamma, family)
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-13
+
+    @pytest.mark.parametrize("m, half_width", [(24, 2.2), (25, 2.2), (8, 1.0)])
+    def test_windows_wider_than_half_the_box(self, m, half_width, rng):
+        # at M = 8 the window's 2r + 1 = 13 points exceed the grid
+        grid = SpatialGrid(1, half_width, m)
+        family = CoherentFamily(2, 2.0, 0.25 / 2.0)
+        momentum = brillouin_momentum_grid(grid, family.hbar)
+        gamma = _random_operator(grid, rng, min(6, m), -1.0)
+        got = husimi_grid_table(gamma, family, momentum).values
+        assert np.max(np.abs(got - band_table(gamma, family, momentum))) <= 1e-13
+        psi = rng.standard_normal(m)
+        band, _ = window_band(family, grid)
+        want = 2 * math.pi * family.hbar * grid.spacing * np.sum(band**2, axis=1) * psi
+        assert np.max(np.abs(frame_apply(psi, family, grid) - want)) <= 1e-13
+        got, want = marginal_identity_report(gamma, family), band_marginal_report(gamma, family)
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-13
 
 
 def _random_operator(grid, rng, rank, lowest):

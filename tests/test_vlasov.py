@@ -105,6 +105,92 @@ class TestDensityPairSum:
         assert w_n.density_pair_sum(grid, a) == pytest.approx(a.sum() ** 2, rel=1e-12)
 
 
+def lag_table(w_n, grid):
+    """w_N(d h) for the lags d = 0..M-1: the 1D lag table that the stencil's lags replaced, kept as their reference."""
+    lags = np.arange(grid.points_per_axis) * grid.spacing
+    return np.asarray(w_n.evaluate(lags[:, None]), dtype=float)
+
+
+def dense_kernel(w_n, grid):
+    """W[x, y] = w_N(x - y) over every pair of sites, from the integer offsets of the pair."""
+    idx = np.stack(np.meshgrid(*[np.arange(grid.points_per_axis)] * grid.d, indexing="ij"), axis=-1).reshape(-1, grid.d)
+    offsets = (idx[:, None, :] - idx[None, :, :]).reshape(-1, grid.d) * grid.spacing
+    return np.asarray(w_n.evaluate(offsets), dtype=float).reshape(grid.size, grid.size)
+
+
+class TestStencil:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(k for k in PAIR_SUM_KERNELS if k[0] == 1)),
+        points=st.integers(2, 256),
+        n=st.sampled_from([1, 8, 64]),
+        radius=st.floats(0.05, 4.0),
+        height=st.floats(0.1, 10.0),
+    )
+    def test_lags_match_the_lag_table(self, kernel, points, n, radius, height):
+        grid = SpatialGrid(1, 1.5, points)
+        w_n = scaled_interaction(PAIR_SUM_KERNELS[kernel](radius, height), n)
+        stencil = w_n.stencil(grid)
+        reach = stencil.size // 2
+        assert reach == min(math.floor(w_n.support_radius / grid.spacing) + 1, points - 1)
+        table = lag_table(w_n, grid)
+        assert np.array_equal(stencil[reach:], table[: reach + 1])
+        assert np.array_equal(stencil[:reach], stencil[reach + 1 :][::-1])
+        assert not np.any(table[reach + 1 :])
+
+    def test_box_whose_last_lag_in_reach_is_nonzero(self):
+        # R_N / h rounds to just below 3, so reach = 3, and 3h > R_N in floats while the
+        # box, testing |3h| N^beta <= 1, still covers lag 3: a lag past the reach must read 0
+        w_n = scaled_interaction(box_profile(1, beta=0.2, radius=1.0), 3)
+        grid = SpatialGrid(1, 2.1406441646939487, 16)  # h a few ulps above R_N / 3
+        assert 3 * grid.spacing > w_n.support_radius
+        stencil = w_n.stencil(grid)
+        assert stencil.size == 7 and stencil[-1] == w_n.amplitude
+        table = lag_table(w_n, grid)
+        assert np.array_equal(stencil[3:], table[:4])
+        assert not np.any(table[4:])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shape_and_support(self, d):
+        grid = SpatialGrid(d, 1.5, 40 if d == 1 else 24)
+        w_n = scaled_interaction(box_profile(d, beta=0.2, radius=0.4), 2)
+        stencil = w_n.stencil(grid)
+        reach = math.floor(w_n.support_radius / grid.spacing) + 1
+        assert stencil.shape == (2 * reach + 1,) * d
+        axis = np.arange(-reach, reach + 1) * grid.spacing
+        radii = np.sqrt(sum(np.meshgrid(*[axis**2] * d, indexing="ij")))
+        assert np.array_equal(stencil > 0, radii <= w_n.support_radius)
+
+
+class TestConvolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(PAIR_SUM_KERNELS)),
+        points=st.integers(2, 64),
+        n=st.sampled_from([1, 8, 64]),
+        radius=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_kernel(self, kernel, points, n, radius, seed):
+        # radii up to 4 exceed the box half-width 1.5, where the reach is capped at M - 1
+        d = kernel[0]
+        grid = SpatialGrid(d, 1.5, points if d == 1 else 2 + points % 19)
+        w_n = scaled_interaction(PAIR_SUM_KERNELS[kernel](radius, 1.0), n)
+        a = np.random.default_rng(seed).standard_normal(grid.size)
+        want = dense_kernel(w_n, grid) @ a
+        got = w_n.convolve(grid, a)
+        assert got.shape == (grid.size,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_two_points_and_a_kernel_wider_than_the_box(self, d, rng):
+        grid = SpatialGrid(d, 1.0, 2)
+        w_n = scaled_interaction(box_profile(d, beta=0.2, radius=5.0), 1)
+        assert w_n.stencil(grid).shape == (3,) * d
+        a = rng.random(grid.size)
+        assert np.allclose(w_n.convolve(grid, a), a.sum(), rtol=1e-12, atol=0.0)
+
+
 class TestBathtubLift:
     def test_zero_density(self, harmonic_1d):
         grid = SpatialGrid(1, 2.0, 64)
