@@ -29,6 +29,7 @@ if __name__ == "__main__":
 import numpy as np
 
 from . import __version__
+from .__main__ import thread_cap
 from .errors import CapExceededError, ConfigError, FermigasError, NumericError, ValidationError
 from .model import (
     ConstantsSource,
@@ -590,9 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thomas-Fermi / phase-space / semiclassical laboratory for trapped Fermi gases",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads (default: FERMIGAS_THREADS, else the BLAS "
-                             "default); applied before numpy loads, so it takes effect only as a "
-                             "process argument, not in a call of main()")
+                        help="cap BLAS/OpenMP threads and Monte Carlo workers (default: "
+                             "FERMIGAS_THREADS, else the BLAS default and one worker per CPU); "
+                             "applied before numpy loads, so it takes effect only as a process "
+                             "argument, not in a call of main()")
     sub = parser.add_subparsers(dest="subcommand")
 
     def common(p):
@@ -693,6 +695,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be at least 1")
+    try:
+        thread_cap()
+    except ValidationError as exc:
+        parser.error(str(exc))
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2

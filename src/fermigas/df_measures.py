@@ -21,12 +21,14 @@ violations.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .__main__ import thread_cap
 from .errors import CapExceededError, ValidationError
 
 Array = np.ndarray
@@ -42,6 +44,9 @@ TRANSPORT_MEMORY_BUDGET = 1 << 30
 TRANSPORT_VARIABLE_CAP = TRANSPORT_MEMORY_BUDGET // TRANSPORT_BYTES_PER_VARIABLE
 # Monte Carlo trials per spawned seed; the streams for a given seed depend on it.
 PAULI_CHUNK = 2048
+# Doubles drawn per block of a chunk (512 KiB): a block's points and in_cell's
+# scratch stay in cache, and a worker's memory is bounded by max(this, one trial).
+PAULI_BLOCK_DOUBLES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +468,12 @@ def _wasserstein1_line(a_x: Array, a_w: Array, b_x: Array, b_w: Array) -> float:
 
 
 def uniform_box_sampler(tiling: Tiling):
-    """Draw configurations i.i.d. uniform on the tiling's phase-space box."""
+    """Draw configurations i.i.d. uniform on the tiling's phase-space box.
+
+    ``Generator.uniform`` fills its output in C order, so draws of n1 and then
+    n2 trials are the rows of one draw of n1 + n2: the sampler consumes its
+    stream trial by trial, as ``pauli_violation_stats`` requires.
+    """
     half = tiling.half_width
     dim = 2 * tiling.d
 
@@ -487,6 +497,12 @@ class PauliViolationStats:
         return self.ci_low <= self.exact_tail <= self.ci_high
 
 
+def _monte_carlo_workers(n_chunks: int) -> int:
+    """min(chunks, CPUs available to the process, the ``FERMIGAS_THREADS`` cap)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(n_chunks, cpus, thread_cap() or cpus)
+
+
 def pauli_violation_stats(
     sampler,
     tiling: Tiling,
@@ -501,12 +517,28 @@ def pauli_violation_stats(
 
     The event is {empirical mass of the cell >= (1+eps) (2 pi)^-d |cell|};
     its frequency is reported with the exact (Clopper-Pearson) 95% binomial
-    confidence interval. Streams are chunked (``PAULI_CHUNK`` trials each)
-    with seeds spawned deterministically from ``seed``, so results are
-    reproducible regardless of worker layout. For an i.i.d. sampler with
-    known per-draw cell probability the exact binomial tail is attached as
+    confidence interval. For an i.i.d. sampler with known per-draw cell
+    probability ``exact_cell_prob`` the exact binomial tail is attached as
     the oracle.
+
+    The trials are split into chunks of ``PAULI_CHUNK``, each with its own
+    generator seeded from ``SeedSequence(seed).spawn``. A chunk is drawn and
+    tested in blocks of ``PAULI_BLOCK_DOUBLES // (N 2d)`` trials (at least
+    one), so memory per worker is bounded by max(2^16 doubles, one trial)
+    rather than by a whole chunk. The chunks run on
+    ``min(chunks, CPUs available, FERMIGAS_THREADS)`` workers: the calling
+    thread and a pool of the others. Hit counts are integers, so the
+    result is bitwise the same for every block size and worker count.
+
+    ``sampler(rng, n, N)`` must be a pure function of ``rng`` (it is called
+    from worker threads), must consume the stream trial by trial (two draws
+    of n1 and n2 trials equal the rows of one draw of n1 + n2) and must
+    return an array of shape (n, N, 2d). A sampler that calls BLAS should run
+    under a thread cap (``--threads``), so that BLAS threads and workers do
+    not oversubscribe the CPUs.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy.special import bdtrc, betaincinv
 
     if n_trials < 1:
@@ -515,23 +547,44 @@ def pauli_violation_stats(
         raise ValidationError(f"need at least one particle, got N={n_particles}")
     if not 0 <= cell < tiling.n_cells:
         raise ValidationError(f"cell {cell} is not in the tiling's {tiling.n_cells} cells")
+    if seed < 0:
+        raise ValidationError(f"the Monte Carlo seed must be non-negative, got {seed}")
+    if not math.isfinite(epsilon):
+        raise ValidationError(f"epsilon must be finite, got {epsilon}")
+    if exact_cell_prob is not None and not 0.0 <= exact_cell_prob <= 1.0:
+        raise ValidationError(f"the cell probability must lie in [0, 1], got {exact_cell_prob}")
     d = tiling.d
     threshold_mass = (1.0 + epsilon) * tiling.cell_volume / TWO_PI**d
     if threshold_mass <= 0:
         raise ValidationError("zero-width cells make the violation event ill-posed")
     threshold_count = math.ceil(threshold_mass * n_particles)  # event includes equality
+    dim = 2 * d
+    block = max(1, PAULI_BLOCK_DOUBLES // (n_particles * dim))
 
-    seeds = np.random.SeedSequence(seed).spawn(max(1, (n_trials + PAULI_CHUNK - 1) // PAULI_CHUNK))
-    hits = 0
-    done = 0
-    for ss in seeds:
-        size = min(PAULI_CHUNK, n_trials - done)
-        if size <= 0:
-            break
+    def chunk_hits(ss, size: int) -> int:
         rng = np.random.default_rng(ss)
-        counts = tiling.in_cell(sampler(rng, size, n_particles), cell).sum(axis=1)
-        hits += int((counts >= threshold_count).sum())
-        done += size
+        hits = 0
+        for start in range(0, size, block):
+            n = min(block, size - start)
+            points = sampler(rng, n, n_particles)
+            if np.shape(points) != (n, n_particles, dim):
+                raise ValidationError(f"the sampler returned shape {np.shape(points)}, not {(n, n_particles, dim)}")
+            counts = tiling.in_cell(points, cell).sum(axis=1)
+            hits += int((counts >= threshold_count).sum())
+        return hits
+
+    sizes = [min(PAULI_CHUNK, n_trials - start) for start in range(0, n_trials, PAULI_CHUNK)]
+    chunks = list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
+    workers = _monte_carlo_workers(len(chunks))
+    # the calling thread runs every workers-th chunk, so one thread fewer starts (none for one worker);
+    # on an error or an interrupt the queued chunks are cancelled, not drawn
+    pool = ThreadPoolExecutor(max(1, workers - 1))
+    try:
+        futures = [pool.submit(chunk_hits, *chunk) for i, chunk in enumerate(chunks) if i % workers]
+        hits = sum(chunk_hits(*chunk) for chunk in chunks[::workers])
+        hits += sum(future.result() for future in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     freq = hits / n_trials
     # Clopper-Pearson bounds are Beta quantiles; bdtrc(k, n, p) = P(Bin(n, p) > k), NaN for k > n

@@ -476,6 +476,26 @@ class TestDFExperiment:
         assert code == 2
         assert "trial" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["df-experiment", "--seed", "-1", "--N", "16", "--trials", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "ValidationError"
+        assert not out.exists()
+
+    def test_artifacts_identical_under_one_worker_and_the_default(self, tmp_path):
+        # 10^4 trials are five chunks, which the default runs on a pool wherever two CPUs are available
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "FERMIGAS_THREADS"}
+        env["PYTHONPATH"] = _SRC
+        artifacts = []
+        for name, cap in (("one", ["--threads", "1"]), ("default", [])):
+            out = tmp_path / name
+            argv = cap + ["df-experiment", "--seed", "7", "--N", "64", "--trials", "10000", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "fermigas"] + argv, env=env, check=True, timeout=120,
+                           capture_output=True)
+            artifacts.append([(out / f).read_bytes() for f in ("df_stats.json", "decay.csv")])
+        assert artifacts[0] == artifacts[1]
+
 
 class TestSweep:
     def test_oracle_sweep_rows(self, tmp_path):
@@ -612,15 +632,17 @@ print(code, threads)
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-# Imports every module, then runs a 1D tf-minimize, printing the scipy modules
-# loaded after each step and the exit code.
+# Imports every module, then runs a 1D tf-minimize, printing the scipy and
+# concurrent.futures modules loaded after each step and the exit code.
 _SCIPY_PROBE = """
 import json, sys
 import fermigas.cli, fermigas.df_measures, fermigas.husimi, fermigas.model, fermigas.oracle
 import fermigas.tf_solver, fermigas.vlasov
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    # concurrent.futures starts the Monte Carlo's worker pool; only a Monte Carlo run loads it
+    lazy = ("scipy", "concurrent.futures")
+    return sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in lazy))
 
 imported = scipy_modules()
 code = fermigas.cli.main(["tf-minimize", "--config", sys.argv[1], "--out", sys.argv[2]])
@@ -679,3 +701,43 @@ class TestThreadCap:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "0", "constants-audit", "--d", "1"])
         assert exc.value.code == 2
+
+
+class TestThreadCapVariable:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, monkeypatch, capsys, tmp_path, value):
+        monkeypatch.setenv("FERMIGAS_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["constants-audit", "--d", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "FERMIGAS_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_process_exits_2_without_writing_the_cap(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(PYTHONPATH=_SRC, FERMIGAS_THREADS="abc")
+        probe = "import os, runpy, sys; sys.argv = ['fermigas'] + sys.argv[1:]\n" \
+                "try:\n    runpy.run_module('fermigas', run_name='__main__')\n" \
+                "finally:\n    print(os.environ.get('OMP_NUM_THREADS'), file=sys.stderr)"
+        out = subprocess.run([sys.executable, "-c", probe, "constants-audit", "--d", "1", "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2
+        assert "FERMIGAS_THREADS must be a positive integer" in out.stderr
+        assert out.stderr.splitlines()[-1] == "None"
+
+    @pytest.mark.parametrize(
+        "argv, env_cap, cap",
+        [(["--threads", "3", "husimi"], None, "3"), (["--threads=2", "oracle"], "5", "2"), (["oracle"], "4", "4"),
+         (["oracle", "--threads", "3"], None, None), (["--threads", "0", "oracle"], None, None)],
+    )
+    def test_writes_the_cap_to_every_variable(self, monkeypatch, argv, env_cap, cap):
+        from fermigas.__main__ import apply_thread_cap
+
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "FERMIGAS_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if env_cap is not None:
+            monkeypatch.setenv("FERMIGAS_THREADS", env_cap)
+        apply_thread_cap(argv)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert os.environ.get(var) == cap
+        assert os.environ.get("FERMIGAS_THREADS") == (cap or env_cap)

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -11,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermigas import df_measures
 from fermigas.errors import CapExceededError, ValidationError
 from fermigas.df_measures import (
     ENUMERATION_CAP,
+    PAULI_CHUNK,
     TRANSPORT_VARIABLE_CAP,
     FiniteExchangeableLaw,
     Tiling,
@@ -24,6 +28,7 @@ from fermigas.df_measures import (
     uniform_box_sampler,
     wasserstein1,
 )
+from pauli_reference import ref_pauli_violation_stats
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +575,139 @@ class TestPauliViolation:
         assert stats.ci_high == pytest.approx(high, rel=1e-12, abs=0.0)
         threshold_count = math.ceil((1.0 + epsilon) * critical_tiling.cell_volume / (2.0 * math.pi) * n)
         assert stats.exact_tail == pytest.approx(binom.sf(threshold_count - 1, n, q), rel=1e-12, abs=0.0)
+
+
+def _critical(d: int) -> Tiling:
+    # |S_L| = (2 pi)^d with 2 cells per axis: the Pauli level sits at 1 + eps times the draw probability
+    return Tiling.square(d, 0.5 * math.sqrt(2 * math.pi), 2)
+
+
+@pytest.fixture(params=["one", "default", "pool"])
+def workers(request, monkeypatch):
+    """One worker (FERMIGAS_THREADS=1), the default count, and a 3-worker pool on any host."""
+    monkeypatch.delenv("FERMIGAS_THREADS", raising=False)
+    if request.param == "one":
+        monkeypatch.setenv("FERMIGAS_THREADS", "1")
+    elif request.param == "pool":
+        monkeypatch.setattr(df_measures, "_monte_carlo_workers", lambda n_chunks: min(n_chunks, 3))
+    return request.param
+
+
+class TestBlockedPooledRun:
+    """The blocked run on a worker pool against the serial whole-chunk loop."""
+
+    # N = 100 has blocks of 327 (d = 1) and 163 (d = 2) trials, which divide no chunk
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 16, 100, 256])
+    @pytest.mark.parametrize("trials", [1, 2049, 5000])
+    def test_bitwise_equal_to_serial_chunks(self, workers, d, n, trials):
+        tiling = _critical(d)
+        sampler = uniform_box_sampler(tiling)
+        q = tiling.cell_volume / tiling.box_volume
+        for seed in (0, 7, 2**40 + 3):
+            args = (sampler, tiling, 0, 0.5, n, trials, seed)
+            got = pauli_violation_stats(*args, exact_cell_prob=q)
+            assert got == ref_pauli_violation_stats(*args, exact_cell_prob=q)
+
+    @pytest.mark.parametrize("budget", [1, 7, 4096])
+    def test_any_block_size_gives_the_same_counts(self, workers, monkeypatch, budget):
+        # a budget of 1 double draws one trial per block
+        tiling = _critical(1)
+        sampler = uniform_box_sampler(tiling)
+        monkeypatch.setattr(df_measures, "PAULI_BLOCK_DOUBLES", budget)
+        args = (sampler, tiling, 0, 0.25, 16, PAULI_CHUNK + 300, 5)
+        assert pauli_violation_stats(*args) == ref_pauli_violation_stats(*args)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("splits", [(1, 1), (3, 5), (1, 2047), (640, 0, 1408)])
+    def test_split_draws_equal_one_draw(self, d, splits):
+        draw = uniform_box_sampler(_critical(d))
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        parts = [draw(rng, n, 17) for n in splits]
+        whole = draw(np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0]), sum(splits), 17)
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_traced_peak_does_not_grow_with_n(self):
+        # one chunk at N = 1024, d = 1: a whole-chunk draw is 32 MiB of points and 16 MiB of scratch
+        tiling = _critical(1)
+        sampler = uniform_box_sampler(tiling)
+        pauli_violation_stats(sampler, tiling, 0, 0.5, 4, 1, seed=0)  # loads scipy.special first
+        tracemalloc.start()
+        try:
+            pauli_violation_stats(sampler, tiling, 0, 0.5, 1024, PAULI_CHUNK, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_error_in_calling_thread_cancels_queued_chunks(self, monkeypatch):
+        # 2 workers and 40 one-block chunks: the calling thread fails on its first chunk, and the
+        # 20 chunks queued on the pool are cancelled rather than drawn (as a Ctrl-C would be)
+        monkeypatch.setattr(df_measures, "_monte_carlo_workers", lambda n_chunks: 2)
+        tiling = _critical(1)
+        draw = uniform_box_sampler(tiling)
+        caller = threading.current_thread()
+        pool_draws = []
+
+        def sampler(rng, n, n_particles):
+            if threading.current_thread() is caller:
+                raise RuntimeError("stopped")
+            pool_draws.append(n)
+            time.sleep(0.02)
+            return draw(rng, n, n_particles)
+
+        with pytest.raises(RuntimeError, match="stopped"):
+            pauli_violation_stats(sampler, tiling, 0, 0.5, 1, 40 * PAULI_CHUNK, seed=0)
+        assert len(pool_draws) < 5
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setenv("FERMIGAS_THREADS", "1")
+        assert df_measures._monte_carlo_workers(50) == 1
+        monkeypatch.delenv("FERMIGAS_THREADS")
+        assert df_measures._monte_carlo_workers(1) == 1
+        assert df_measures._monte_carlo_workers(50) == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("FERMIGAS_THREADS", "abc")
+        with pytest.raises(ValidationError, match="FERMIGAS_THREADS"):
+            df_measures._monte_carlo_workers(50)
+
+
+class TestMonteCarloInputs:
+    @pytest.mark.parametrize(
+        "draw_shape",
+        [lambda n, N: (n, N, 1), lambda n, N: (n, 2 * N, 2), lambda n, N: (n + 1, N, 2), lambda n, N: (n, N)],
+    )
+    def test_sampler_of_wrong_shape_rejected(self, workers, draw_shape):
+        tiling = _critical(1)
+
+        def sampler(rng, n, n_particles):
+            return rng.uniform(-tiling.half_width, tiling.half_width, size=draw_shape(n, n_particles))
+
+        with pytest.raises(ValidationError, match="shape"):
+            pauli_violation_stats(sampler, tiling, 0, 0.5, 16, 5000, seed=1)
+
+    def test_negative_seed_rejected(self):
+        tiling = _critical(1)
+        with pytest.raises(ValidationError, match="seed"):
+            pauli_violation_stats(uniform_box_sampler(tiling), tiling, 0, 0.5, 16, 100, seed=-1)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # the threshold count is ceil of a NaN or infinite mass, which raised ValueError or OverflowError
+        tiling = _critical(1)
+        with pytest.raises(ValidationError, match="epsilon"):
+            pauli_violation_stats(uniform_box_sampler(tiling), tiling, 0, epsilon, 16, 100, seed=1)
+
+    @pytest.mark.parametrize("prob", [1.5, -0.1, float("nan")])
+    def test_cell_probability_outside_unit_interval_rejected(self, prob):
+        tiling = _critical(1)
+        with pytest.raises(ValidationError, match="probability"):
+            pauli_violation_stats(uniform_box_sampler(tiling), tiling, 0, 0.5, 16, 100, seed=1, exact_cell_prob=prob)
+
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    def test_cell_probability_at_the_ends_accepted(self, prob):
+        tiling = _critical(1)
+        stats = pauli_violation_stats(uniform_box_sampler(tiling), tiling, 0, 0.5, 16, 10, seed=1, exact_cell_prob=prob)
+        assert stats.exact_tail == prob
 
 
 def test_import_leaves_stats_and_optimize_unloaded():
