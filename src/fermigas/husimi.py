@@ -41,6 +41,8 @@ TWO_PI = 2.0 * math.pi
 MIN_POINTS_PER_ENVELOPE = 8
 # Points of the fine mesh on which smearing_errors blurs a kernel.
 SMEARING_POINTS = 1 << 15
+# How far the phase-space mass of a quantized lift may be from one unit.
+MASS_RTOL = 0.02
 
 
 def _mollifier_derivative(u: Array) -> Array:
@@ -112,6 +114,8 @@ class CoherentFamily:
         return 2.0 * math.sqrt(self.hbar_x)
 
     def check_resolution(self, grid: SpatialGrid):
+        if grid.d != 1:
+            raise ValidationError(f"the coherent frame is one-dimensional; got a {grid.d}D grid")
         points = self.envelope_width / grid.spacing
         if points < MIN_POINTS_PER_ENVELOPE:
             raise GridResolutionError(
@@ -127,8 +131,6 @@ class CoherentFamily:
 
 def coherent_state(x: float, p: float, family: CoherentFamily, grid: SpatialGrid) -> Array:
     """Grid samples of the squeezed coherent state centered at (x, p)."""
-    if grid.d != 1:
-        raise ValidationError("coherent states are sampled on 1D grids")
     family.check_resolution(grid)
     y = grid.axis()
     return family.envelope_at(y, x) * np.exp(1j * p * y / family.hbar)
@@ -288,17 +290,20 @@ def frame_apply(psi: Array, family: CoherentFamily, grid: SpatialGrid) -> Array:
     return TWO_PI * family.hbar * grid.spacing * (_neighbors(np.ones(grid.size), r) @ window**2) * psi
 
 
-def momentum_density(gamma: OneBodyOperator, hbar: float, momentum: SpatialGrid) -> Array:
+def momentum_density(gamma: OneBodyOperator, hbar: float) -> Array:
     """t_gamma(p) = h / (2 pi hbar) * sum_{y, y'} exp(-i p (y - y') / hbar) B(y, y').
 
     This is sum_a lambda_a |F[u_a](p)|^2 over the eigenpairs of the
     Hermitian part of B, with F[u](p) = (2 pi hbar)^(-1/2) * h * sum_y u(y)
-    exp(-i p y / hbar) on the lattice-dual grid (ValidationError for any
-    other ``momentum``), but it is computed without them: the diagonal sums
-    of B over all M lags, O(M^2), then one FFT. It integrates to the trace.
+    exp(-i p y / hbar) on the lattice-dual grid of the operator's 1D grid
+    (ValidationError in 2D), but it is computed without them: the diagonal
+    sums of B over all M lags, O(M^2), then one FFT. It integrates to the
+    trace.
     """
     grid = gamma.grid
-    _, phases = _dual_lag_phases(grid, hbar, momentum, grid.size - 1)
+    if grid.d != 1:
+        raise ValidationError(f"momentum densities are taken on 1D grids; got a {grid.d}D grid")
+    _, phases = _dual_lag_phases(grid, hbar, None, grid.size - 1)
     lag = np.array([_hermitian_lag(gamma.matrix, d).sum() for d in range(grid.size)]) * phases
     return grid.spacing / (TWO_PI * hbar) * _lag_spectrum(lag, grid.size)
 
@@ -327,7 +332,7 @@ def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily) -> 
     space_gap = float(np.sum(np.abs(lhs_rho - rhs_rho)) * h)
 
     lhs_t = n / TWO_PI * table.values.sum(axis=0) * h
-    t_gamma = momentum_density(gamma, family.hbar, momentum)
+    t_gamma = momentum_density(gamma, family.hbar)
     g2 = h * h / (TWO_PI * family.hbar) * np.abs(np.fft.fft(family.envelope_at(y, 0.0))) ** 2
     conv = np.fft.irfft(np.fft.rfft(t_gamma) * np.fft.rfft(g2), n=momentum.size) * dp
     momentum_gap = float(np.sum(np.abs(lhs_t - conv)) * dp)
@@ -338,28 +343,27 @@ def marginal_identity_report(gamma: OneBodyOperator, family: CoherentFamily) -> 
     }
 
 
-def gamma_from_measure(
-    m: PhaseSpaceDensity,
-    family: CoherentFamily,
-    mass_rtol: float = 0.02,
-) -> OneBodyOperator:
-    """Coherent quantization of an occupation function.
+def gamma_from_measure(m: PhaseSpaceDensity, family: CoherentFamily) -> OneBodyOperator:
+    """Coherent quantization of a bath-tub lift.
 
     B = (2 pi hbar)^-d * sum over the product grid of
     ``m(x, p) |f_{x,p}><f_{x,p}| h dp``, on the lattice-dual momentum grid
     (ValidationError for any other ``m.momentum``). Hypotheses checked: the
     phase-space mass equals one particle-normalized unit (double integral
-    (2 pi)^d) within ``mass_rtol``, 0 <= m <= 1, and the spatial density
-    vanishes near the box edge so the frame truncation is inert. The result
-    satisfies 0 <= B <= 1 up to quadrature and has trace N up to the mass
-    defect.
+    (2 pi)^d) within ``MASS_RTOL``, and the spatial density vanishes near
+    the box edge so the frame truncation is inert (0 <= m <= 1 holds for a
+    lift). The result satisfies 0 <= B <= 1 up to quadrature and has trace N
+    up to the mass defect.
 
-    With m_hat(x, d) = sum_k m(x, p_k) exp(2 pi i kd / M) (one real FFT
-    over p), B[j, j - d] = coef * exp(i p_0 d h / hbar) *
-    sum_x f^h(x - y_j) f^h(x - y_(j-d)) m_hat(x, d). Windows more than 2r
-    points apart do not overlap, so only lags d <= 2r are built, each one
-    matvec of m_hat's neighbors against the window product, O(M r), and the
-    upper triangle is the conjugate of the lower one.
+    With m_hat(x, d) = sum_k m(x, p_k) exp(2 pi i kd / M),
+    B[j, j - d] = coef * exp(i p_0 d h / hbar) *
+    sum_x f^h(x - y_j) f^h(x - y_(j-d)) m_hat(x, d). Row x of the lift is
+    the band of n dual bins k_lo .. k_lo + n - 1 with |p_k| <= R(x), so
+    m_hat(x, d) is the Dirichlet sum exp(i t (2 k_lo + n - 1)) sin(n t) /
+    sin(t), t = pi d / M (n at d = 0), and no table is read. Windows more
+    than 2r points apart do not overlap, so only lags d <= 2r are built,
+    each one matvec of m_hat's neighbors against the window product,
+    O(M r), and the upper triangle is the conjugate of the lower one.
     """
     grid = m.grid
     family.check_resolution(grid)
@@ -367,15 +371,17 @@ def gamma_from_measure(
     size, width = grid.size, window.size
     lags = min(2 * r, size - 1)
     momentum, phases = _dual_lag_phases(grid, family.hbar, m.momentum, lags)
-    if not np.any(m.values):
+    # row x occupies the dual bins first[x] .. first[x] + count[x] - 1, ties with R included
+    p = momentum.axis()
+    first = np.searchsorted(p, -m.fermi_radius, "left")
+    count = np.searchsorted(p, m.fermi_radius, "right") - first
+    if not np.any(count):
         return OneBodyOperator(grid, np.zeros((size, size)))
     mass = m.normalization()
-    if abs(mass - 1.0) > mass_rtol:
+    if abs(mass - 1.0) > MASS_RTOL:
         raise HypothesisViolationError(
-            f"phase-space mass {mass:.6g} deviates from 1 beyond rtol {mass_rtol}"
+            f"phase-space mass {mass:.6g} deviates from 1 beyond rtol {MASS_RTOL}"
         )
-    if float(np.min(m.values)) < -1e-9 or float(np.max(m.values)) > 1.0 + 1e-9:
-        raise HypothesisViolationError("occupation function must satisfy 0 <= m <= 1")
     rho = m.spatial_density()
     edge = max(2, int(math.ceil(family.envelope_width / grid.spacing)))
     if float(np.max(rho[:edge], initial=0.0)) > 1e-9 or float(np.max(rho[-edge:], initial=0.0)) > 1e-9:
@@ -386,17 +392,15 @@ def gamma_from_measure(
     h, dp = grid.spacing, momentum.cell_volume
     # one h from the x quadrature, one to convert the kernel to occupancy form
     coef = h * h * dp / (TWO_PI * family.hbar)
-    # m is real: m_hat(x, d) is the conjugate of rfft bin d for d <= M/2 and
-    # rfft bin M - d above; only the lags that are read are kept
-    lag = np.arange(lags + 1)
-    low = lag <= size // 2
-    m_hat = np.fft.rfft(m.values, axis=1)[:, np.where(low, lag, size - lag)]
-    m_hat[:, low] = np.conj(m_hat[:, low])
+    t, turn = math.pi / size, 2 * size
     out = np.zeros((size, size), dtype=complex)
     for d in range(lags + 1):
         j = np.arange(d, size)
+        # angles reduced mod 2 pi in integers, so their rounding does not grow with k or d
+        dirichlet = np.sin(t * (d * count % turn)) / math.sin(t * d) if d else count
+        m_hat = np.exp(1j * t * (d * (2 * first + count - 1) % turn)) * dirichlet
         # W[j, x] W[j - d, x] at x = j + a - r; off-grid x reads a zero
-        near = _neighbors(m_hat[:, d], r)[d:, : width - d]
+        near = _neighbors(m_hat, r)[d:, : width - d]
         lower = coef * np.conj(phases[d]) * (near @ (window[d:] * window[: width - d]))
         out[j, j - d] = lower
         out[j - d, j] = np.conj(lower)
@@ -509,7 +513,7 @@ def semiclassical_error_decomposition(
     h, dp = grid.spacing, momentum.cell_volume
     p2 = momentum.axis() ** 2
     kin_husimi = float((table.values @ p2).sum() * h * dp) / (TWO_PI * hbar)
-    t_gamma = momentum_density(gamma, hbar, momentum)
+    t_gamma = momentum_density(gamma, hbar)
     kin_spectral = float((t_gamma * p2).sum() * dp)
     measured = (kin_husimi - kin_spectral) / n
     expected = family.hbar_p * envelope_gradient_norm_sq()

@@ -72,6 +72,20 @@ def fermi_radius_coefficient(d: int) -> float:
     return math.pi if d == 1 else math.sqrt(4.0 * math.pi)
 
 
+def _ball_volume(d: int, radius: Array) -> Array:
+    """|ball(radius)| in d = 1 or 2 dimensions, per radius."""
+    if d == 1:
+        return 2.0 * radius
+    return math.pi * radius**2
+
+
+def _ball_p2_integral(d: int, radius: Array) -> Array:
+    """Integral of |p|^2 over ball(radius) in d = 1 or 2 dimensions, per radius."""
+    if d == 1:
+        return (2.0 / 3.0) * radius**3
+    return (math.pi / 2.0) * radius**4
+
+
 @dataclass(frozen=True)
 class TFConstants:
     """Kinetic-energy coefficient convention for the density functional.
@@ -648,13 +662,8 @@ def audit_constants(d: int) -> dict:
     bathtub = TFConstants.bathtub_consistent(d)
     power_int = grid.integrate(rho ** (1.0 + 2.0 / d))
     c_d = fermi_radius_coefficient(d)
-    # (2 pi)^-d * integral over |p| <= c_d rho^(1/d) of |p|^2 dp, per point:
-    #   d=1: (2/3) P^3 / (2 pi),  d=2: (pi/2) P^4 / (2 pi)^2,  P = c_d rho^(1/d)
-    radii = c_d * rho ** (1.0 / d)
-    if d == 1:
-        lift_kinetic = grid.integrate((2.0 / 3.0) * radii**3) / (2.0 * math.pi)
-    else:
-        lift_kinetic = grid.integrate((math.pi / 2.0) * radii**4) / (2.0 * math.pi) ** 2
+    # (2 pi)^-d * integral over |p| <= c_d rho^(1/d) of |p|^2 dp, per point
+    lift_kinetic = grid.integrate(_ball_p2_integral(d, c_d * rho ** (1.0 / d))) / (2.0 * math.pi) ** d
     report = {
         "d": d,
         "c_d": c_d,

@@ -5,9 +5,8 @@ and the phase-space minimum.
 Phase-space quantities use the measure ``dx dp / (2 pi)^d``. For indicator
 lifts, momentum integrals are evaluated with the closed-form ball formulas
 per spatial point (no momentum quadrature and hence no staircase error). A
-lift stores only its Fermi radius; the gridded 0/1 table, which only
-operator constructions read, is built on first read and capped by
-``LIFT_TABLE_CAP``.
+lift is its Fermi radius and nothing else; the gridded 0/1 table is a view
+for external readers, built on first read and capped by ``LIFT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, MomentumCoverageError, ValidationError
-from .model import ScaledInteraction, SpatialGrid, TFConstants, TrapPotential
+from .model import ScaledInteraction, SpatialGrid, TFConstants, TrapPotential, _ball_p2_integral, _ball_volume
 from .tf_solver import (
     DensityField,
     RelaxedLocalEnergy,
@@ -39,41 +38,28 @@ LIFT_TABLE_CAP = LIFT_TABLE_MEMORY_BUDGET // LIFT_TABLE_BYTES_PER_CELL
 
 
 class PhaseSpaceDensity:
-    """Occupation function m(x, p) >= 0 on a product grid.
+    """Bath-tub lift m(x, p) = [ |p| <= fermi_radius(x) ] on a product grid.
 
-    ``values[i, k]`` is m at spatial point i and momentum point k (both
-    flattened). A bath-tub lift is given by ``fermi_radius`` alone, which
-    enables the closed-form momentum integrals; its ``values`` table is the
-    exactly 0/1-valued indicator |p| <= fermi_radius(x), built on first read
-    and cached (``CapExceededError`` above ``LIFT_TABLE_CAP`` cells).
-    ``pauli_bound_ok`` records whether m <= 1 within tolerance.
+    A lift is its Fermi radius: one finite nonnegative value per spatial
+    point (flattened), ``ValidationError`` otherwise. Its mass and kinetic
+    densities are the closed-form ball integrals. ``values[i, k]`` is the
+    exactly 0/1 table of m at spatial point i and momentum point k, a
+    read-only view built on first read and cached (``CapExceededError``
+    above ``LIFT_TABLE_CAP`` cells); nothing in the package reads it.
     """
 
-    def __init__(
-        self,
-        grid: SpatialGrid,
-        momentum: SpatialGrid,
-        values: Array | None = None,
-        fermi_radius: Array | None = None,
-    ):
+    def __init__(self, grid: SpatialGrid, momentum: SpatialGrid, fermi_radius: Array):
         if grid.d != momentum.d:
             raise ValidationError("spatial and momentum grids must share the dimension")
+        fermi_radius = np.asarray(fermi_radius, dtype=float)
+        if fermi_radius.shape != (grid.size,):
+            raise ValidationError(f"Fermi radius must have shape {(grid.size,)}")
+        if not np.all(np.isfinite(fermi_radius) & (fermi_radius >= 0.0)):
+            raise ValidationError("Fermi radius must be finite and nonnegative")
         self.grid = grid
         self.momentum = momentum
         self.fermi_radius = fermi_radius
-        if fermi_radius is not None and np.shape(fermi_radius) != (grid.size,):
-            raise ValidationError(f"Fermi radius must have shape {(grid.size,)}")
-        if values is None:
-            if fermi_radius is None:
-                raise ValidationError("a phase-space density needs values or a Fermi radius")
-            self._values = None
-            return
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.size, momentum.size):
-            raise ValidationError(f"phase-space values must have shape {(grid.size, momentum.size)}")
-        if np.any(values < 0):
-            raise ValidationError("phase-space density must be nonnegative")
-        self._values = values
+        self._values = None
 
     @property
     def values(self) -> Array:
@@ -87,23 +73,16 @@ class PhaseSpaceDensity:
                 )
             p_norm = np.linalg.norm(self.momentum.points(), axis=1)
             self._values = (p_norm[None, :] <= self.fermi_radius[:, None]).astype(float)
+            self._values.flags.writeable = False
         return self._values
 
     @property
     def d(self) -> int:
         return self.grid.d
 
-    @property
-    def pauli_bound_ok(self) -> bool:
-        if self._values is None:
-            return True  # a lift is a 0/1 indicator by construction
-        return bool(np.max(self.values, initial=0.0) <= 1.0 + 1e-9)
-
     def spatial_density(self) -> Array:
         """rho_m(x) = (2 pi)^-d * integral of m over p."""
-        if self.fermi_radius is not None:
-            return _ball_volume(self.d, self.fermi_radius) / TWO_PI**self.d
-        return self.values.sum(axis=1) * self.momentum.cell_volume / TWO_PI**self.d
+        return _ball_volume(self.d, self.fermi_radius) / TWO_PI**self.d
 
     def normalization(self) -> float:
         """(2 pi)^-d * double integral of m."""
@@ -111,22 +90,7 @@ class PhaseSpaceDensity:
 
     def kinetic_density(self) -> Array:
         """(2 pi)^-d * integral of |p|^2 m over p, per spatial point."""
-        if self.fermi_radius is not None:
-            return _ball_p2_integral(self.d, self.fermi_radius) / TWO_PI**self.d
-        p2 = np.sum(self.momentum.points() ** 2, axis=1)
-        return self.values @ p2 * self.momentum.cell_volume / TWO_PI**self.d
-
-
-def _ball_volume(d: int, radius: Array) -> Array:
-    if d == 1:
-        return 2.0 * radius
-    return math.pi * radius**2
-
-
-def _ball_p2_integral(d: int, radius: Array) -> Array:
-    if d == 1:
-        return (2.0 / 3.0) * radius**3
-    return (math.pi / 2.0) * radius**4
+        return _ball_p2_integral(self.d, self.fermi_radius) / TWO_PI**self.d
 
 
 def bathtub_lift(rho: DensityField, constants: TFConstants, momentum: SpatialGrid) -> PhaseSpaceDensity:
@@ -150,7 +114,7 @@ def bathtub_lift(rho: DensityField, constants: TFConstants, momentum: SpatialGri
             f"Fermi radius with 10% margin; need at least {required:.6g}",
             required_half_width=required,
         )
-    return PhaseSpaceDensity(rho.grid, momentum, fermi_radius=radius)
+    return PhaseSpaceDensity(rho.grid, momentum, radius)
 
 
 @dataclass
@@ -185,7 +149,7 @@ def vlasov_energy(
     ``density_pair_sum`` over the cells, which by Young's inequality never
     exceeds the singular value for nonnegative densities.
     """
-    rho_m = DensityField(m.grid, np.clip(m.spatial_density(), 0.0, None))
+    rho_m = DensityField(m.grid, m.spatial_density())
     v = m.grid.sample(potential.evaluate)
     kinetic = m.grid.integrate(m.kinetic_density())
     pot = m.grid.integrate(v * rho_m.values)

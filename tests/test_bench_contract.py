@@ -181,11 +181,6 @@ UNPASSED_DEFAULTS = {
     ("model", "quartic_potential", "stiffness"),
     ("model", "double_well_potential", "well_radius"),
     ("model", "double_well_potential", "stiffness"),
-    # the quantization's mass tolerance, which the tests loosen to reach its other hypothesis checks
-    ("husimi", "gamma_from_measure", "mass_rtol"),
-    # a general occupation function 0 <= m <= 1, for which the quantization's hypotheses are
-    # stated; every caller in src/ and bench/ passes a bath-tub lift
-    ("vlasov", "PhaseSpaceDensity", "values"),
 }
 
 # Public dataclass fields that nothing in src/ or bench/ reads, each kept for a reason.

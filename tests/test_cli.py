@@ -281,6 +281,7 @@ class TestVlasovLift:
         # bathtub-consistent constants make the two energies agree
         assert report["total"] == pytest.approx(solution["energy"]["total"], rel=1e-6)
         assert report["normalization"] == pytest.approx(1.0, abs=1e-5)
+        assert report["pauli_bound_ok"] is True  # the record keeps the key the benchmark reads
 
     @pytest.mark.parametrize("case", ["empty", "non_numeric", "shifted_x"])
     def test_bad_density_file_exits_2(self, case, tmp_path, capsys):

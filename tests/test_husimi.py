@@ -44,6 +44,7 @@ from fermigas.husimi import (
 )
 from fermigas.tf_solver import RelaxedLocalEnergy, minimize_1d_relaxed, sample_minimizer
 from fermigas.vlasov import PhaseSpaceDensity, bathtub_lift, brillouin_momentum_grid, vlasov_energy
+from lift_reference import ref_gamma_from_measure
 
 N_PARTICLES = 8
 BETA = 0.2
@@ -190,9 +191,7 @@ class TestGammaFromMeasure:
     def test_zero_measure(self, setup):
         grid, _, family, _ = setup
         momentum = brillouin_momentum_grid(grid, family.hbar)
-        from fermigas.vlasov import PhaseSpaceDensity
-
-        zero = PhaseSpaceDensity(grid, momentum, np.zeros((grid.size, momentum.size)))
+        zero = PhaseSpaceDensity(grid, momentum, np.zeros(grid.size))
         gamma = gamma_from_measure(zero, family)
         assert not np.any(gamma.matrix)
 
@@ -205,42 +204,23 @@ class TestGammaFromMeasure:
         assert occ.min() >= -1e-6
         assert occ.max() <= 1.0 + 1e-6
 
-    def test_rejects_pauli_violation(self, setup, tf_lift):
-        grid, _, family, _ = setup
-        lift, _ = tf_lift
-        from fermigas.vlasov import PhaseSpaceDensity
-
-        doubled = PhaseSpaceDensity(grid, lift.momentum, 2.0 * lift.values)
-        with pytest.raises(HypothesisViolationError, match="0 <= m <= 1"):
-            gamma_from_measure(doubled, family, mass_rtol=2.0)
-
     def test_rejects_mass_defect(self, setup, tf_lift):
         grid, _, family, _ = setup
         lift, _ = tf_lift
-        from fermigas.vlasov import PhaseSpaceDensity
-
-        halved = PhaseSpaceDensity(grid, lift.momentum, 0.5 * lift.values)
+        # in 1D the ball volume is linear in the radius: half the radius, half the mass
+        halved = PhaseSpaceDensity(grid, lift.momentum, 0.5 * lift.fermi_radius)
+        assert halved.normalization() == pytest.approx(0.5 * lift.normalization(), rel=1e-12)
         with pytest.raises(HypothesisViolationError, match="mass"):
             gamma_from_measure(halved, family)
 
     def test_rejects_support_touching_edge(self, setup):
         grid, _, family, _ = setup
         momentum = brillouin_momentum_grid(grid, family.hbar)
-        values = np.zeros((grid.size, momentum.size))
-        # occupy one momentum cell everywhere, including the box edge
-        k = momentum.size // 2
-        dp = momentum.cell_volume
-        values[:, k] = 2.0 * math.pi / (dp * 2 * grid.half_width)
-        values = np.clip(values, 0.0, 1.0)
-        # rescale to unit phase-space mass using a wide band instead
-        need = (2.0 * math.pi) / (grid.cell_volume * dp * grid.size)
-        width = int(math.ceil(need))
-        values[:, k - width // 2 : k - width // 2 + width] = 1.0
-        from fermigas.vlasov import PhaseSpaceDensity
-
-        m = PhaseSpaceDensity(grid, momentum, values)
+        # one radius everywhere, box edge included, for unit mass: 2 L * 2 R / (2 pi) = 1
+        m = PhaseSpaceDensity(grid, momentum, np.full(grid.size, math.pi / (2.0 * grid.half_width)))
+        assert m.normalization() == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(HypothesisViolationError, match="edge"):
-            gamma_from_measure(m, family, mass_rtol=0.5)
+            gamma_from_measure(m, family)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +342,7 @@ def fft_case(request):
     fine = minimize_1d_relaxed(potential, rel, grid.refine(8), tol=1e-3)
     momentum = brillouin_momentum_grid(grid, family.hbar)
     lift = bathtub_lift(sample_minimizer(potential, rel, grid, fine.lam), constants, momentum)
-    quantized = gamma_from_measure(lift, family, mass_rtol=0.5)
+    quantized = gamma_from_measure(lift, family)
     return grid, family, momentum, lift, (slater, boosted, quantized)
 
 
@@ -382,7 +362,7 @@ class TestFFTAgainstDenseOracles:
     def test_momentum_density(self, fft_case):
         _, family, momentum, _, operators = fft_case
         for gamma in operators:
-            t = momentum_density(gamma, family.hbar, momentum)
+            t = momentum_density(gamma, family.hbar)
             assert _rel(t, dense_momentum_density(gamma, family.hbar, momentum)) <= 1e-12
 
     def test_marginal_convolution(self, fft_case):
@@ -399,6 +379,84 @@ class TestFFTAgainstDenseOracles:
         _, family, _, lift, (_, _, quantized) = fft_case
         assert _rel(quantized.matrix, dense_gamma_from_measure(lift, family)) <= 1e-12
         assert np.array_equal(quantized.matrix, quantized.matrix.T.conj())
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestBandSumsAgainstTable:
+    """The closed-form Dirichlet sums against the lift table's real FFT (``lift_reference``)."""
+
+    def test_fft_case_lifts(self, fft_case):
+        _, family, _, lift, (_, _, quantized) = fft_case
+        assert _max_rel(quantized.matrix, ref_gamma_from_measure(lift, family)) <= 1e-13
+
+    def test_radii_tied_to_dual_momenta(self, fft_case):
+        grid, family, momentum, lift, _ = fft_case
+        # each nonzero radius moved onto the nearest dual |p_k|, which the lift then occupies
+        p_abs = np.abs(momentum.axis())
+        nearest = p_abs[np.abs(p_abs[None, :] - lift.fermi_radius[:, None]).argmin(axis=1)]
+        tied = PhaseSpaceDensity(grid, momentum, np.where(lift.fermi_radius > 0.0, nearest, 0.0))
+        occupied = tied.fermi_radius > 0.0
+        assert np.count_nonzero(occupied) > 0
+        assert np.all(tied.values[p_abs[None, :] == tied.fermi_radius[:, None]] == 1.0)
+        gamma = gamma_from_measure(tied, family)
+        assert _max_rel(gamma.matrix, ref_gamma_from_measure(tied, family)) <= 1e-13
+
+    @pytest.mark.parametrize("m", FFT_SIZES)
+    @pytest.mark.parametrize("name", sorted(FFT_FAMILIES))
+    def test_empty_and_full_rows(self, m, name):
+        family = FFT_FAMILIES[name]
+        grid = SpatialGrid(1, 2.2, m)
+        momentum = brillouin_momentum_grid(grid, family.hbar)
+        # N rows at the centre with R = pi hbar / h, the dual half-width, carry the unit mass
+        radius = np.zeros(grid.size)
+        radius[m // 2 - N_PARTICLES // 2 : m // 2 + N_PARTICLES // 2] = math.pi * family.hbar / grid.spacing
+        lift = PhaseSpaceDensity(grid, momentum, radius)
+        assert lift.normalization() == pytest.approx(1.0, rel=1e-12)
+        assert set(lift.values.sum(axis=1)) == {0.0, float(m)}
+        gamma = gamma_from_measure(lift, family)
+        assert _max_rel(gamma.matrix, ref_gamma_from_measure(lift, family)) <= 1e-13
+
+
+class TestOneDimensionalFrame:
+    """Every entry point of the 1D coherent frame rejects a 2D grid."""
+
+    @pytest.fixture(scope="class")
+    def plane(self):
+        grid = SpatialGrid(2, 2.2, 16)
+        family = CoherentFamily.default(4, 0.1)
+        gamma = OneBodyOperator(grid, np.eye(grid.size) / grid.size)
+        radius = np.full(grid.size, 0.5)
+        return grid, family, gamma, PhaseSpaceDensity(grid, brillouin_momentum_grid(grid, family.hbar), radius)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda grid, family, gamma, lift: coherent_state(0.0, 0.0, family, grid),
+            lambda grid, family, gamma, lift: husimi_grid_table(gamma, family),
+            lambda grid, family, gamma, lift: frame_apply(np.ones(grid.size), family, grid),
+            lambda grid, family, gamma, lift: gamma_from_measure(lift, family),
+            lambda grid, family, gamma, lift: marginal_identity_report(gamma, family),
+            lambda grid, family, gamma, lift: semiclassical_error_decomposition(
+                gamma, family, harmonic_potential(2)
+            ),
+            lambda grid, family, gamma, lift: momentum_density(gamma, family.hbar),
+        ],
+        ids=[
+            "coherent_state",
+            "husimi_grid_table",
+            "frame_apply",
+            "gamma_from_measure",
+            "marginal_identity_report",
+            "semiclassical_error_decomposition",
+            "momentum_density",
+        ],
+    )
+    def test_rejects_2d_grid(self, plane, call):
+        with pytest.raises(ValidationError, match="2D grid"):
+            call(*plane)
 
 
 def window_band(family, grid):
@@ -463,7 +521,7 @@ def band_marginal_report(gamma, family):
     lhs_rho = n / (2 * math.pi) * table.sum(axis=1) * dp
     rhs_rho = np.einsum("xa,xa->x", band**2, _neighbors(np.real(np.diag(gamma.matrix)) / h, r)) * h
     lhs_t = n / (2 * math.pi) * table.sum(axis=0) * h
-    t_gamma = momentum_density(gamma, family.hbar, momentum)
+    t_gamma = momentum_density(gamma, family.hbar)
     g2 = h * h / (2 * math.pi * family.hbar) * np.abs(np.fft.fft(family.envelope_at(grid.axis(), 0.0))) ** 2
     conv = np.fft.irfft(np.fft.rfft(t_gamma) * np.fft.rfft(g2), n=momentum.size) * dp
     return {
@@ -558,7 +616,7 @@ class TestLagSumsWithoutEigenpairs:
     def test_indefinite_momentum_density(self, fft_case, rng):
         grid, family, momentum, _, _ = fft_case
         gamma = _indefinite(grid, rng)
-        t = momentum_density(gamma, family.hbar, momentum)
+        t = momentum_density(gamma, family.hbar)
         assert _rel(t, direct_momentum_density(gamma, family.hbar, momentum)) <= 1e-12
 
     @pytest.mark.parametrize("m", [24, 25])
@@ -594,7 +652,7 @@ class TestNoDiagonalization:
             monkeypatch.setattr(scipy.linalg, name, refuse)
         momentum = brillouin_momentum_grid(grid, family.hbar)
         husimi_grid_table(gamma, family, momentum)
-        momentum_density(gamma, family.hbar, momentum)
+        momentum_density(gamma, family.hbar)
         marginal_identity_report(gamma, family)
         semiclassical_error_decomposition(gamma, family, potential, w_n=w_n)
         gamma_from_measure(lift, family)
@@ -639,9 +697,12 @@ class TestLowestOrbitals:
 SCALE_WALL_CAP_S = 3.0
 SCALE_PEAK_CAP_MIB = 192.0
 # measured on a 2-vCPU VM: gamma_from_measure of the bath-tub lift at
-# M = 2048, N = 64 peaks at 79.2 MiB traced, of which the M x M complex
+# M = 2048, N = 64 peaks at 74.2 MiB traced, of which the M x M complex
 # result is 64 MiB; a complex inverse FFT of the whole table peaked at 258 MiB
 QUANTIZE_PEAK_CAP_MIB = 128.0
+# 1.5 times the 16 MiB complex result at M = 1024, N = 32 (21.1 MiB measured);
+# building the lift's table and its real FFT peaked at 30.4 MiB
+QUANTIZE_1024_PEAK_CAP_MIB = 24.0
 
 
 class TestScale:
@@ -675,7 +736,6 @@ class TestScale:
         rho = sample_minimizer(potential, rel, grid, fine.lam)
         family = CoherentFamily.default(n, 0.0)
         lift = bathtub_lift(rho, constants, brillouin_momentum_grid(grid, family.hbar))
-        assert lift.values.shape == (2048, 2048)  # the lift builds its table before tracing
         tracemalloc.start()
         try:
             gamma = gamma_from_measure(lift, family)
@@ -684,6 +744,25 @@ class TestScale:
             tracemalloc.stop()
         assert gamma.trace == pytest.approx(n, abs=0.1)
         assert peak_mib <= QUANTIZE_PEAK_CAP_MIB
+
+    def test_quantization_leaves_table_unbuilt_at_m1024(self):
+        n = 32
+        grid, potential = SpatialGrid(1, 2.5, 1024), harmonic_potential(1)
+        constants = TFConstants.bathtub_consistent(1)
+        rel = RelaxedLocalEnergy(constants.c_tf, 1.0)
+        fine = minimize_1d_relaxed(potential, rel, grid.refine(4), tol=1e-3)
+        rho = sample_minimizer(potential, rel, grid, fine.lam)
+        family = CoherentFamily.default(n, 0.0)
+        lift = bathtub_lift(rho, constants, brillouin_momentum_grid(grid, family.hbar))
+        tracemalloc.start()
+        try:
+            gamma = gamma_from_measure(lift, family)
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert lift._values is None
+        assert gamma.trace == pytest.approx(n, abs=0.1)
+        assert peak_mib <= QUANTIZE_1024_PEAK_CAP_MIB
 
 
 class TestHermitianCheck:
@@ -716,15 +795,10 @@ class TestNonDualMomentumRejected:
         with pytest.raises(ValidationError, match="lattice dual"):
             husimi_grid_table(gamma, family, self._stretched(grid, family))
 
-    def test_momentum_density(self, setup):
-        grid, _, family, gamma = setup
-        with pytest.raises(ValidationError, match="lattice dual"):
-            momentum_density(gamma, family.hbar, self._stretched(grid, family))
-
     def test_gamma_from_measure(self, setup, tf_lift):
         grid, _, family, _ = setup
         lift, _ = tf_lift
-        stretched = PhaseSpaceDensity(grid, self._stretched(grid, family), lift.values)
+        stretched = PhaseSpaceDensity(grid, self._stretched(grid, family), lift.fermi_radius)
         with pytest.raises(ValidationError, match="lattice dual"):
             gamma_from_measure(stretched, family)
 

@@ -221,7 +221,6 @@ class TestBathtubLift:
         sol = minimize_1d_relaxed(harmonic_1d, RelaxedLocalEnergy(constants.c_tf, 0.0), grid, tol=1e-6)
         lift = bathtub_lift(sol.rho, constants, SpatialGrid(1, 3.0, 128))
         assert set(np.unique(lift.values)) <= {0.0, 1.0}
-        assert lift.pauli_bound_ok
 
     def test_2d_cap_normalization(self, harmonic_2d):
         constants = TFConstants.paper_literal(2)
@@ -293,6 +292,7 @@ class TestLazyLiftTable:
         lift = bathtub_lift(rho, TFConstants.bathtub_consistent(d), momentum)
         assert np.array_equal(lift.values, _eager_table(momentum, lift.fermi_radius))
         assert lift.values is lift.values  # built once, then cached
+        assert not lift.values.flags.writeable
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_tied_fermi_radius(self, d, rng):
@@ -326,24 +326,26 @@ class TestLazyLiftTable:
 
         assert _traced(read)[1] < 1 << 20
 
-    def test_pauli_bound_leaves_table_unbuilt(self, lift_above_cap):
+    def test_closed_forms_leave_table_unbuilt(self, lift_above_cap):
         # building the table would raise CapExceededError
-        assert lift_above_cap.pauli_bound_ok
         assert lift_above_cap.normalization() == pytest.approx(1.0, rel=1e-12)
+        assert np.all(lift_above_cap.kinetic_density() >= 0.0)
+        assert lift_above_cap._values is None
 
-    def test_needs_values_or_radius(self):
+    def test_rejects_invalid_radius(self):
         grid = SpatialGrid(1, 1.0, 8)
-        with pytest.raises(ValidationError):
-            PhaseSpaceDensity(grid, grid)
-        with pytest.raises(ValidationError):
-            PhaseSpaceDensity(grid, grid, fermi_radius=np.ones(7))
+        for radius in (np.ones(7), np.full(8, -1e-12), np.full(8, np.nan), np.full(8, np.inf)):
+            with pytest.raises(ValidationError, match="Fermi radius"):
+                PhaseSpaceDensity(grid, grid, radius)
+        with pytest.raises(ValidationError, match="dimension"):
+            PhaseSpaceDensity(grid, SpatialGrid(2, 1.0, 4), np.ones(8))
 
 
 class TestVlasovEnergy:
     def test_zero_measure(self, harmonic_1d):
         grid = SpatialGrid(1, 2.0, 64)
         momentum = SpatialGrid(1, 2.0, 32)
-        m = PhaseSpaceDensity(grid, momentum, np.zeros((grid.size, momentum.size)))
+        m = PhaseSpaceDensity(grid, momentum, np.zeros(grid.size))
         report = vlasov_energy(m, harmonic_1d, i_w=1.0)
         assert report.kinetic_term == report.potential_term == report.interaction_term == 0.0
 
